@@ -119,18 +119,13 @@ def _bounds_from_args(args) -> fibers.TruncationBounds:
 
 def _render_tree_text(tree: fibers.FiberTree) -> str:
     lines = []
-
-    def walk(node, depth):
+    for node in tree.nodes():
         s = node.semigroup
         label = f"{s} F={s.frobenius} g={s.genus}"
         if node.removed_generator is None:
             lines.append(label)
         else:
-            lines.append("  " * depth + f"[x={node.removed_generator}] {label}")
-        for child in node.children:
-            walk(child, depth + 1)
-
-    walk(tree.root, 0)
+            lines.append("  " * node.depth + f"[x={node.removed_generator}] {label}")
     return "\n".join(lines) + "\n"
 
 

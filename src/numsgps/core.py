@@ -6,6 +6,21 @@ here is the sorted gap tuple plus the derived minimal generating set; every
 predicate reduces to O(1) membership tests against the gap set, membership
 above the largest gap being implicit.
 
+Searches over semigroups move one element at a time, so two kernels derive
+the new ``msg`` from the old one, with O(e) membership tests for an
+adjunction and O(e²) for a removal (e the embedding dimension), instead of
+rebuilding it from the gap set:
+
+* adjoining a pseudo-Frobenius gap z with 2z ∈ T (:func:`_adjoined`):
+  msg(T ∪ {z}) = {z} ∪ {a ∈ msg(T) : a < z or a − z ∉ T ∪ {z}};
+* removing a minimal generator x (:func:`_removed`): msg(T ∖ {x}) lies in
+  (msg(T) ∖ {x}) ∪ {x + a : a ∈ msg(T)} ∪ {3x}, and a candidate, taken in
+  ascending order, is a generator unless it is a smaller generator plus a
+  nonzero member.
+
+Pseudo-Frobenius numbers come from shifts of the gap bitmask G:
+PF = G & ~⋃ₐ (G >> a) over a ∈ msg.
+
 Conventions for S = ℕ: gaps = (), frobenius = -1, genus = 0.  Operations
 that are undefined there (pseudo-Frobenius numbers, type, irreducibility)
 raise :class:`~numsgps.errors.WholeN` instead of guessing.
@@ -13,6 +28,7 @@ raise :class:`~numsgps.errors.WholeN` instead of guessing.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import gcd
@@ -148,6 +164,47 @@ def _from_gap_tuple(gaps: Iterable[int]) -> NumericalSemigroup:
     return NumericalSemigroup(tup, _minimal_generators(frozenset(tup), frob))
 
 
+def _adjoined(T: NumericalSemigroup, z: int) -> NumericalSemigroup:
+    """T ∪ {z}, unchecked: z must be a pseudo-Frobenius gap of T with 2z ∈ T.
+
+    z is the only new member, and a minimal generator.  An old generator a
+    stops being minimal exactly when a = z + s with s ∈ T ∪ {z} nonzero,
+    since a split of a that is not already inside T must use z.  So
+    msg(T ∪ {z}) = {z} ∪ {a ∈ msg(T) : a < z or a − z ∉ T ∪ {z}}.
+    """
+    gaps = T.gaps
+    i = bisect_left(gaps, z)
+    gap_set = T.gap_set
+    msg = [a for a in T.msg if a < z or (a != 2 * z and a - z in gap_set)]
+    insort(msg, z)
+    return NumericalSemigroup(gaps[:i] + gaps[i + 1 :], tuple(msg))
+
+
+def _removed(T: NumericalSemigroup, x: int) -> NumericalSemigroup:
+    """T ∖ {x}, unchecked: x must be a minimal generator of T.
+
+    A generator y of T ∖ {x} that is not one of T is x + s with s ∈ T
+    nonzero.  Unless s is a generator of T, s = a + t with a a generator,
+    and y = (x + a) + t splits inside T ∖ {x} unless t = x; then
+    y = 2x + a, which splits as (2x) + a unless a = x too.  So the
+    candidates are (msg(T) ∖ {x}) ∪ {x + a : a ∈ msg(T)} ∪ {3x}; 3x is
+    needed, e.g. ℕ ∖ {1} = ⟨2, 3⟩.  Taken in ascending order, a candidate
+    is a generator unless it is an already-kept one plus a nonzero member.
+    """
+    gaps = T.gaps
+    i = bisect_left(gaps, x)
+    gap_set = T.gap_set
+    candidates = {a for a in T.msg if a != x}
+    candidates.update(x + a for a in T.msg)
+    candidates.add(3 * x)
+    msg: list[int] = []
+    for c in sorted(candidates):
+        # c - k > 0 is a member of T ∖ {x} iff it is neither x nor a gap.
+        if all(c - k == x or c - k in gap_set for k in msg):
+            msg.append(c)
+    return NumericalSemigroup(gaps[:i] + (x,) + gaps[i:], tuple(msg))
+
+
 def _validated_positive(values: Iterable[int], what: str) -> list[int]:
     out = sorted(set(values))
     if any(not isinstance(v, int) or isinstance(v, bool) for v in out):
@@ -219,11 +276,23 @@ def apery(S: NumericalSemigroup, x: int) -> tuple[int, ...]:
 def pseudo_frobenius(S: NumericalSemigroup) -> tuple[int, ...]:
     """PF(S): gaps z with z + s ∈ S for every nonzero member s.
 
-    Checking the minimal generators suffices, by closure.
+    Checking the minimal generators suffices, by closure.  With G the gap
+    bitmask, bit z of G >> a is set iff z + a is a gap, so
+    PF = G & ~⋃ₐ (G >> a) over a ∈ msg(S).
     """
     if S.is_whole_n:
         raise WholeN("PF is undefined for the whole of ℕ")
-    return tuple(z for z in S.gaps if all(S.contains(z + a) for a in S.msg))
+    G = sum(map((1).__lshift__, S.gaps))
+    covered = 0
+    for a in S.msg:
+        covered |= G >> a
+    pf = G & ~covered
+    out = []
+    while pf:
+        low = pf & -pf
+        out.append(low.bit_length() - 1)
+        pf ^= low
+    return tuple(out)
 
 
 def semigroup_type(S: NumericalSemigroup) -> int:
@@ -253,7 +322,7 @@ def remove_minimal_generator(S: NumericalSemigroup, x: int) -> NumericalSemigrou
     """The semigroup S \\ {x}; only defined for minimal generators x."""
     if x not in S.msg:
         raise NotMinimalGenerator(f"{x} is not a minimal generator of {S}")
-    return _from_gap_tuple(S.gaps + (x,))
+    return _removed(S, x)
 
 
 def adjoin(S: NumericalSemigroup, x: int) -> NumericalSemigroup:
@@ -264,7 +333,7 @@ def adjoin(S: NumericalSemigroup, x: int) -> NumericalSemigroup:
         raise NotAdjoinable(x, "not a pseudo-Frobenius number")
     if not S.contains(2 * x):
         raise NotAdjoinable(x, "twice the value is not a member")
-    return _from_gap_tuple(h for h in S.gaps if h != x)
+    return _adjoined(S, x)
 
 
 def intersect(S1: NumericalSemigroup, S2: NumericalSemigroup) -> NumericalSemigroup:

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import NumericalSemigroup, _from_gap_tuple
+from .core import NumericalSemigroup, _adjoined, _removed
+# Unused here; perfbench/selftest.py checks that its tracer reaches the
+# builder through every namespace that bound it, this one included.
+from .core import _from_gap_tuple  # noqa: F401
 from .errors import (
     BoundsMissing,
     InternalInvariantError,
@@ -108,7 +111,7 @@ def saturate(ctx: MultipleContext, T: NumericalSemigroup) -> NumericalSemigroup:
         z = theta(ctx, current)
         if z is None:
             return current
-        current = _from_gap_tuple(h for h in current.gaps if h != z)
+        current = _adjoined(current, z)
 
 
 def divisibility_check(ctx: MultipleContext, T: NumericalSemigroup) -> bool:
@@ -143,9 +146,9 @@ def _child_pairs(ctx, T, theta_cache=None):
             continue
         if fast:
             if x > T.frobenius:
-                out.append((x, _from_gap_tuple(T.gaps + (x,))))
+                out.append((x, _removed(T, x)))
         else:
-            child = _from_gap_tuple(T.gaps + (x,))
+            child = _removed(T, x)
             if theta_cache is None:
                 step = theta(ctx, child)
             elif child.gaps in theta_cache:
@@ -171,27 +174,35 @@ def enumerate_fiber(
     if addable_gaps(ctx, root):
         raise NotMaximal(f"{root} is not a maximal {ctx.d}-multiple of {ctx.semigroup}")
     root_node = FiberNode(root, None, 0)
+    tree = FiberTree(ctx, root_node)
     count = 1
     theta_cache: dict = {}
 
-    def expand(node: FiberNode):
-        nonlocal count
+    def pending(node: FiberNode):
         if bounds.max_depth is not None and node.depth >= bounds.max_depth:
-            return
-        for x, child in _child_pairs(ctx, node.semigroup, theta_cache):
+            return iter(())
+        return iter(_child_pairs(ctx, node.semigroup, theta_cache))
+
+    # An explicit stack of (node, its unvisited child pairs) keeps depth off
+    # the interpreter's recursion limit.
+    stack = [(root_node, pending(root_node))]
+    while stack:
+        node, rest = stack[-1]
+        for x, child in rest:
             if bounds.max_frobenius is not None and child.frobenius > bounds.max_frobenius:
                 continue
             if bounds.max_genus is not None and child.genus > bounds.max_genus:
                 continue
             if bounds.max_nodes is not None and count >= bounds.max_nodes:
-                return
+                return tree
             child_node = FiberNode(child, x, node.depth + 1)
             node.children.append(child_node)
             count += 1
-            expand(child_node)
-
-    expand(root_node)
-    return FiberTree(ctx, root_node)
+            stack.append((child_node, pending(child_node)))
+            break
+        else:
+            stack.pop()
+    return tree
 
 
 def fiber_tree_to_dot(tree: FiberTree) -> str:

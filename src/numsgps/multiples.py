@@ -15,6 +15,7 @@ from functools import cached_property
 
 from .core import (
     NumericalSemigroup,
+    _adjoined,
     _from_gap_tuple,
     checked,
     is_irreducible,
@@ -110,8 +111,8 @@ def max_multiples(ctx: MultipleContext, node_cap: int | None = None) -> MaxMulti
     every addable gap, deduplicate by gap set, and collect the semigroups
     whose addable set is empty.  Each adjunction removes one gap, so the
     search terminates; every maximal contains the ground multiple, so none
-    is missed.  Frontier order (genus, gap tuple) makes the output
-    deterministic.
+    is missed.  The maximals are sorted by (genus, gap tuple) at the end, so
+    the output does not depend on frontier order.
 
     The BFS visits every d-multiple with Frobenius number d·F(S), which can
     be enormous; callers that only need a best-effort answer may pass
@@ -131,7 +132,6 @@ def max_multiples(ctx: MultipleContext, node_cap: int | None = None) -> MaxMulti
             raise CeilingExceeded(
                 f"more than {node_cap} multiples with Frobenius {ctx.scaled_frobenius}"
             )
-        frontier.sort(key=lambda t: (t.genus, t.gaps))
         next_frontier: list[NumericalSemigroup] = []
         for T in frontier:
             addable = addable_gaps(ctx, T)
@@ -139,7 +139,7 @@ def max_multiples(ctx: MultipleContext, node_cap: int | None = None) -> MaxMulti
                 maximals.append(T)
                 continue
             for z in addable:
-                child = _from_gap_tuple(h for h in T.gaps if h != z)
+                child = _adjoined(T, z)
                 if child.gaps not in seen:
                     seen.add(child.gaps)
                     next_frontier.append(child)

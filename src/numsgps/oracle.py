@@ -25,7 +25,12 @@ CEILING_ENV_VAR = "NUMSGPS_ORACLE_CEILING"
 
 def census_ceiling() -> int:
     raw = os.environ.get(CEILING_ENV_VAR)
-    return int(raw) if raw else DEFAULT_CENSUS_CEILING
+    if not raw:
+        return DEFAULT_CENSUS_CEILING
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidInput(f"{CEILING_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)

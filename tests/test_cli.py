@@ -151,6 +151,22 @@ class TestFiberTree:
         assert out.count("\n") == 3
         assert out.splitlines()[0] == "⟨5,7,8,9⟩ F=11 g=6"
 
+    def test_deep_chain_is_cut_at_max_nodes(self, capsys):
+        # The ⟨3,4⟩ fiber of (⟨2,3⟩, d=5) is a chain deeper than the
+        # interpreter's recursion limit.
+        code, out, _ = run(
+            capsys, "fiber-tree", "--sgp", "2,3", "--d", "5", "--max-nodes", "1000"
+        )
+        assert code == 0
+        sizes = []
+        for line in out.splitlines():
+            if line.startswith(" "):
+                sizes[-1] += 1
+            else:
+                sizes.append(1)
+        assert len(sizes) == 2
+        assert max(sizes) == 1000
+
 
 class TestExitCodes:
     def test_invalid_gcd(self, capsys):
@@ -163,6 +179,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "oracle", "frobenius-census", "--f", "25")
         assert code == 3
         assert "ceiling" in err
+
+    def test_malformed_ceiling(self, capsys, monkeypatch):
+        monkeypatch.setenv("NUMSGPS_ORACLE_CEILING", "abc")
+        code, out, err = run(capsys, "oracle", "frobenius-census", "--f", "6")
+        assert (code, out) == (2, "")
+        assert "NUMSGPS_ORACLE_CEILING" in err
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

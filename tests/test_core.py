@@ -10,6 +10,9 @@ import pytest
 
 from numsgps.core import (
     WHOLE_N,
+    _adjoined,
+    _from_gap_tuple,
+    _removed,
     adjoin,
     apery,
     brauer_step,
@@ -245,6 +248,42 @@ class TestGeneratorSurgery:
             bigger = adjoin(S, S.frobenius)
             if S.frobenius in bigger.msg:
                 assert remove_minimal_generator(bigger, S.frobenius) == S
+
+
+class TestIncrementalKernels:
+    """The one-step kernels agree with a from-scratch build of the gap set."""
+
+    def test_removed_matches_rebuild(self, genus_tree_12):
+        for S in genus_tree_12:
+            for x in S.msg:
+                assert _removed(S, x) == _from_gap_tuple(S.gaps + (x,)), (S, x)
+
+    def test_removed_needs_three_x(self):
+        # ℕ ∖ {1} = ⟨2, 3⟩: 3 = 3x is neither a generator of ℕ nor x + a.
+        assert _removed(WHOLE_N, 1) == sgp(2, 3)
+        assert _removed(WHOLE_N, 1).msg == (2, 3)
+
+    def test_adjoined_matches_rebuild(self, genus_tree_12):
+        checked = 0
+        for S in genus_tree_12:
+            if S.is_whole_n:
+                continue
+            for z in pseudo_frobenius(S):
+                if S.contains(2 * z):
+                    rebuilt = _from_gap_tuple(h for h in S.gaps if h != z)
+                    assert _adjoined(S, z) == rebuilt, (S, z)
+                    checked += 1
+        assert checked > len(genus_tree_12)
+
+    def test_pseudo_frobenius_matches_definition(self, genus_tree_12):
+        for S in genus_tree_12:
+            if S.is_whole_n:
+                continue
+            members = [s for s in range(1, S.frobenius + 1) if S.contains(s)]
+            expected = tuple(
+                z for z in S.gaps if all(S.contains(z + s) for s in members)
+            )
+            assert pseudo_frobenius(S) == expected, S
 
 
 class TestIntersect:
