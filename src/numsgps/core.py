@@ -2,24 +2,27 @@
 
 A numerical semigroup S is an additively closed subset of ℕ containing 0
 whose complement (the *gap* set) is finite.  The canonical representation
-here is the sorted gap tuple plus the derived minimal generating set; every
-predicate reduces to O(1) membership tests against the gap set, membership
-above the largest gap being implicit.
+here is the gap bitmask G (bit h set iff h is a gap) plus the derived
+minimal generating set.  Every predicate is a bit operation on G:
+membership is a bit test (bits above the Frobenius number are clear), the
+Frobenius number is the top bit and the genus the bit count, and inclusion
+is a mask-subset test.  The sorted gap tuple is built only when asked for.
+
+Minimal generators are decided with a sum accumulator D: scanning the
+nonzero members M up to F + m in ascending order, a member x is a
+generator iff bit x of D is clear, and each generator x adds M << x to D.
 
 Searches over semigroups move one element at a time, so two kernels derive
-the new ``msg`` from the old one, with O(e) membership tests for an
-adjunction and O(e²) for a removal (e the embedding dimension), instead of
-rebuilding it from the gap set:
+the new ``msg`` from the old one instead of rebuilding it from the gaps:
 
 * adjoining a pseudo-Frobenius gap z with 2z ∈ T (:func:`_adjoined`):
   msg(T ∪ {z}) = {z} ∪ {a ∈ msg(T) : a < z or a − z ∉ T ∪ {z}};
 * removing a minimal generator x (:func:`_removed`): msg(T ∖ {x}) lies in
-  (msg(T) ∖ {x}) ∪ {x + a : a ∈ msg(T)} ∪ {3x}, and a candidate, taken in
-  ascending order, is a generator unless it is a smaller generator plus a
-  nonzero member.
+  (msg(T) ∖ {x}) ∪ {x + a : a ∈ msg(T)} ∪ {3x}, decided in ascending
+  order with the same sum accumulator.
 
-Pseudo-Frobenius numbers come from shifts of the gap bitmask G:
-PF = G & ~⋃ₐ (G >> a) over a ∈ msg.
+Pseudo-Frobenius numbers come from shifts of G: PF = G & ~⋃ₐ (G >> a) over
+a ∈ msg, and :func:`from_generators` closes its generators by shifts too.
 
 Conventions for S = ℕ: gaps = (), frobenius = -1, genus = 0.  Operations
 that are undefined there (pseudo-Frobenius numbers, type, irreducibility)
@@ -28,13 +31,14 @@ raise :class:`~numsgps.errors.WholeN` instead of guessing.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import gcd
 from typing import Iterable
 
 from .errors import (
+    CeilingExceeded,
     InvalidInput,
     NotAdjoinable,
     NotClosed,
@@ -50,6 +54,10 @@ from .errors import (
 # Python itself would happily exceed it.
 INT_LIMIT = 2**63 - 1
 
+# from_generators refuses a semigroup whose Frobenius number plus
+# multiplicity exceeds this, far above anything the tests or examples reach.
+CLOSURE_CEILING = 2**20
+
 
 def checked(value: int) -> int:
     if abs(value) > INT_LIMIT:
@@ -57,29 +65,40 @@ def checked(value: int) -> int:
     return value
 
 
+def _bits(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of a nonnegative mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class NumericalSemigroup:
-    """A numerical semigroup, canonically identified by its finite gap set.
+    """A numerical semigroup, canonically identified by its gap bitmask.
 
-    ``gaps`` and ``msg`` are strictly increasing tuples; ``msg`` is the
-    unique minimal system of generators.  Instances are immutable values,
-    safe to share, hash and compare.
+    Bit h of ``gap_mask`` is set iff h is a gap; ``msg`` is the strictly
+    increasing tuple of minimal generators.  ``gaps``, the sorted gap
+    tuple, is derived from the mask on first use.  Instances are immutable
+    values, safe to share, hash and compare.
     """
 
-    gaps: tuple[int, ...]
+    gap_mask: int
     msg: tuple[int, ...]
 
     @cached_property
-    def gap_set(self) -> frozenset[int]:
-        return frozenset(self.gaps)
+    def gaps(self) -> tuple[int, ...]:
+        return _bits(self.gap_mask)
 
     @property
     def frobenius(self) -> int:
-        return self.gaps[-1] if self.gaps else -1
+        return self.gap_mask.bit_length() - 1
 
     @property
     def genus(self) -> int:
-        return len(self.gaps)
+        return self.gap_mask.bit_count()
 
     @property
     def multiplicity(self) -> int:
@@ -91,10 +110,10 @@ class NumericalSemigroup:
 
     @property
     def is_whole_n(self) -> bool:
-        return not self.gaps
+        return not self.gap_mask
 
     def contains(self, x: int) -> bool:
-        return x >= 0 and (x > self.frobenius or x not in self.gap_set)
+        return x >= 0 and not self.gap_mask >> x & 1
 
     def __contains__(self, x: int) -> bool:
         return self.contains(x)
@@ -108,10 +127,10 @@ class NumericalSemigroup:
 
     def __le__(self, other: NumericalSemigroup) -> bool:
         """Inclusion: self ⊆ other iff gaps(other) ⊆ gaps(self)."""
-        return other.gap_set <= self.gap_set
+        return not other.gap_mask & ~self.gap_mask
 
     def __lt__(self, other: NumericalSemigroup) -> bool:
-        return other.gap_set < self.gap_set
+        return self <= other and other.gap_mask != self.gap_mask
 
     def to_json_dict(self) -> dict:
         return {
@@ -135,33 +154,44 @@ def preceq(S: NumericalSemigroup, x: int, y: int) -> PartialOrderWitness:
     return PartialOrderWitness(x, y, S.contains(y - x))
 
 
-def _minimal_generators(gap_set: frozenset[int], frobenius: int) -> tuple[int, ...]:
-    """Minimal generators of the semigroup with the given gaps.
+def _generators_among(gap_mask: int, candidates: int) -> tuple[int, ...]:
+    """The minimal generators of the semigroup with the given gap bitmask,
+    provided every one of them is a bit of ``candidates``.
 
-    A nonzero member is a minimal generator iff it is not a sum of two
-    nonzero members; no generator exceeds frobenius + multiplicity.
+    A nonzero member is a minimal generator iff it is not a smaller
+    generator plus a nonzero member; no generator exceeds frobenius +
+    multiplicity.  With M the nonzero members up to that bound, the lowest
+    candidate member not yet in D = ⋃ ((M | 1) << a) over the generators a
+    found so far is the next generator.
     """
-
-    def member(x: int) -> bool:
-        return x > frobenius or x not in gap_set
-
-    m = 1
-    while m in gap_set:
-        m += 1
+    low = ~gap_mask & (gap_mask + 2)  # the multiplicity's bit
+    bound = max(gap_mask.bit_length() - 1, 0) + low.bit_length() - 1
+    members = ((2 << bound) - 2) & ~gap_mask
+    left = candidates & members
+    sums = members | 1  # x + s for s ∈ {0} ∪ M, shifted by x below
     msg: list[int] = []
-    for x in range(1, max(frobenius, 0) + m + 1):
-        if not member(x):
-            continue
-        if not any(member(x - a) for a in msg if a < x):
-            msg.append(x)
+    while left:
+        x = (left & -left).bit_length() - 1
+        msg.append(x)
+        left &= ~(sums << x)
     return tuple(msg)
+
+
+def _minimal_generators(gap_mask: int) -> tuple[int, ...]:
+    """Minimal generators of the semigroup with the given gap bitmask."""
+    return _generators_among(gap_mask, -1)
+
+
+def _from_gap_mask(gap_mask: int) -> NumericalSemigroup:
+    return NumericalSemigroup(gap_mask, _minimal_generators(gap_mask))
 
 
 def _from_gap_tuple(gaps: Iterable[int]) -> NumericalSemigroup:
     """Build the value from an already-validated closed gap set."""
-    tup = tuple(sorted(set(gaps)))
-    frob = tup[-1] if tup else -1
-    return NumericalSemigroup(tup, _minimal_generators(frozenset(tup), frob))
+    mask = 0
+    for h in gaps:
+        mask |= 1 << h
+    return _from_gap_mask(mask)
 
 
 def _adjoined(T: NumericalSemigroup, z: int) -> NumericalSemigroup:
@@ -170,14 +200,13 @@ def _adjoined(T: NumericalSemigroup, z: int) -> NumericalSemigroup:
     z is the only new member, and a minimal generator.  An old generator a
     stops being minimal exactly when a = z + s with s ∈ T ∪ {z} nonzero,
     since a split of a that is not already inside T must use z.  So
-    msg(T ∪ {z}) = {z} ∪ {a ∈ msg(T) : a < z or a − z ∉ T ∪ {z}}.
+    msg(T ∪ {z}) = {z} ∪ {a ∈ msg(T) : a < z or a − z ∉ T ∪ {z}}, and
+    a − z ∉ T ∪ {z} is a bit test on the new gap mask.
     """
-    gaps = T.gaps
-    i = bisect_left(gaps, z)
-    gap_set = T.gap_set
-    msg = [a for a in T.msg if a < z or (a != 2 * z and a - z in gap_set)]
+    G = T.gap_mask ^ (1 << z)
+    msg = [a for a in T.msg if a < z or G >> (a - z) & 1]
     insort(msg, z)
-    return NumericalSemigroup(gaps[:i] + gaps[i + 1 :], tuple(msg))
+    return NumericalSemigroup(G, tuple(msg))
 
 
 def _removed(T: NumericalSemigroup, x: int) -> NumericalSemigroup:
@@ -188,21 +217,12 @@ def _removed(T: NumericalSemigroup, x: int) -> NumericalSemigroup:
     and y = (x + a) + t splits inside T ∖ {x} unless t = x; then
     y = 2x + a, which splits as (2x) + a unless a = x too.  So the
     candidates are (msg(T) ∖ {x}) ∪ {x + a : a ∈ msg(T)} ∪ {3x}; 3x is
-    needed, e.g. ℕ ∖ {1} = ⟨2, 3⟩.  Taken in ascending order, a candidate
-    is a generator unless it is an already-kept one plus a nonzero member.
+    needed, e.g. ℕ ∖ {1} = ⟨2, 3⟩.  As a bitmask, with A the mask of
+    msg(T), the candidates are (A ∖ {x}) | (A << x) | {3x}.
     """
-    gaps = T.gaps
-    i = bisect_left(gaps, x)
-    gap_set = T.gap_set
-    candidates = {a for a in T.msg if a != x}
-    candidates.update(x + a for a in T.msg)
-    candidates.add(3 * x)
-    msg: list[int] = []
-    for c in sorted(candidates):
-        # c - k > 0 is a member of T ∖ {x} iff it is neither x nor a gap.
-        if all(c - k == x or c - k in gap_set for k in msg):
-            msg.append(c)
-    return NumericalSemigroup(gaps[:i] + (x,) + gaps[i:], tuple(msg))
+    G = T.gap_mask | 1 << x
+    A = sum(map((1).__lshift__, T.msg))
+    return NumericalSemigroup(G, _generators_among(G, (A ^ 1 << x) | A << x | 1 << 3 * x))
 
 
 def _validated_positive(values: Iterable[int], what: str) -> list[int]:
@@ -217,9 +237,13 @@ def _validated_positive(values: Iterable[int], what: str) -> list[int]:
 def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     """Numerical semigroup generated by ``gens``.
 
-    Requires gcd(gens) = 1.  The gap set is found by dynamic closure: once
-    min(gens) consecutive members appear, everything above them is a member,
-    so no a-priori bound on the conductor is needed.
+    Requires gcd(gens) = 1.  The members up to a bound are closed under
+    each generator a by shifts of a member bitmask by a, 2a, 4a, ….  By
+    Schur's bound F ≤ (m − 1)(max − 1) − 1 with m = min(gens), the bound
+    F + m holds F and the m consecutive members after it, above which
+    everything is a member.  A semigroup whose closure would run past
+    :data:`CLOSURE_CEILING` before m consecutive members is refused with
+    :class:`CeilingExceeded`.
     """
     g = _validated_positive(gens, "generators")
     if not g:
@@ -227,19 +251,24 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     if reduce(gcd, g) != 1:
         raise NotNumerical(f"gcd({','.join(map(str, g))}) != 1")
     m = g[0]
-    member = bytearray([1])
-    gaps: list[int] = []
-    run, n = 0, 0
-    while run < m:
-        n += 1
-        if any(a <= n and member[n - a] for a in g):
-            member.append(1)
-            run += 1
-        else:
-            member.append(0)
-            gaps.append(n)
-            run = 0
-    return _from_gap_tuple(gaps)
+    bound = min(max((m - 1) * (g[-1] - 1) - 1, 0) + m, CLOSURE_CEILING)
+    full = (2 << bound) - 1
+    members = 1
+    for a in g:
+        if a > bound:  # it and the rest add nothing under the bound
+            break
+        step, covered = a, 0
+        while covered < bound:
+            members |= (members << step) & full
+            covered += step
+            step *= 2
+    gap_mask = ~members & full
+    if gap_mask.bit_length() - 1 + m > bound:
+        raise CeilingExceeded(
+            f"the closure of {','.join(map(str, g))} passes {CLOSURE_CEILING} "
+            f"before {m} consecutive members"
+        )
+    return _from_gap_mask(gap_mask)
 
 
 def from_gaps(gaps: Iterable[int]) -> NumericalSemigroup:
@@ -282,17 +311,11 @@ def pseudo_frobenius(S: NumericalSemigroup) -> tuple[int, ...]:
     """
     if S.is_whole_n:
         raise WholeN("PF is undefined for the whole of ℕ")
-    G = sum(map((1).__lshift__, S.gaps))
+    G = S.gap_mask
     covered = 0
     for a in S.msg:
         covered |= G >> a
-    pf = G & ~covered
-    out = []
-    while pf:
-        low = pf & -pf
-        out.append(low.bit_length() - 1)
-        pf ^= low
-    return tuple(out)
+    return _bits(G & ~covered)
 
 
 def semigroup_type(S: NumericalSemigroup) -> int:
@@ -327,7 +350,7 @@ def remove_minimal_generator(S: NumericalSemigroup, x: int) -> NumericalSemigrou
 
 def adjoin(S: NumericalSemigroup, x: int) -> NumericalSemigroup:
     """The semigroup S ∪ {x}; defined iff x is pseudo-Frobenius and 2x ∈ S."""
-    if not (x >= 1 and x in S.gap_set):
+    if not (x >= 1 and S.gap_mask >> x & 1):
         raise NotAdjoinable(x, "not a gap")
     if not all(S.contains(x + a) for a in S.msg):
         raise NotAdjoinable(x, "not a pseudo-Frobenius number")
@@ -338,7 +361,7 @@ def adjoin(S: NumericalSemigroup, x: int) -> NumericalSemigroup:
 
 def intersect(S1: NumericalSemigroup, S2: NumericalSemigroup) -> NumericalSemigroup:
     """Intersection; its gap set is the union of the two gap sets."""
-    return _from_gap_tuple(set(S1.gaps) | set(S2.gaps))
+    return _from_gap_mask(S1.gap_mask | S2.gap_mask)
 
 
 def brauer_step(a1: int, rest: Iterable[int]) -> tuple[int, int]:

@@ -3,8 +3,8 @@
 These are the semigroups T = ⟨x⟩ + d·S with x ∈ S and gcd(x, d) = 1; x is
 recovered as min(T ∖ d·S).  Frobenius number, genus, pseudo-Frobenius set
 and type of T all have closed forms in terms of S and x, each cross-checked
-against the materialized semigroup in debug mode (assertions) and used
-directly otherwise.
+against the materialized semigroup; a mismatch is a bug and raises
+:class:`~numsgps.errors.InternalInvariantError`.
 """
 
 from __future__ import annotations
@@ -42,11 +42,18 @@ def construct_ed1(ctx: MultipleContext, x: int) -> Ed1Multiple:
     return Ed1Multiple(ctx, x, T)
 
 
+def _cross_check(what: str, closed_form, materialized, m: Ed1Multiple):
+    if closed_form != materialized:
+        raise InternalInvariantError(
+            f"closed-form {what} = {closed_form} but {what}({m.semigroup}) = {materialized}"
+        )
+
+
 def ed1_frobenius(m: Ed1Multiple) -> int:
     """F(T) = (d-1)·x + d·F(S)."""
     d, x = m.context.d, m.x
     value = checked((d - 1) * x + m.context.scaled_frobenius)
-    assert value == m.semigroup.frobenius
+    _cross_check("F", value, m.semigroup.frobenius, m)
     return value
 
 
@@ -56,7 +63,7 @@ def ed1_genus(m: Ed1Multiple) -> int:
     if (d - 1) * (x - 1) % 2 != 0:
         raise InternalInvariantError(f"(d-1)(x-1) odd for d={d}, x={x}")
     value = checked((d - 1) * (x - 1) // 2 + d * m.context.semigroup.genus)
-    assert value == m.semigroup.genus
+    _cross_check("g", value, m.semigroup.genus, m)
     return value
 
 
@@ -66,7 +73,7 @@ def ed1_pseudo_frobenius(m: Ed1Multiple) -> tuple[int, ...]:
         raise WholeN("PF is undefined for the whole of ℕ")
     d, x = m.context.d, m.x
     value = tuple(sorted(d * f + (d - 1) * x for f in pseudo_frobenius(m.context.semigroup)))
-    assert value == pseudo_frobenius(m.semigroup)
+    _cross_check("PF", value, pseudo_frobenius(m.semigroup), m)
     return value
 
 

@@ -136,25 +136,26 @@ def children(ctx: MultipleContext, T: NumericalSemigroup) -> tuple[FiberNode, ..
 def _child_pairs(ctx, T, theta_cache=None):
     # A candidate T ∖ {x} can be probed from every node containing it one
     # generator up, so enumerations share θ results via theta_cache.
-    fast = T.frobenius != ctx.scaled_frobenius
+    d, scaled, F = ctx.d, ctx.scaled_gap_mask, T.frobenius
+    fast = F != ctx.scaled_frobenius
     if fast:
         # Same invariant as divisibility_check, kept hot-path cheap.
-        assert T.frobenius % ctx.d != 0
+        assert F % d != 0
     out = []
     for x in T.msg:
-        if ctx.in_scaled_semigroup(x):
+        if x % d == 0 and not scaled >> x & 1:  # x ∈ d·S
             continue
         if fast:
-            if x > T.frobenius:
+            if x > F:
                 out.append((x, _removed(T, x)))
         else:
             child = _removed(T, x)
             if theta_cache is None:
                 step = theta(ctx, child)
-            elif child.gaps in theta_cache:
-                step = theta_cache[child.gaps]
+            elif child.gap_mask in theta_cache:
+                step = theta_cache[child.gap_mask]
             else:
-                step = theta_cache[child.gaps] = theta(ctx, child)
+                step = theta_cache[child.gap_mask] = theta(ctx, child)
             if step == x:
                 out.append((x, child))
     return out

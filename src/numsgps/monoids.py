@@ -17,7 +17,7 @@ from math import gcd
 from typing import Iterable
 
 from .core import NumericalSemigroup, from_generators
-from .errors import InvalidInput, NotAMultiple, NotMdSet
+from .errors import InternalInvariantError, InvalidInput, NotAMultiple, NotMdSet
 from .multiples import MultipleContext, is_d_multiple
 
 
@@ -130,7 +130,7 @@ def decompose_multiple(ctx: MultipleContext, T: NumericalSemigroup) -> tuple[int
         raise NotAMultiple(f"{T} is not a {ctx.d}-multiple of {ctx.semigroup}")
     scaled_msg = {ctx.d * a for a in ctx.semigroup.msg}
     xs = tuple(a for a in T.msg if a not in scaled_msg)
-    if __debug__:
-        regenerated = build_monoid(ctx, xs)
-        assert regenerated.is_semigroup and regenerated.reduced == T
+    regenerated = build_monoid(ctx, xs)
+    if not (regenerated.is_semigroup and regenerated.reduced == T):
+        raise InternalInvariantError(f"⟨{xs}⟩ + {ctx.d}·{ctx.semigroup} does not regenerate {T}")
     return xs

@@ -41,8 +41,12 @@ class MultipleContext:
         return tuple(self.d * h for h in self.semigroup.gaps)
 
     @cached_property
-    def scaled_gap_set(self) -> frozenset[int]:
-        return frozenset(self.scaled_gaps)
+    def scaled_gap_mask(self) -> int:
+        """Bitmask of d·gaps(S)."""
+        mask = 0
+        for h in self.scaled_gaps:
+            mask |= 1 << h
+        return mask
 
     @property
     def scaled_frobenius(self) -> int:
@@ -75,11 +79,21 @@ def quotient(T: NumericalSemigroup, d: int) -> NumericalSemigroup:
 def is_d_multiple(ctx: MultipleContext, T: NumericalSemigroup) -> bool:
     """True iff T/d = S, tested via the gap sandwich.
 
-    Requires d·gaps(S) ⊆ gaps(T) and gaps(T) ∩ d·S = ∅.
+    The sandwich d·gaps(S) ⊆ gaps(T) ⊆ ℕ ∖ d·S says, since dℕ is the
+    disjoint union of d·S and d·gaps(S), exactly that gaps(T) ∩ dℕ =
+    d·gaps(S).  With R the mask of 0, d, 2d, … up to F(T), that is
+    G & R == d·gaps(S) as bitmasks; R = (2^{dk} − 1) / (2^d − 1).  The two
+    early answers keep every mask within about 2·F(T) bits, however large
+    d is.
     """
-    if not ctx.scaled_gap_set <= T.gap_set:
+    d, F = ctx.d, T.frobenius
+    if F < d:  # no gap of T is a positive multiple of d
+        return ctx.semigroup.is_whole_n
+    if F < ctx.scaled_frobenius:  # d·F(S) must be a gap of T
         return False
-    return not any(ctx.in_scaled_semigroup(h) for h in T.gaps)
+    k = F // d + 1
+    R = ((1 << d * k) - 1) // ((1 << d) - 1)
+    return T.gap_mask & R == ctx.scaled_gap_mask
 
 
 def addable_gaps(ctx: MultipleContext, T: NumericalSemigroup) -> tuple[int, ...]:
@@ -90,9 +104,9 @@ def addable_gaps(ctx: MultipleContext, T: NumericalSemigroup) -> tuple[int, ...]
     """
     if T.is_whole_n:
         return ()
-    scaled = ctx.scaled_gap_set
+    G, scaled = T.gap_mask, ctx.scaled_gap_mask
     return tuple(
-        z for z in pseudo_frobenius(T) if T.contains(2 * z) and z not in scaled
+        z for z in pseudo_frobenius(T) if not (G >> 2 * z & 1 or scaled >> z & 1)
     )
 
 
@@ -108,7 +122,7 @@ def max_multiples(ctx: MultipleContext, node_cap: int | None = None) -> MaxMulti
     """The complete set of inclusion-maximal d-multiples of S.
 
     Breadth-first closure: start from the ground multiple, repeatedly adjoin
-    every addable gap, deduplicate by gap set, and collect the semigroups
+    every addable gap, deduplicate by gap mask, and collect the semigroups
     whose addable set is empty.  Each adjunction removes one gap, so the
     search terminates; every maximal contains the ground multiple, so none
     is missed.  The maximals are sorted by (genus, gap tuple) at the end, so
@@ -124,7 +138,7 @@ def max_multiples(ctx: MultipleContext, node_cap: int | None = None) -> MaxMulti
     if ctx.d == 1:
         return MaxMultiplesResult(ctx, (S,))
     start = _ground_multiple(ctx)
-    seen = {start.gaps}
+    seen = {start.gap_mask}
     frontier = [start]
     maximals: list[NumericalSemigroup] = []
     while frontier:
@@ -140,8 +154,8 @@ def max_multiples(ctx: MultipleContext, node_cap: int | None = None) -> MaxMulti
                 continue
             for z in addable:
                 child = _adjoined(T, z)
-                if child.gaps not in seen:
-                    seen.add(child.gaps)
+                if child.gap_mask not in seen:
+                    seen.add(child.gap_mask)
                     next_frontier.append(child)
         frontier = next_frontier
     maximals.sort(key=lambda t: (t.genus, t.gaps))

@@ -1,7 +1,7 @@
 """Brute-force enumerators and checkers, slow by design and independent of
 the production algorithms; every other module's property tests lean on them.
 
-The workhorse is a recursive descent over gap subsets of [1, limit]: each
+The workhorse is a depth-first descent over gap subsets of [1, limit]: each
 position is decided member-or-gap in increasing order while an integer
 bitmask tracks every pairwise sum of members, so a position may become a gap
 only when no two members add up to it.  Censuses, bounded multiple
@@ -65,25 +65,24 @@ def _closed_gap_sets(
     full = (1 << (limit + 1)) - 1
     gapable = allowed_mask | forced_mask
     out: list[tuple[int, ...]] = []
-    gaps: list[int] = []
-
-    def rec(pos: int, members: int, gen: int):
+    # Depth-first on an explicit stack of (pos, members, gen, gaps), so
+    # depth is not bounded by the recursion limit; the gap branch is pushed
+    # first so the member branch is explored first.
+    stack = [(1, 1, 0, ())]
+    while stack:
         if node_limit is not None and len(out) > node_limit:
-            return
+            break
+        pos, members, gen, gaps = stack.pop()
         if pos > limit:
-            out.append(tuple(gaps))
-            return
+            out.append(gaps)
+            continue
         bit = 1 << pos
+        if (gapable & bit) and not (gen & bit):
+            stack.append((pos + 1, members, gen, gaps + (pos,)))
         if not (forced_mask & bit):
             new_gen = (gen | (((members & ~1) | bit) << pos)) & full
             if not (new_gen & forced_mask):
-                rec(pos + 1, members | bit, new_gen)
-        if (gapable & bit) and not (gen & bit):
-            gaps.append(pos)
-            rec(pos + 1, members, gen)
-            gaps.pop()
-
-    rec(1, 1, 0)
+                stack.append((pos + 1, members | bit, new_gen, gaps))
     return out
 
 
@@ -183,8 +182,8 @@ def oversemigroups(S: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]:
 def is_irreducible_bruteforce(S: NumericalSemigroup) -> bool:
     """Irreducibility from the definition: no two strictly larger semigroups
     intersect to S (their gap sets would union to gaps(S))."""
-    target = S.gap_set
-    strict = [T.gap_set for T in oversemigroups(S) if T != S]
+    target = frozenset(S.gaps)
+    strict = [frozenset(T.gaps) for T in oversemigroups(S) if T != S]
     return not any(
         g1 | g2 == target for g1, g2 in combinations_with_replacement(strict, 2)
     )

@@ -2,6 +2,7 @@
 trips, DOT output, CSV reproducibility and exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -186,6 +187,22 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "NUMSGPS_ORACLE_CEILING" in err
 
+    def test_deep_oracle_descent(self, capsys):
+        # One decision per position up to 1500, deeper than the
+        # interpreter's recursion limit.
+        code, out, _ = run(
+            capsys, "oracle", "multiples-bounded", "--sgp", "2,3", "--d", "1",
+            "--max-frobenius", "1500", "--limit", "10",
+        )
+        assert (code, out) == (0, "⟨2,3⟩\n")
+
+    def test_huge_generators_refused(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "info", "--sgp", "1000003,1000033")
+        assert (code, out) == (3, "")
+        assert "1048576" in err
+        assert time.perf_counter() - start < 5
+
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
@@ -237,3 +254,12 @@ class TestInternalInvariantExit:
         err = capsys.readouterr().err
         assert code == 4
         assert "simulated bug" in err
+
+    def test_ed1_cross_check_mismatch(self, capsys, monkeypatch):
+        from numsgps import core, ed1
+
+        # Materialize the wrong semigroup, so the closed forms disagree.
+        monkeypatch.setattr(ed1, "from_generators", lambda gens: core.from_generators([2, 3]))
+        code, out, err = run(capsys, "ed1", "--sgp", "3,4,5", "--d", "2", "--x", "5")
+        assert (code, out) == (4, "")
+        assert "closed-form" in err

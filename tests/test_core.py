@@ -12,6 +12,7 @@ from numsgps.core import (
     WHOLE_N,
     _adjoined,
     _from_gap_tuple,
+    _minimal_generators,
     _removed,
     adjoin,
     apery,
@@ -37,6 +38,7 @@ from numsgps.errors import (
     NotNumerical,
     WholeN,
 )
+from numsgps.multiples import MultipleContext, is_d_multiple
 from numsgps.oracle import is_irreducible_bruteforce, semigroups_by_genus
 
 from conftest import sgp
@@ -286,6 +288,70 @@ class TestIncrementalKernels:
             assert pseudo_frobenius(S) == expected, S
 
 
+class TestMaskRepresentation:
+    """Every mask-level primitive agrees with its gap-tuple definition."""
+
+    def test_mask_is_the_gap_set(self, genus_tree_12):
+        for S in genus_tree_12:
+            assert S.gap_mask == sum(1 << h for h in S.gaps), S
+
+    def test_invariants_match_gap_tuple(self, genus_tree_12):
+        for S in genus_tree_12:
+            gaps = S.gaps
+            assert S.frobenius == (max(gaps) if gaps else -1)
+            assert S.genus == len(gaps)
+            for x in range(-2, S.frobenius + 3):
+                assert S.contains(x) == (x >= 0 and x not in gaps), (S, x)
+
+    def test_inclusion_matches_gap_subsets(self, genus_tree_12):
+        rng = random.Random(12)
+        pairs = [(S, _removed(S, x)) for S in genus_tree_12[:200] for x in S.msg]
+        pairs += [tuple(rng.sample(genus_tree_12, 2)) for _ in range(3000)]
+        pairs += [(S, S) for S in genus_tree_12[:50]]
+        for A, B in pairs:
+            for X, Y in ((A, B), (B, A)):
+                gx, gy = set(X.gaps), set(Y.gaps)
+                assert (X <= Y) == (gy <= gx), (X, Y)
+                assert (X < Y) == (gy < gx), (X, Y)
+
+    def test_minimal_generators_match_definition(self, genus_tree_12):
+        for S in genus_tree_12:
+            top = S.frobenius + S.multiplicity + 1
+            members = [x for x in range(1, top + 1) if x not in S.gaps]
+            brute = tuple(
+                x for x in members
+                if not any(x - a in members for a in members if a < x)
+            )
+            assert _minimal_generators(S.gap_mask) == brute, S
+            assert S.msg == brute, S
+
+    def test_is_d_multiple_matches_quotient_definition(self, genus_tree_12):
+        targets = genus_tree_12[:27]  # every S of genus <= 5
+        positives = 0
+        for d in (2, 3, 4):
+            for S in targets:
+                ctx = MultipleContext(S, d)
+                for T in genus_tree_12:
+                    top = max(T.frobenius // d, S.frobenius) + 1
+                    quotient_is_s = all(
+                        T.contains(d * x) == S.contains(x) for x in range(top + 1)
+                    )
+                    assert is_d_multiple(ctx, T) == quotient_is_s, (S, d, T)
+                    positives += quotient_is_s
+        assert positives > len(genus_tree_12)
+
+    def test_gap_round_trip_keeps_value_and_hash(self, genus_tree_12):
+        for S in genus_tree_12:
+            again = from_gaps(S.gaps)
+            assert again == S and hash(again) == hash(S), S
+
+    def test_whole_n(self, genus_tree_12):
+        assert genus_tree_12[0] == WHOLE_N
+        assert WHOLE_N.gap_mask == 0
+        assert WHOLE_N.frobenius == -1
+        assert WHOLE_N.msg == (1,)
+
+
 class TestIntersect:
     def test_containment_example(self):
         assert intersect(sgp(4, 5, 7), sgp(4, 7, 9, 10)) == sgp(4, 7, 9, 10)
@@ -352,6 +418,19 @@ class TestWidthGuard:
         # b = 2**63 scales the reduction past the 64-bit range.
         with pytest.raises(Overflow):
             brauer_step(3, [2**63, 5 * 2**63])
+
+    def test_huge_generators_stay_small(self):
+        from numsgps.errors import CeilingExceeded
+
+        # A generator above the closure bound is never shifted by.
+        assert from_generators([2, 3, 2**61]) == sgp(2, 3)
+        with pytest.raises(CeilingExceeded):
+            from_generators([2, 2**61 + 1])
+
+    def test_huge_d_multiple_test_stays_small(self):
+        d = 2**61  # the masks of d·S would need 2**61 bits
+        assert not is_d_multiple(MultipleContext(sgp(2, 3), d), sgp(3, 4, 5))
+        assert is_d_multiple(MultipleContext(WHOLE_N, d), sgp(2, 3))
 
     def test_context_overflow_reported(self):
         from numsgps.errors import Overflow

@@ -180,7 +180,7 @@ class TestChildren:
                         assert x in R.msg
                         assert not ctx.in_scaled_semigroup(x)
                         assert theta(ctx, node.semigroup) == x
-                        assert node.semigroup.gap_set == R.gap_set | {x}
+                        assert frozenset(node.semigroup.gaps) == frozenset(R.gaps) | {x}
 
 
 class TestDivisibility:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from numsgps.core import from_gaps
-from numsgps.errors import NotAMultiple, NotMdSet
+from numsgps.errors import InternalInvariantError, NotAMultiple, NotMdSet
 from numsgps.monoids import (
     build_monoid,
     decompose_multiple,
@@ -207,6 +207,17 @@ class TestDecomposeMultiple:
     def test_requires_multiple(self):
         with pytest.raises(NotAMultiple):
             decompose_multiple(ctx_of((5, 7, 9), 2), sgp(2, 3))
+
+    def test_regeneration_mismatch_raises(self, monkeypatch):
+        import numsgps.monoids as monoids
+
+        real = monoids.build_monoid
+        # Regenerate without the first generator, as a decomposition that
+        # lost one would.
+        monkeypatch.setattr(monoids, "build_monoid", lambda ctx, xs: real(ctx, xs[1:]))
+        with pytest.raises(InternalInvariantError) as err:
+            decompose_multiple(ctx_of((5, 7, 9), 2), sgp(9, 10, 14))
+        assert err.value.exit_code == 4
 
     def test_regenerates_on_pool(self, small_semigroups):
         for S in small_semigroups[::6]:
