@@ -42,8 +42,6 @@ from .monoids import (
     build_monoid,
     decompose_multiple,
     is_md_set,
-    md_embedding_dimension,
-    minimal_md_system,
 )
 from .ed1 import (
     Ed1Multiple,

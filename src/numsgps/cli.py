@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from json.encoder import encode_basestring
 
 from . import core, ed1, fibers, monoids, multiples, oracle, rank
 from .core import NumericalSemigroup
@@ -20,7 +21,37 @@ from .errors import InvalidInput, NumsgpsError
 
 
 def canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\\n",
+    byte for byte, emitted from an explicit stack so that nesting as deep as a
+    long fiber chain stays off the recursion limit.  Keys must be strings."""
+    out = []
+    todo = ["\n", (0, "", payload)]  # literal text, or (nesting level, text before, value)
+    while todo:
+        entry = todo.pop()
+        if type(entry) is str:
+            out.append(entry)
+            continue
+        level, head, v = entry
+        if type(v) is int:
+            out.append(head + int.__repr__(v))
+        elif type(v) is str:
+            out.append(head + encode_basestring(v))
+        elif isinstance(v, (dict, list, tuple)) and v:
+            if isinstance(v, dict):
+                brackets = "{}"
+                items = [(encode_basestring(k) + ": ", x) for k, x in sorted(v.items())]
+            else:
+                brackets, items = "[]", [("", x) for x in v]
+            pad = "\n" + "  " * (level + 1)
+            sep = "," + pad
+            out.append(head + brackets[0])
+            todo.append("\n" + "  " * level + brackets[1])
+            for i in range(len(items) - 1, -1, -1):
+                prefix, x = items[i]
+                todo.append((level + 1, (sep if i else pad) + prefix, x))
+        else:  # None, booleans, floats and empty containers
+            out.append(head + json.dumps(v, ensure_ascii=False))
+    return "".join(out)
 
 
 def _csv_ints(raw: str, what: str) -> list[int]:
@@ -138,11 +169,10 @@ def _cmd_fiber_tree(args) -> str:
         roots = [parse_semigroup(args.root)]
     trees = [fibers.enumerate_fiber(ctx, root, bounds) for root in roots]
     if args.dot:
-        dot = _forest_to_dot(trees)
         with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(dot)
+            handle.write(fibers.fiber_tree_to_dot(*trees))
     if args.format == "dot":
-        return _forest_to_dot(trees)
+        return fibers.fiber_tree_to_dot(*trees)
     if args.format == "json":
         return canonical_json(
             {
@@ -152,16 +182,6 @@ def _cmd_fiber_tree(args) -> str:
             }
         )
     return "".join(_render_tree_text(t) for t in trees)
-
-
-def _forest_to_dot(trees) -> str:
-    if len(trees) == 1:
-        return fibers.fiber_tree_to_dot(trees[0])
-    body = []
-    for tree in trees:
-        chunk = fibers.fiber_tree_to_dot(tree).splitlines()[1:-1]
-        body.extend(chunk)
-    return "digraph fiber {\n" + "\n".join(body) + "\n}\n"
 
 
 def _cmd_md_monoid(args) -> str:

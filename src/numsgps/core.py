@@ -22,7 +22,8 @@ the new ``msg`` from the old one instead of rebuilding it from the gaps:
   order with the same sum accumulator.
 
 Pseudo-Frobenius numbers come from shifts of G: PF = G & ~⋃ₐ (G >> a) over
-a ∈ msg, and :func:`from_generators` closes its generators by shifts too.
+a ∈ msg.  Every bounded coin problem (is n ∈ ⟨gens⟩?), from_generators
+included, is one bitset closure by shifts, :func:`_closure`.
 
 Conventions for S = ℕ: gaps = (), frobenius = -1, genus = 0.  Operations
 that are undefined there (pseudo-Frobenius numbers, type, irreducibility)
@@ -225,6 +226,26 @@ def _removed(T: NumericalSemigroup, x: int) -> NumericalSemigroup:
     return NumericalSemigroup(G, _generators_among(G, (A ^ 1 << x) | A << x | 1 << 3 * x))
 
 
+def _closure(gens: Iterable[int], bound: int) -> int:
+    """Bitmask of ⟨gens⟩ ∩ [0, bound], unchecked: gens must be positive.
+
+    Closes the members under each generator a by shifts by a, 2a, 4a, …
+    totalling at least ``bound``.  Generators above the bound add nothing
+    and are skipped, so gens may come in any order.
+    """
+    full = (2 << bound) - 1
+    members = 1
+    for a in gens:
+        if a > bound:
+            continue
+        step, covered = a, 0
+        while covered < bound:
+            members |= (members << step) & full
+            covered += step
+            step *= 2
+    return members
+
+
 def _validated_positive(values: Iterable[int], what: str) -> list[int]:
     out = sorted(set(values))
     if any(not isinstance(v, int) or isinstance(v, bool) for v in out):
@@ -237,13 +258,12 @@ def _validated_positive(values: Iterable[int], what: str) -> list[int]:
 def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     """Numerical semigroup generated by ``gens``.
 
-    Requires gcd(gens) = 1.  The members up to a bound are closed under
-    each generator a by shifts of a member bitmask by a, 2a, 4a, ….  By
-    Schur's bound F ≤ (m − 1)(max − 1) − 1 with m = min(gens), the bound
-    F + m holds F and the m consecutive members after it, above which
-    everything is a member.  A semigroup whose closure would run past
-    :data:`CLOSURE_CEILING` before m consecutive members is refused with
-    :class:`CeilingExceeded`.
+    Requires gcd(gens) = 1.  The members up to a bound come from
+    :func:`_closure`.  By Schur's bound F ≤ (m − 1)(max − 1) − 1 with
+    m = min(gens), the bound F + m holds F and the m consecutive members
+    after it, above which everything is a member.  A semigroup whose
+    closure would run past :data:`CLOSURE_CEILING` before m consecutive
+    members is refused with :class:`CeilingExceeded`.
     """
     g = _validated_positive(gens, "generators")
     if not g:
@@ -252,17 +272,7 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
         raise NotNumerical(f"gcd({','.join(map(str, g))}) != 1")
     m = g[0]
     bound = min(max((m - 1) * (g[-1] - 1) - 1, 0) + m, CLOSURE_CEILING)
-    full = (2 << bound) - 1
-    members = 1
-    for a in g:
-        if a > bound:  # it and the rest add nothing under the bound
-            break
-        step, covered = a, 0
-        while covered < bound:
-            members |= (members << step) & full
-            covered += step
-            step *= 2
-    gap_mask = ~members & full
+    gap_mask = _closure(g, bound) ^ ((2 << bound) - 1)
     if gap_mask.bit_length() - 1 + m > bound:
         raise CeilingExceeded(
             f"the closure of {','.join(map(str, g))} passes {CLOSURE_CEILING} "

@@ -76,28 +76,23 @@ def _require_multiple(ctx: MultipleContext, T: NumericalSemigroup):
         raise NotAMultiple(f"{T} is not a {ctx.d}-multiple of {ctx.semigroup}")
 
 
-def _check_divisibility(ctx: MultipleContext, T: NumericalSemigroup) -> bool:
-    """d | F(T) iff F(T) = d·F(S); violating that is a bug, not bad input."""
-    divisible = T.frobenius % ctx.d == 0
-    minimal = T.frobenius == ctx.scaled_frobenius
-    if divisible != minimal:
-        raise InternalInvariantError(
-            f"divisibility of F({T}) = {T.frobenius} by {ctx.d} disagrees with "
-            f"minimality against {ctx.scaled_frobenius}"
-        )
-    return divisible
-
-
 def theta(ctx: MultipleContext, T: NumericalSemigroup) -> int | None:
     """θ(T): the largest gap z with T ∪ {z} still a d-multiple, else None.
 
-    None exactly when T is a maximal d-multiple.  When d does not divide
-    F(T), θ(T) = F(T) and no pseudo-Frobenius computation is needed.
+    None exactly when T is a maximal d-multiple.  Raises
+    :class:`NotAMultiple` unless T is a d-multiple of S.
     """
     _require_multiple(ctx, T)
+    return _theta(ctx, T)
+
+
+def _theta(ctx: MultipleContext, T: NumericalSemigroup) -> int | None:
+    """θ(T), unchecked: T must be a d-multiple of S.  When F(T) ≠ d·F(S),
+    d ∤ F(T) (:func:`divisibility_check`), so θ(T) = F(T) without any
+    pseudo-Frobenius computation."""
     if T.is_whole_n:
         return None
-    if not _check_divisibility(ctx, T):
+    if T.frobenius != ctx.scaled_frobenius:
         return T.frobenius
     addable = addable_gaps(ctx, T)
     return max(addable) if addable else None
@@ -106,18 +101,26 @@ def theta(ctx: MultipleContext, T: NumericalSemigroup) -> int | None:
 def saturate(ctx: MultipleContext, T: NumericalSemigroup) -> NumericalSemigroup:
     """The maximal d-multiple reached by repeatedly adjoining θ."""
     _require_multiple(ctx, T)
-    current = T
-    while True:
-        z = theta(ctx, current)
-        if z is None:
-            return current
-        current = _adjoined(current, z)
+    while (z := _theta(ctx, T)) is not None:
+        T = _adjoined(T, z)
+    return T
 
 
 def divisibility_check(ctx: MultipleContext, T: NumericalSemigroup) -> bool:
-    """Whether d divides F(T); asserted equivalent to F(T) = d·F(S)."""
+    """Whether d divides F(T), for a d-multiple T.
+
+    The one check of the lemma d | F(T) ⇔ F(T) = d·F(S), which θ and the
+    fiber children rely on; a disagreement is a bug, not bad input, and
+    raises :class:`InternalInvariantError`.
+    """
     _require_multiple(ctx, T)
-    return _check_divisibility(ctx, T)
+    divisible = T.frobenius % ctx.d == 0
+    if divisible != (T.frobenius == ctx.scaled_frobenius):
+        raise InternalInvariantError(
+            f"divisibility of F({T}) = {T.frobenius} by {ctx.d} disagrees with "
+            f"minimality against {ctx.scaled_frobenius}"
+        )
+    return divisible
 
 
 def children(ctx: MultipleContext, T: NumericalSemigroup) -> tuple[FiberNode, ...]:
@@ -128,19 +131,15 @@ def children(ctx: MultipleContext, T: NumericalSemigroup) -> tuple[FiberNode, ..
     to the test x > F(T).
     """
     _require_multiple(ctx, T)
-    return tuple(
-        FiberNode(child, x, 0) for x, child in _child_pairs(ctx, T)
-    )
+    return tuple(FiberNode(child, x, 0) for x, child in _child_pairs(ctx, T, {}))
 
 
-def _child_pairs(ctx, T, theta_cache=None):
+def _child_pairs(ctx, T, theta_cache):
     # A candidate T ∖ {x} can be probed from every node containing it one
-    # generator up, so enumerations share θ results via theta_cache.
+    # generator up, so enumerations share θ results via theta_cache.  Each
+    # candidate is again a d-multiple, since x ∉ d·S, so θ runs unchecked.
     d, scaled, F = ctx.d, ctx.scaled_gap_mask, T.frobenius
     fast = F != ctx.scaled_frobenius
-    if fast:
-        # Same invariant as divisibility_check, kept hot-path cheap.
-        assert F % d != 0
     out = []
     for x in T.msg:
         if x % d == 0 and not scaled >> x & 1:  # x ∈ d·S
@@ -150,13 +149,9 @@ def _child_pairs(ctx, T, theta_cache=None):
                 out.append((x, _removed(T, x)))
         else:
             child = _removed(T, x)
-            if theta_cache is None:
-                step = theta(ctx, child)
-            elif child.gap_mask in theta_cache:
-                step = theta_cache[child.gap_mask]
-            else:
-                step = theta_cache[child.gap_mask] = theta(ctx, child)
-            if step == x:
+            if child.gap_mask not in theta_cache:
+                theta_cache[child.gap_mask] = _theta(ctx, child)
+            if theta_cache[child.gap_mask] == x:
                 out.append((x, child))
     return out
 
@@ -206,26 +201,36 @@ def enumerate_fiber(
     return tree
 
 
-def fiber_tree_to_dot(tree: FiberTree) -> str:
-    """DOT rendering: node label '⟨msg⟩ F=.. g=..', edge label = removed generator."""
+def fiber_tree_to_dot(*trees: FiberTree) -> str:
+    """DOT rendering of one or more fiber trees as one digraph: node label
+    '⟨msg⟩ F=.. g=..', edge label = removed generator, each tree's node
+    lines before its edge lines."""
     lines = ["digraph fiber {"]
-    for node in tree.nodes():
-        s = node.semigroup
-        lines.append(f'  "{s}" [label="{s} F={s.frobenius} g={s.genus}"];')
-    for node in tree.nodes():
-        for child in node.children:
-            lines.append(
-                f'  "{node.semigroup}" -> "{child.semigroup}" '
-                f'[label="{child.removed_generator}"];'
+    for tree in trees:
+        edges = []
+        for node in tree.nodes():
+            s = node.semigroup
+            lines.append(f'  "{s}" [label="{s} F={s.frobenius} g={s.genus}"];')
+            edges.extend(
+                f'  "{s}" -> "{child.semigroup}" [label="{child.removed_generator}"];'
+                for child in node.children
             )
+        lines.extend(edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def fiber_node_to_json_dict(node: FiberNode) -> dict:
-    return {
-        "semigroup": node.semigroup.to_json_dict(),
-        "removed_generator": node.removed_generator,
-        "depth": node.depth,
-        "children": [fiber_node_to_json_dict(c) for c in node.children],
-    }
+    """The subtree under node as nested dicts, built without recursion."""
+    top: dict = {}
+    stack = [(node, top)]
+    while stack:
+        n, out = stack.pop()
+        out.update(
+            semigroup=n.semigroup.to_json_dict(),
+            removed_generator=n.removed_generator,
+            depth=n.depth,
+            children=[{} for _ in n.children],
+        )
+        stack.extend(zip(n.children, out["children"]))
+    return top

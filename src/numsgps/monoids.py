@@ -2,11 +2,11 @@
 monoids ⟨X⟩ + d·S they intersect to, and minimal generating data.
 
 A set X extends to some d-multiple of S iff ⟨X⟩ avoids every point of
-d·gaps(S); each such point is a bounded coin-problem instance, so no global
-monoid materialization is needed for the test.  The monoid M = ⟨X⟩ + d·S is
-a numerical semigroup iff gcd(X ∪ {d}) = 1; otherwise M = g·M' for the
+d·gaps(S); each point is a bounded coin problem, decided by the bitset
+closure :func:`~numsgps.core._closure`.  The monoid M = ⟨X⟩ + d·S is a
+numerical semigroup iff gcd(X ∪ {d}) = 1; otherwise M = g·M' for the
 reduced semigroup M' obtained by dividing out g = gcd, which gives exact
-membership everywhere.
+membership everywhere without any element list.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import reduce
 from math import gcd
 from typing import Iterable
 
-from .core import NumericalSemigroup, from_generators
+from .core import NumericalSemigroup, _closure, from_generators
 from .errors import InternalInvariantError, InvalidInput, NotAMultiple, NotMdSet
 from .multiples import MultipleContext, is_d_multiple
 
@@ -29,15 +29,8 @@ def _normalized_naturals(xs: Iterable[int]) -> tuple[int, ...]:
 
 
 def _generates(gens: tuple[int, ...], target: int) -> bool:
-    """target ∈ ⟨gens⟩, by the usual coin-problem dynamic program."""
-    if target == 0:
-        return True
-    reach = bytearray(target + 1)
-    reach[0] = 1
-    for n in range(1, target + 1):
-        if any(a <= n and reach[n - a] for a in gens):
-            reach[n] = 1
-    return bool(reach[target])
+    """target ∈ ⟨gens⟩, as a bit test on the closure of gens up to target."""
+    return bool(_closure(gens, target) >> target & 1)
 
 
 def is_md_set(ctx: MultipleContext, xs: Iterable[int]) -> bool:
@@ -51,11 +44,10 @@ def is_md_set(ctx: MultipleContext, xs: Iterable[int]) -> bool:
 
 @dataclass(frozen=True)
 class MdMonoid:
-    """The monoid ⟨X⟩ + d·S together with its cached invariants.
+    """The monoid M = ⟨X⟩ + d·S and its minimal system.
 
     ``scale`` is the gcd of all generators and ``reduced`` the numerical
     semigroup with M = scale·reduced; the pair gives O(1) membership.
-    ``element_cache`` lists the members up to ``cache_bound``.
     """
 
     context: MultipleContext
@@ -64,14 +56,9 @@ class MdMonoid:
     is_semigroup: bool
     scale: int
     reduced: NumericalSemigroup
-    cache_bound: int
-    element_cache: tuple[int, ...]
 
     def contains(self, x: int) -> bool:
         return x >= 0 and x % self.scale == 0 and self.reduced.contains(x // self.scale)
-
-    def __contains__(self, x: int) -> bool:
-        return self.contains(x)
 
     def to_semigroup(self) -> NumericalSemigroup:
         if not self.is_semigroup:
@@ -99,10 +86,6 @@ def build_monoid(ctx: MultipleContext, xs: Iterable[int]) -> MdMonoid:
     msg_m = tuple(scale * a for a in reduced.msg)
     scaled_msg = {d * a for a in S.msg}
     minimal_system = tuple(a for a in msg_m if a not in scaled_msg)
-    bound = ctx.scaled_frobenius + d * max(gens) + 1
-    cache = tuple(
-        v for v in range(0, bound + 1) if v % scale == 0 and reduced.contains(v // scale)
-    )
     return MdMonoid(
         context=ctx,
         x_set=x_tuple,
@@ -110,18 +93,7 @@ def build_monoid(ctx: MultipleContext, xs: Iterable[int]) -> MdMonoid:
         is_semigroup=scale == 1,
         scale=scale,
         reduced=reduced,
-        cache_bound=bound,
-        element_cache=cache,
     )
-
-
-def minimal_md_system(monoid: MdMonoid) -> tuple[int, ...]:
-    """The unique smallest X with monoid = ⟨X⟩ + d·S."""
-    return monoid.minimal_system
-
-
-def md_embedding_dimension(monoid: MdMonoid) -> int:
-    return len(monoid.minimal_system)
 
 
 def decompose_multiple(ctx: MultipleContext, T: NumericalSemigroup) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ from functools import reduce
 from itertools import combinations, product
 from math import gcd, prod
 
-from .core import NumericalSemigroup, from_generators
+from .core import NumericalSemigroup, _closure, from_generators
 from .errors import (
     CeilingExceeded,
     InternalInvariantError,
@@ -161,22 +161,15 @@ def j_subset_obstruction(S: NumericalSemigroup) -> JSubsetWitness | None:
 
 
 def _coin_decomposition(gens: list[int], target: int) -> list[int] | None:
-    """Nonnegative u with sum u_i gens_i = target, else None."""
-    parent: list[int | None] = [None] * (target + 1)
-    reachable = bytearray(target + 1)
-    reachable[0] = 1
-    for n in range(1, target + 1):
-        for k, a in enumerate(gens):
-            if a <= n and reachable[n - a]:
-                reachable[n] = 1
-                parent[n] = k
-                break
-    if not reachable[target]:
+    """Nonnegative u with sum u_i gens_i = target, else None.  Walks down
+    from target, at each n taking the first a in gens with n − a in ⟨gens⟩."""
+    reach = _closure(gens, target)
+    if not reach >> target & 1:
         return None
     coeffs = [0] * len(gens)
     n = target
     while n:
-        k = parent[n]
+        k = next(k for k, a in enumerate(gens) if a <= n and reach >> (n - a) & 1)
         coeffs[k] += 1
         n -= gens[k]
     return coeffs

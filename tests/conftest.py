@@ -8,6 +8,33 @@ def sgp(*gens) -> NumericalSemigroup:
     return from_generators(gens)
 
 
+def coin_dp(gens, target):
+    """Reference coin-problem DP for ⟨gens⟩ ∩ [0, target].
+
+    Returns the reachable flags as a bytearray and the decomposition of
+    target that takes, at each n, the first generator a with n − a
+    reachable (None when target is not reachable).
+    """
+    parent = [None] * (target + 1)
+    reachable = bytearray(target + 1)
+    reachable[0] = 1
+    for n in range(1, target + 1):
+        for k, a in enumerate(gens):
+            if a <= n and reachable[n - a]:
+                reachable[n] = 1
+                parent[n] = k
+                break
+    if not reachable[target]:
+        return reachable, None
+    coeffs = [0] * len(gens)
+    n = target
+    while n:
+        k = parent[n]
+        coeffs[k] += 1
+        n -= gens[k]
+    return reachable, coeffs
+
+
 @pytest.fixture(scope="session")
 def census_by_frobenius():
     """Complete censuses, cached per session: f -> all semigroups with F = f."""

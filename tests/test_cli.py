@@ -1,7 +1,9 @@
 """The command-line surface: exact text fixtures, canonical JSON round
 trips, DOT output, CSV reproducibility and exit codes."""
 
+import inspect
 import json
+import sys
 import time
 
 import pytest
@@ -9,6 +11,31 @@ import pytest
 from numsgps.cli import canonical_json, main, parse_semigroup
 
 from conftest import sgp
+
+
+# One or more JSON outputs of every subcommand that has a JSON format.
+JSON_COMMANDS = (
+    ["info", "--sgp", "5,7,9", "--format", "json"],
+    ["info", "--sgp", "1", "--format", "json"],
+    ["quotient", "--sgp", "6,9,11", "--d", "5", "--format", "json"],
+    ["is-multiple", "--sgp", "3,4,5", "--d", "3", "--candidate", "4,5,7", "--format", "json"],
+    ["max-multiples", "--sgp", "3,5,7", "--d", "3", "--format", "json"],
+    ["ed1", "--sgp", "5,7,9", "--d", "2", "--x", "9", "--format", "json"],
+    ["full-rank", "--sgp", "4,5,6,7", "--format", "json"],
+    ["md-monoid", "--sgp", "5,7,9", "--d", "2", "--x", "9,10", "--format", "json"],
+    ["md-monoid", "--sgp", "5,7,9", "--d", "2", "--format", "json"],
+    ["unique-betti", "--c", "2,3,5", "--format", "json"],
+    ["search-low-e", "--sgp", "4,5,7", "--dmax", "2", "--max-frobenius", "20", "--format", "json"],
+    [
+        "fiber-tree", "--sgp", "2,3", "--d", "11",
+        "--root", "5,7,8,9", "--max-genus", "8", "--format", "json",
+    ],
+    ["oracle", "frobenius-census", "--f", "6", "--format", "json"],
+    [
+        "oracle", "multiples-bounded", "--sgp", "3,4,5", "--d", "2",
+        "--max-frobenius", "6", "--format", "json",
+    ],
+)
 
 
 def run(capsys, *argv):
@@ -79,19 +106,17 @@ class TestTextFixtures:
 
 class TestJson:
     def test_round_trip_byte_identical(self, capsys):
-        for argv in (
-            ["info", "--sgp", "5,7,9", "--format", "json"],
-            ["max-multiples", "--sgp", "3,5,7", "--d", "3", "--format", "json"],
-            ["ed1", "--sgp", "5,7,9", "--d", "2", "--x", "9", "--format", "json"],
-            ["full-rank", "--sgp", "4,5,6,7", "--format", "json"],
-            [
-                "fiber-tree", "--sgp", "2,3", "--d", "11",
-                "--root", "5,7,8,9", "--max-genus", "8", "--format", "json",
-            ],
-        ):
+        for argv in JSON_COMMANDS:
             code, out, _ = run(capsys, *argv)
             assert code == 0
-            assert canonical_json(json.loads(out)) == out
+            payload = json.loads(out)
+            expected = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
+            assert canonical_json(payload) == out == expected + "\n"
+
+    def test_canonical_json_scalars(self):
+        payload = {"é": ["⟨2,3⟩", 'q"\\\n', -7, 2**70, 1.5, True, False, None, [], {}]}
+        expected = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
+        assert canonical_json(payload) == expected + "\n"
 
     def test_quotient_json(self, capsys):
         code, out, _ = run(capsys, "quotient", "--sgp", "6,9,11", "--d", "5", "--format", "json")
@@ -167,6 +192,29 @@ class TestFiberTree:
                 sizes.append(1)
         assert len(sizes) == 2
         assert max(sizes) == 1000
+
+    def test_deep_chain_json(self, capsys):
+        # Each fiber level nests two JSON containers.  The JSON output grows
+        # with the cube of the depth, so instead of a chain deeper than the
+        # default recursion limit, the limit is lowered to just above the
+        # current depth: a 150-node chain then overflows any builder or
+        # encoder that recurses per level.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+        try:
+            code, out, _ = run(
+                capsys, "fiber-tree", "--sgp", "2,3", "--d", "5",
+                "--max-nodes", "150", "--format", "json",
+            )
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 0
+        payload = json.loads(out)
+        assert canonical_json(payload) == out
+        node, depth = payload["trees"][-1], 0
+        while node["children"]:
+            node, depth = node["children"][0], depth + 1
+        assert depth == 149
 
 
 class TestExitCodes:

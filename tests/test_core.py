@@ -11,6 +11,7 @@ import pytest
 from numsgps.core import (
     WHOLE_N,
     _adjoined,
+    _closure,
     _from_gap_tuple,
     _minimal_generators,
     _removed,
@@ -41,7 +42,7 @@ from numsgps.errors import (
 from numsgps.multiples import MultipleContext, is_d_multiple
 from numsgps.oracle import is_irreducible_bruteforce, semigroups_by_genus
 
-from conftest import sgp
+from conftest import coin_dp, sgp
 
 
 class TestFromGenerators:
@@ -72,6 +73,24 @@ class TestFromGenerators:
             sgp(-2, 3)
         with pytest.raises(InvalidInput):
             from_generators([])
+
+
+class TestClosure:
+    def test_matches_coin_dp(self):
+        rng = random.Random(67)
+        for _ in range(3000):
+            gens = rng.sample(range(1, 40), rng.randint(0, 5))
+            bound = rng.randint(0, 60)
+            reach, _ = coin_dp(gens, bound)
+            mask = _closure(gens, bound)
+            assert mask >> (bound + 1) == 0
+            assert [mask >> n & 1 for n in range(bound + 1)] == list(reach)
+
+    def test_edges(self):
+        assert _closure([5, 3], 0) == 1
+        assert _closure([], 9) == 1
+        assert _closure([7, 12], 6) == 1  # every generator above the bound
+        assert _closure([9, 2], 5) == 0b10101
 
 
 class TestFromGaps:

@@ -7,13 +7,7 @@ import pytest
 
 from numsgps.core import from_gaps
 from numsgps.errors import InternalInvariantError, NotAMultiple, NotMdSet
-from numsgps.monoids import (
-    build_monoid,
-    decompose_multiple,
-    is_md_set,
-    md_embedding_dimension,
-    minimal_md_system,
-)
+from numsgps.monoids import build_monoid, decompose_multiple, is_md_set
 from numsgps.multiples import MultipleContext, is_d_multiple
 from numsgps.oracle import (
     EnumerationBudget,
@@ -26,6 +20,14 @@ from conftest import sgp
 
 def ctx_of(gens, d):
     return MultipleContext(sgp(*gens), d)
+
+
+def members_to_bound(ctx, monoid, xs):
+    """Members of the monoid up to d·F(S) + d·max(gens) + 1, with gens the
+    union of X and d·msg(S)."""
+    top = max([*xs, *(ctx.d * a for a in ctx.semigroup.msg)])
+    bound = ctx.scaled_frobenius + ctx.d * top + 1
+    return [v for v in range(bound + 1) if monoid.contains(v)]
 
 
 class TestIsMdSet:
@@ -98,22 +100,17 @@ class TestBuildMonoid:
         assert not monoid.is_semigroup
         assert monoid.scale == 2
         assert monoid.reduced == ctx.semigroup
-        assert md_embedding_dimension(monoid) == 0
+        assert monoid.md_embedding_dimension == 0
         assert monoid.contains(10) and not monoid.contains(9)
 
     def test_derived_example_38(self):
         monoid = build_monoid(ctx_of((3, 4), 2), [3])
         assert monoid.to_semigroup() == sgp(3, 8)
-        assert minimal_md_system(monoid) == (3,)
+        assert monoid.minimal_system == (3,)
 
     def test_rejects_non_md_set(self):
         with pytest.raises(NotMdSet):
             build_monoid(ctx_of((5, 7, 9), 2), [2])
-
-    def test_element_cache_matches_membership(self):
-        monoid = build_monoid(ctx_of((5, 7, 9), 2), [9, 10])
-        for v in range(monoid.cache_bound + 1):
-            assert (v in monoid.element_cache) == monoid.contains(v)
 
     def test_semigroup_iff_gcd_one(self, small_semigroups):
         rng = random.Random(43)
@@ -134,8 +131,8 @@ class TestBuildMonoid:
 class TestMinimalSystem:
     def test_example(self):
         monoid = build_monoid(ctx_of((5, 7, 9), 2), [9, 10])
-        assert minimal_md_system(monoid) == (9,)
-        assert md_embedding_dimension(monoid) == 1
+        assert monoid.minimal_system == (9,)
+        assert monoid.md_embedding_dimension == 1
 
     def test_removing_any_element_changes_monoid(self, small_semigroups):
         rng = random.Random(47)
@@ -149,7 +146,7 @@ class TestMinimalSystem:
             if not is_md_set(ctx, xs):
                 continue
             monoid = build_monoid(ctx, xs)
-            system = minimal_md_system(monoid)
+            system = monoid.minimal_system
             if not system:
                 continue
             checked += 1
@@ -172,7 +169,7 @@ class TestMinimalSystem:
             members = [x for x in T.members_up_to(2 * T.frobenius + 2) if x > 0]
             xs = rng.sample(members, min(len(members), 3))
             monoid = build_monoid(ctx, xs)
-            for v in monoid.element_cache:
+            for v in members_to_bound(ctx, monoid, xs):
                 assert T.contains(v)
 
     def test_agrees_with_bruteforce(self, small_semigroups):
@@ -188,7 +185,7 @@ class TestMinimalSystem:
                 continue
             checked += 1
             monoid = build_monoid(ctx, xs)
-            elements = [v for v in monoid.element_cache]
+            elements = members_to_bound(ctx, monoid, xs)
             assert brute_minimal_md_system(ctx, elements) == monoid.minimal_system
 
 

@@ -1,6 +1,7 @@
 """Full quotient rank: the Apéry condition, unique-Betti families, the
 subset-sum obstruction, the bounded low-e hunt, and the seeded sweep."""
 
+import random
 from itertools import combinations
 from math import prod
 
@@ -12,6 +13,7 @@ from numsgps.fibers import TruncationBounds
 from numsgps.multiples import quotient
 from numsgps.rank import (
     UniqueBettiSpec,
+    _coin_decomposition,
     bounded_low_e_multiple_search,
     full_rank_condition,
     j_subset_obstruction,
@@ -21,7 +23,7 @@ from numsgps.rank import (
     unique_betti_apery,
 )
 
-from conftest import sgp
+from conftest import coin_dp, sgp
 
 
 def coprime_specs(product_cap: int):
@@ -153,6 +155,15 @@ class TestJSubsetObstruction:
         for S in small_semigroups:
             if full_rank_condition(S).condition_holds:
                 assert j_subset_obstruction(S) is None
+
+
+class TestCoinDecomposition:
+    def test_matches_coin_dp(self):
+        rng = random.Random(71)
+        for _ in range(3000):
+            gens = rng.sample(range(1, 30), rng.randint(1, 5))
+            target = rng.randint(0, 90)
+            assert _coin_decomposition(gens, target) == coin_dp(gens, target)[1]
 
 
 class TestBoundedLowESearch:
