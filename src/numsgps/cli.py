@@ -1,5 +1,13 @@
 """Command-line surface: stable text/JSON/DOT output for every subsystem.
 
+Each subcommand is one row of the table in :func:`_commands` (path, help,
+handler, formats, options), and :func:`build_parser` loops over it.  A
+handler computes its result once and returns one zero-argument renderer
+per output (a JSON payload under ``"json"``, text under any other key).
+:func:`main` alone picks the format, runs only the renderers it needs,
+calls :func:`canonical_json` and writes: the ``--dot``/``--csv`` side files
+first, then ``--out`` or stdout.  An unwritable path is invalid input.
+
 Exit codes: 0 success, 2 invalid input, 3 budget or ceiling exceeded,
 4 internal invariant violation.  JSON is canonical (sorted keys, two-space
 indent) so that parsing and re-rendering is byte-stable; semigroup lists
@@ -68,285 +76,272 @@ def parse_semigroup(spec: str) -> NumericalSemigroup:
     return core.from_generators(_csv_ints(spec, "generator list"))
 
 
-def _sorted_by_msg(semigroups) -> list[NumericalSemigroup]:
-    return sorted(semigroups, key=lambda s: s.msg)
+def _context(args) -> multiples.MultipleContext:
+    return multiples.MultipleContext(parse_semigroup(args.sgp), args.d)
 
 
-def _info_line(S: NumericalSemigroup) -> str:
-    head = f"{S} F={S.frobenius} g={S.genus} e={S.embedding_dimension} m={S.multiplicity}"
-    if S.is_whole_n:
-        return head
-    pf = ",".join(map(str, core.pseudo_frobenius(S)))
-    flags = "irreducible" if core.is_irreducible(S) else "reducible"
-    if core.is_symmetric(S):
-        flags += ",symmetric"
-    elif core.is_pseudo_symmetric(S):
-        flags += ",pseudo-symmetric"
-    return f"{head} t={core.semigroup_type(S)} PF={{{pf}}} {flags}"
+def _head(ctx: multiples.MultipleContext) -> dict:
+    """The S/d fields that head every JSON payload about a context."""
+    return {"S": ctx.semigroup.to_json_dict(), "d": ctx.d}
 
 
-def _cmd_info(args) -> str:
+def _join(values) -> str:
+    return ",".join(map(str, values))
+
+
+def _listing(semigroups, key: str, ctx=None, **fields) -> dict:
+    """Renderers of a semigroup list sorted by msg: one per line as text,
+    under ``key`` (after the S/d head when ctx is given) as JSON."""
+    ordered = sorted(semigroups, key=lambda s: s.msg)
+
+    def payload():
+        return {**(_head(ctx) if ctx else {}), **fields, key: [t.to_json_dict() for t in ordered]}
+
+    return {"json": payload, "text": lambda: "".join(f"{t}\n" for t in ordered)}
+
+
+def _bounds(args) -> fibers.TruncationBounds:
+    return fibers.TruncationBounds(
+        args.max_frobenius, args.max_genus, args.max_depth, args.max_nodes
+    )
+
+
+def _cmd_info(args) -> dict:
     S = parse_semigroup(args.sgp)
-    if args.format == "json":
-        payload = S.to_json_dict()
-        payload["embedding_dimension"] = S.embedding_dimension
-        payload["multiplicity"] = S.multiplicity
-        if not S.is_whole_n:
-            payload["pseudo_frobenius"] = list(core.pseudo_frobenius(S))
-            payload["type"] = core.semigroup_type(S)
-            payload["irreducible"] = core.is_irreducible(S)
-            payload["symmetric"] = core.is_symmetric(S)
-            payload["pseudo_symmetric"] = core.is_pseudo_symmetric(S)
-        return canonical_json(payload)
-    return _info_line(S) + "\n"
+    facts = {"embedding_dimension": S.embedding_dimension, "multiplicity": S.multiplicity}
+    if not S.is_whole_n:
+        facts.update(
+            pseudo_frobenius=list(core.pseudo_frobenius(S)),
+            type=core.semigroup_type(S),
+            irreducible=core.is_irreducible(S),
+            symmetric=core.is_symmetric(S),
+            pseudo_symmetric=core.is_pseudo_symmetric(S),
+        )
+
+    def text():
+        line = f"{S} F={S.frobenius} g={S.genus} e={S.embedding_dimension} m={S.multiplicity}"
+        if S.is_whole_n:
+            return line + "\n"
+        flags = "irreducible" if facts["irreducible"] else "reducible"
+        if facts["symmetric"]:
+            flags += ",symmetric"
+        elif facts["pseudo_symmetric"]:
+            flags += ",pseudo-symmetric"
+        return f"{line} t={facts['type']} PF={{{_join(facts['pseudo_frobenius'])}}} {flags}\n"
+
+    return {"json": lambda: {**S.to_json_dict(), **facts}, "text": text}
 
 
-def _cmd_quotient(args) -> str:
+def _cmd_quotient(args) -> dict:
     S = multiples.quotient(parse_semigroup(args.sgp), args.d)
-    if args.format == "json":
-        return canonical_json(S.to_json_dict())
-    return f"{S}\n"
+    return {"json": S.to_json_dict, "text": lambda: f"{S}\n"}
 
 
-def _cmd_is_multiple(args) -> str:
-    ctx = multiples.MultipleContext(parse_semigroup(args.sgp), args.d)
+def _cmd_is_multiple(args) -> dict:
+    ctx = _context(args)
     T = parse_semigroup(args.candidate)
     verdict = multiples.is_d_multiple(ctx, T)
-    if args.format == "json":
-        return canonical_json(
-            {
-                "S": ctx.semigroup.to_json_dict(),
-                "d": ctx.d,
-                "candidate": T.to_json_dict(),
-                "is_multiple": verdict,
-            }
-        )
-    return ("true" if verdict else "false") + "\n"
+    return {
+        "json": lambda: {**_head(ctx), "candidate": T.to_json_dict(), "is_multiple": verdict},
+        "text": lambda: ("true" if verdict else "false") + "\n",
+    }
 
 
-def _cmd_max_multiples(args) -> str:
-    ctx = multiples.MultipleContext(parse_semigroup(args.sgp), args.d)
-    result = multiples.max_multiples(ctx)
-    ordered = _sorted_by_msg(result.maximals)
-    if args.format == "json":
-        return canonical_json(
-            {
-                "S": ctx.semigroup.to_json_dict(),
-                "d": ctx.d,
-                "maximals": [t.to_json_dict() for t in ordered],
-            }
-        )
-    return "".join(f"{t}\n" for t in ordered)
+def _cmd_max_multiples(args) -> dict:
+    ctx = _context(args)
+    return _listing(multiples.max_multiples(ctx).maximals, "maximals", ctx)
 
 
-def _bounds_from_args(args) -> fibers.TruncationBounds:
-    return fibers.TruncationBounds(
-        max_frobenius=args.max_frobenius,
-        max_genus=args.max_genus,
-        max_depth=args.max_depth,
-        max_nodes=args.max_nodes,
+def _trees_text(trees) -> str:
+    """One line per node in preorder, indented by depth and tagged with the
+    generator removed to reach it."""
+    return "".join(
+        ("" if n.removed_generator is None else "  " * n.depth + f"[x={n.removed_generator}] ")
+        + f"{n.semigroup} F={n.semigroup.frobenius} g={n.semigroup.genus}\n"
+        for tree in trees
+        for n in tree.nodes()
     )
 
 
-def _render_tree_text(tree: fibers.FiberTree) -> str:
-    lines = []
-    for node in tree.nodes():
-        s = node.semigroup
-        label = f"{s} F={s.frobenius} g={s.genus}"
-        if node.removed_generator is None:
-            lines.append(label)
-        else:
-            lines.append("  " * node.depth + f"[x={node.removed_generator}] {label}")
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_fiber_tree(args) -> str:
-    ctx = multiples.MultipleContext(parse_semigroup(args.sgp), args.d)
-    bounds = _bounds_from_args(args)
+def _cmd_fiber_tree(args) -> dict:
+    ctx = _context(args)
     if args.root == "auto":
-        roots = _sorted_by_msg(multiples.max_multiples(ctx).maximals)
+        roots = sorted(multiples.max_multiples(ctx).maximals, key=lambda s: s.msg)
     else:
         roots = [parse_semigroup(args.root)]
-    trees = [fibers.enumerate_fiber(ctx, root, bounds) for root in roots]
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(fibers.fiber_tree_to_dot(*trees))
-    if args.format == "dot":
-        return fibers.fiber_tree_to_dot(*trees)
-    if args.format == "json":
-        return canonical_json(
-            {
-                "S": ctx.semigroup.to_json_dict(),
-                "d": ctx.d,
-                "trees": [fibers.fiber_node_to_json_dict(t.root) for t in trees],
-            }
-        )
-    return "".join(_render_tree_text(t) for t in trees)
+    trees = [fibers.enumerate_fiber(ctx, root, _bounds(args)) for root in roots]
+    return {
+        "json": lambda: {
+            **_head(ctx),
+            "trees": [fibers.fiber_node_to_json_dict(t.root) for t in trees],
+        },
+        "text": lambda: _trees_text(trees),
+        "dot": lambda: fibers.fiber_tree_to_dot(*trees),
+    }
 
 
-def _cmd_md_monoid(args) -> str:
-    ctx = multiples.MultipleContext(parse_semigroup(args.sgp), args.d)
-    xs = _csv_ints(args.x, "x set") if args.x else []
-    monoid = monoids.build_monoid(ctx, xs)
+def _cmd_md_monoid(args) -> dict:
+    ctx = _context(args)
+    monoid = monoids.build_monoid(ctx, _csv_ints(args.x, "x set") if args.x else [])
     semigroup = monoid.to_semigroup() if monoid.is_semigroup else None
-    if args.format == "json":
-        return canonical_json(
-            {
-                "S": ctx.semigroup.to_json_dict(),
-                "d": ctx.d,
-                "x_set": list(monoid.x_set),
-                "minimal_system": list(monoid.minimal_system),
-                "md_embedding_dimension": monoid.md_embedding_dimension,
-                "is_semigroup": monoid.is_semigroup,
-                "semigroup": semigroup.to_json_dict() if semigroup else None,
-            }
-        )
     shape = str(semigroup) if semigroup else f"{monoid.scale}*{monoid.reduced}"
-    return (
-        f"minimal system {{{','.join(map(str, monoid.minimal_system))}}} "
-        f"md-e={monoid.md_embedding_dimension} "
-        f"{'semigroup' if monoid.is_semigroup else 'monoid'} {shape}\n"
-    )
+    return {
+        "json": lambda: {
+            **_head(ctx),
+            "x_set": list(monoid.x_set),
+            "minimal_system": list(monoid.minimal_system),
+            "md_embedding_dimension": monoid.md_embedding_dimension,
+            "is_semigroup": monoid.is_semigroup,
+            "semigroup": semigroup.to_json_dict() if semigroup else None,
+        },
+        "text": lambda: (
+            f"minimal system {{{_join(monoid.minimal_system)}}} "
+            f"md-e={monoid.md_embedding_dimension} "
+            f"{'semigroup' if semigroup else 'monoid'} {shape}\n"
+        ),
+    }
 
 
-def _cmd_ed1(args) -> str:
-    ctx = multiples.MultipleContext(parse_semigroup(args.sgp), args.d)
+def _cmd_ed1(args) -> dict:
+    ctx = _context(args)
     m = ed1.construct_ed1(ctx, args.x)
-    pf = ed1.ed1_pseudo_frobenius(m) if not ctx.semigroup.is_whole_n else ()
-    payload = {
-        "semigroup": m.semigroup.to_json_dict(),
+    pf = list(ed1.ed1_pseudo_frobenius(m)) if not ctx.semigroup.is_whole_n else []
+    facts = {
         "x": m.x,
         "frobenius": ed1.ed1_frobenius(m),
         "genus": ed1.ed1_genus(m),
-        "pf": list(pf),
+        "pf": pf,
         "type": len(pf),
         "gluing": ed1.is_gluing_of_n_and_s(m),
     }
-    if args.format == "json":
-        return canonical_json(payload)
-    return (
-        f"{m.semigroup} F={payload['frobenius']} g={payload['genus']} "
-        f"PF={{{','.join(map(str, pf))}}} t={payload['type']} "
-        f"gluing={'yes' if payload['gluing'] else 'no'}\n"
-    )
+    return {
+        "json": lambda: {"semigroup": m.semigroup.to_json_dict(), **facts},
+        "text": lambda: (
+            f"{m.semigroup} F={facts['frobenius']} g={facts['genus']} PF={{{_join(pf)}}} "
+            f"t={len(pf)} gluing={'yes' if facts['gluing'] else 'no'}\n"
+        ),
+    }
 
 
-def _cmd_full_rank(args) -> str:
+def _cmd_full_rank(args) -> dict:
     S = parse_semigroup(args.sgp)
     report = rank.full_rank_condition(S)
-    if args.format == "json":
-        return canonical_json(
-            {
-                "semigroup": S.to_json_dict(),
-                "condition_holds": report.condition_holds,
-                "multiplicity_bound_ok": report.multiplicity_bound_ok,
-                "witnesses": [
-                    {
-                        "generator": w.generator,
-                        "partner_sum": w.partner_sum,
-                        "in_apery": w.in_apery,
-                    }
-                    for w in report.witnesses
-                ],
-            }
+    return {
+        "json": lambda: {
+            "semigroup": S.to_json_dict(),
+            "condition_holds": report.condition_holds,
+            "multiplicity_bound_ok": report.multiplicity_bound_ok,
+            "witnesses": [
+                {"generator": w.generator, "partner_sum": w.partner_sum, "in_apery": w.in_apery}
+                for w in report.witnesses
+            ],
+        },
+        "text": lambda: "".join(
+            f"{w.partner_sum} in Ap({S},{w.generator}): {'yes' if w.in_apery else 'no'}\n"
+            for w in report.witnesses
         )
-    lines = [
-        f"{w.partner_sum} in Ap({S},{w.generator}): {'yes' if w.in_apery else 'no'}"
-        for w in report.witnesses
-    ]
-    verdict = (
-        "full quotient rank (condition holds)"
-        if report.condition_holds
-        else "condition fails (no verdict)"
-    )
-    return "\n".join(lines + [verdict]) + "\n"
+        + ("full quotient rank (condition holds)\n" if report.condition_holds
+           else "condition fails (no verdict)\n"),
+    }
 
 
-def _cmd_unique_betti(args) -> str:
+def _cmd_unique_betti(args) -> dict:
     spec = rank.UniqueBettiSpec(tuple(sorted(_csv_ints(args.c, "factor list"))))
     S = rank.unique_betti(spec)
-    if args.format == "json":
-        return canonical_json(
-            {
-                "c": list(spec.c),
-                "semigroup": S.to_json_dict(),
-                "condition_holds": True,
-            }
-        )
-    return f"{S} F={S.frobenius} g={S.genus} full quotient rank\n"
+    return {
+        "json": lambda: {"c": list(spec.c), "semigroup": S.to_json_dict(), "condition_holds": True},
+        "text": lambda: f"{S} F={S.frobenius} g={S.genus} full quotient rank\n",
+    }
 
 
-def _cmd_search_low_e(args) -> str:
+def _cmd_search_low_e(args) -> dict:
     S = parse_semigroup(args.sgp)
-    bounds = _bounds_from_args(args)
-    hit = rank.bounded_low_e_multiple_search(S, args.dmax, bounds)
-    if args.format == "json":
-        return canonical_json(
-            {
-                "semigroup": S.to_json_dict(),
-                "dmax": args.dmax,
-                "found": hit is not None,
-                "d": hit[0] if hit else None,
-                "multiple": hit[1].to_json_dict() if hit else None,
-            }
-        )
-    if hit is None:
-        return "none\n"
-    return f"d={hit[0]} {hit[1]} e={hit[1].embedding_dimension}\n"
+    d, T = rank.bounded_low_e_multiple_search(S, args.dmax, _bounds(args)) or (None, None)
+    return {
+        "json": lambda: {
+            "semigroup": S.to_json_dict(),
+            "dmax": args.dmax,
+            "found": T is not None,
+            "d": d,
+            "multiple": T.to_json_dict() if T else None,
+        },
+        "text": lambda: f"d={d} {T} e={T.embedding_dimension}\n" if T else "none\n",
+    }
 
 
-def _cmd_rank_sweep(args) -> str:
+def _cmd_rank_sweep(args) -> dict:
     rows = rank.rank_sweep(args.count, args.max_genus, args.seed, d_max=args.dmax)
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=rank.SWEEP_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    text = buffer.getvalue()
+
+    def table():
+        buffer = io.StringIO()
+        writer = csv.DictWriter(buffer, fieldnames=rank.SWEEP_FIELDS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        return buffer.getvalue()
+
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        return f"wrote {len(rows)} rows to {args.csv}\n"
-    return text
+        return {"csv": table, "text": lambda: f"wrote {len(rows)} rows to {args.csv}\n"}
+    return {"text": table}
 
 
-def _cmd_oracle_census(args) -> str:
-    found = _sorted_by_msg(oracle.all_with_frobenius(args.f))
-    if args.format == "json":
-        return canonical_json(
-            {"f": args.f, "count": len(found), "semigroups": [t.to_json_dict() for t in found]}
-        )
-    return "".join(f"{t}\n" for t in found)
+def _cmd_oracle_census(args) -> dict:
+    found = oracle.all_with_frobenius(args.f)
+    return _listing(found, "semigroups", f=args.f, count=len(found))
 
 
-def _cmd_oracle_multiples(args) -> str:
-    ctx = multiples.MultipleContext(parse_semigroup(args.sgp), args.d)
+def _cmd_oracle_multiples(args) -> dict:
+    ctx = _context(args)
     budget = oracle.EnumerationBudget(
         max_frobenius=args.max_frobenius,
         max_genus=args.max_genus if args.max_genus is not None else args.max_frobenius,
         hard_node_limit=args.limit,
     )
-    found = _sorted_by_msg(oracle.all_multiples_bounded(ctx, budget))
-    if args.format == "json":
-        return canonical_json(
-            {
-                "S": ctx.semigroup.to_json_dict(),
-                "d": ctx.d,
-                "max_frobenius": args.max_frobenius,
-                "multiples": [t.to_json_dict() for t in found],
-            }
-        )
-    return "".join(f"{t}\n" for t in found)
+    found = oracle.all_multiples_bounded(ctx, budget)
+    return _listing(found, "multiples", ctx, max_frobenius=args.max_frobenius)
 
 
-def _add_format(p, choices=("text", "json")):
-    p.add_argument("--format", choices=choices, default="text")
+# An option is (flag, keyword arguments of add_argument).
+_REQUIRED, _REQUIRED_INT = {"required": True}, {"type": int, "required": True}
+_SGP, _D = ("--sgp", _REQUIRED), ("--d", _REQUIRED_INT)
+_BOUNDS = tuple((f"--max-{b}", {"type": int}) for b in ("frobenius", "genus", "depth", "nodes"))
+_TEXT_JSON = ("text", "json")
 
 
-def _add_bounds(p):
-    p.add_argument("--max-frobenius", type=int, default=None)
-    p.add_argument("--max-genus", type=int, default=None)
-    p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--max-nodes", type=int, default=None)
+def _commands():
+    """The command table in --help order: (path, help, handler, formats,
+    *options) per subcommand, where a row without a handler is a group.
+    Built on each call, so it holds the handlers bound at that time."""
+    return (
+        ("info", "invariants of one semigroup", _cmd_info, _TEXT_JSON, _SGP),
+        ("quotient", "compute T/d", _cmd_quotient, _TEXT_JSON, _SGP, _D),
+        ("is-multiple", "test whether a candidate is a d-multiple of S", _cmd_is_multiple,
+         _TEXT_JSON, _SGP, _D, ("--candidate", _REQUIRED)),
+        ("max-multiples", "all inclusion-maximal d-multiples of S", _cmd_max_multiples,
+         _TEXT_JSON, _SGP, _D),
+        ("fiber-tree", "enumerate a saturation fiber as a rooted tree", _cmd_fiber_tree,
+         ("text", "json", "dot"), _SGP, _D,
+         ("--root", {"default": "auto", "help": "'auto' or a generator list"}),
+         ("--dot", {"help": "also write DOT to this path"}), *_BOUNDS),
+        ("md-monoid", "the monoid ⟨X⟩ + d·S and its minimal system", _cmd_md_monoid,
+         _TEXT_JSON, _SGP, _D, ("--x", {"default": "", "help": "comma list, may be empty"})),
+        ("ed1", "closed forms for ⟨x⟩ + d·S", _cmd_ed1, _TEXT_JSON, _SGP, _D,
+         ("--x", _REQUIRED_INT)),
+        ("full-rank", "Apéry sufficient condition for full quotient rank", _cmd_full_rank,
+         _TEXT_JSON, _SGP),
+        ("unique-betti", "semigroup from pairwise-coprime factors", _cmd_unique_betti,
+         _TEXT_JSON, ("--c", _REQUIRED)),
+        ("search-low-e", "bounded hunt for a multiple of smaller e", _cmd_search_low_e,
+         _TEXT_JSON, _SGP, ("--dmax", _REQUIRED_INT), *_BOUNDS),
+        ("rank-sweep", "seeded CSV experiment on random semigroups", _cmd_rank_sweep, (),
+         ("--count", _REQUIRED_INT), ("--max-genus", _REQUIRED_INT), ("--seed", _REQUIRED_INT),
+         ("--dmax", {"type": int, "default": 3}), ("--csv", {})),
+        ("oracle", "brute-force enumerators (test fixtures)", None, ()),
+        ("oracle frobenius-census", "all semigroups with Frobenius number f",
+         _cmd_oracle_census, _TEXT_JSON, ("--f", _REQUIRED_INT)),
+        ("oracle multiples-bounded", "all d-multiples up to a Frobenius bound",
+         _cmd_oracle_multiples, _TEXT_JSON, _SGP, _D, ("--max-frobenius", _REQUIRED_INT),
+         ("--max-genus", {"type": int}), ("--limit", {"type": int, "default": 100000})),
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,113 +350,49 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical semigroups, their d-multiples, fiber trees and rank tools.",
     )
     parser.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("info", help="invariants of one semigroup")
-    p.add_argument("--sgp", required=True)
-    _add_format(p)
-    p.set_defaults(run=_cmd_info)
-
-    p = sub.add_parser("quotient", help="compute T/d")
-    p.add_argument("--sgp", required=True)
-    p.add_argument("--d", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(run=_cmd_quotient)
-
-    p = sub.add_parser("is-multiple", help="test whether a candidate is a d-multiple of S")
-    p.add_argument("--sgp", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--candidate", required=True)
-    _add_format(p)
-    p.set_defaults(run=_cmd_is_multiple)
-
-    p = sub.add_parser("max-multiples", help="all inclusion-maximal d-multiples of S")
-    p.add_argument("--sgp", required=True)
-    p.add_argument("--d", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(run=_cmd_max_multiples)
-
-    p = sub.add_parser("fiber-tree", help="enumerate a saturation fiber as a rooted tree")
-    p.add_argument("--sgp", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--root", default="auto", help="'auto' or a generator list")
-    p.add_argument("--dot", default=None, help="also write DOT to this path")
-    _add_bounds(p)
-    _add_format(p, choices=("text", "json", "dot"))
-    p.set_defaults(run=_cmd_fiber_tree)
-
-    p = sub.add_parser("md-monoid", help="the monoid ⟨X⟩ + d·S and its minimal system")
-    p.add_argument("--sgp", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--x", default="", help="comma list, may be empty")
-    _add_format(p)
-    p.set_defaults(run=_cmd_md_monoid)
-
-    p = sub.add_parser("ed1", help="closed forms for ⟨x⟩ + d·S")
-    p.add_argument("--sgp", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--x", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(run=_cmd_ed1)
-
-    p = sub.add_parser("full-rank", help="Apéry sufficient condition for full quotient rank")
-    p.add_argument("--sgp", required=True)
-    _add_format(p)
-    p.set_defaults(run=_cmd_full_rank)
-
-    p = sub.add_parser("unique-betti", help="semigroup from pairwise-coprime factors")
-    p.add_argument("--c", required=True)
-    _add_format(p)
-    p.set_defaults(run=_cmd_unique_betti)
-
-    p = sub.add_parser("search-low-e", help="bounded hunt for a multiple of smaller e")
-    p.add_argument("--sgp", required=True)
-    p.add_argument("--dmax", type=int, required=True)
-    _add_bounds(p)
-    _add_format(p)
-    p.set_defaults(run=_cmd_search_low_e)
-
-    p = sub.add_parser("rank-sweep", help="seeded CSV experiment on random semigroups")
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--max-genus", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--dmax", type=int, default=3)
-    p.add_argument("--csv", default=None)
-    p.set_defaults(run=_cmd_rank_sweep)
-
-    p_oracle = sub.add_parser("oracle", help="brute-force enumerators (test fixtures)")
-    osub = p_oracle.add_subparsers(dest="oracle_command", required=True)
-
-    p = osub.add_parser("frobenius-census", help="all semigroups with Frobenius number f")
-    p.add_argument("--f", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(run=_cmd_oracle_census)
-
-    p = osub.add_parser("multiples-bounded", help="all d-multiples up to a Frobenius bound")
-    p.add_argument("--sgp", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--max-frobenius", type=int, required=True)
-    p.add_argument("--max-genus", type=int, default=None)
-    p.add_argument("--limit", type=int, default=100000)
-    _add_format(p)
-    p.set_defaults(run=_cmd_oracle_multiples)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, help_text, run, formats, *options in _commands():
+        group, _, name = path.rpartition(" ")
+        p = groups[group].add_parser(name, help=help_text)
+        if run is None:
+            groups[path] = p.add_subparsers(dest=f"{name}_command", required=True)
+            continue
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
+        p.set_defaults(run=run)
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _write(path, text: str) -> None:
+    """Write text to stdout, or to the file at path as UTF-8 with its line ends unchanged."""
+    if not path:
+        sys.stdout.write(text)
+        return
     try:
-        output = args.run(args)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as err:
+        raise InvalidInput(f"cannot write {path}: {err.strerror or err}") from err
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        renderers = args.run(args)
+        # The side files --dot and --csv get the renderer of their name;
+        # stdout (or --out) comes last, so a refused path leaves it empty.
+        targets = [(getattr(args, k, None), k) for k in ("dot", "csv") if getattr(args, k, None)]
+        targets.append((args.out, getattr(args, "format", "text")))
+        rendered = {key: renderers[key]() for _, key in targets}
+        if "json" in rendered:
+            rendered["json"] = canonical_json(rendered["json"])
+        for path, key in targets:
+            _write(path, rendered[key])
     except NumsgpsError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(output)
-    else:
-        sys.stdout.write(output)
     return 0
 
 

@@ -2,11 +2,11 @@
 monoids ⟨X⟩ + d·S they intersect to, and minimal generating data.
 
 A set X extends to some d-multiple of S iff ⟨X⟩ avoids every point of
-d·gaps(S); each point is a bounded coin problem, decided by the bitset
-closure :func:`~numsgps.core._closure`.  The monoid M = ⟨X⟩ + d·S is a
-numerical semigroup iff gcd(X ∪ {d}) = 1; otherwise M = g·M' for the
-reduced semigroup M' obtained by dividing out g = gcd, which gives exact
-membership everywhere without any element list.
+d·gaps(S); one bitset closure :func:`~numsgps.core._closure` of X up to
+d·F(S), masked by d·gaps(S), decides every point at once.  The monoid
+M = ⟨X⟩ + d·S is a numerical semigroup iff gcd(X ∪ {d}) = 1; otherwise
+M = g·M' for the reduced semigroup M' obtained by dividing out g = gcd,
+which gives exact membership everywhere without any element list.
 """
 
 from __future__ import annotations
@@ -29,17 +29,23 @@ def _normalized_naturals(xs: Iterable[int]) -> tuple[int, ...]:
 
 
 def _generates(gens: tuple[int, ...], target: int) -> bool:
-    """target ∈ ⟨gens⟩, as a bit test on the closure of gens up to target."""
+    """target ∈ ⟨gens⟩, as a bit test on the closure of gens up to target.
+
+    Unused by the library; perfbench/tracer.py still traces it by name.
+    """
     return bool(_closure(gens, target) >> target & 1)
 
 
 def is_md_set(ctx: MultipleContext, xs: Iterable[int]) -> bool:
     """True iff X is contained in some d-multiple of S.
 
-    Equivalent to ⟨X⟩ ∩ d·gaps(S) = ∅, checked point by point.
+    Equivalent to ⟨X⟩ ∩ d·gaps(S) = ∅.  S = ℕ has no gaps, so every X
+    qualifies (and d·F(ℕ) = −d bounds no closure).
     """
     gens = _normalized_naturals(xs)
-    return not any(_generates(gens, p) for p in ctx.scaled_gaps)
+    if ctx.semigroup.is_whole_n:
+        return True
+    return not _closure(gens, ctx.scaled_frobenius) & ctx.scaled_gap_mask
 
 
 @dataclass(frozen=True)

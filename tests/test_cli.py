@@ -3,11 +3,16 @@ trips, DOT output, CSV reproducibility and exit codes."""
 
 import inspect
 import json
+import os
+import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import numsgps
 from numsgps.cli import canonical_json, main, parse_semigroup
 
 from conftest import sgp
@@ -87,6 +92,10 @@ class TestTextFixtures:
         code, out, _ = run(capsys, "md-monoid", "--sgp", "5,7,9", "--d", "2", "--x", "9,10")
         assert code == 0
         assert out == "minimal system {9} md-e=1 semigroup ⟨9,10,14⟩\n"
+
+    def test_md_monoid_over_whole_n(self, capsys):
+        code, out, _ = run(capsys, "md-monoid", "--sgp", "1", "--d", "2", "--x", "3")
+        assert (code, out) == (0, "minimal system {3} md-e=1 semigroup ⟨2,3⟩\n")
 
     def test_ed1(self, capsys):
         code, out, _ = run(capsys, "ed1", "--sgp", "5,7,9", "--d", "2", "--x", "9")
@@ -286,6 +295,77 @@ class TestOutFile:
         assert code == 0
         assert out == ""
         assert target.read_text(encoding="utf-8") == "⟨3,4,5⟩\n"
+
+
+class TestUnwritablePaths:
+    """A path that cannot be written is refused with exit 2 and leaves
+    stdout empty, whichever option names it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--out", "{bad}", "info", "--sgp", "3,4"],
+            ["fiber-tree", "--sgp", "3,4,5", "--d", "3", "--max-nodes", "2", "--dot", "{bad}"],
+            ["rank-sweep", "--count", "1", "--max-genus", "4", "--seed", "1", "--csv", "{bad}"],
+        ],
+        ids=["out", "dot", "csv"],
+    )
+    def test_exit_2(self, capsys, tmp_path, argv):
+        bad = str(tmp_path / "missing" / "file.txt")
+        code, out, err = run(capsys, *(a.replace("{bad}", bad) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write ") and bad in err
+
+
+class TestHelp:
+    def help_text(self, capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    def test_subcommand_order(self, capsys):
+        usage = self.help_text(capsys)
+        assert re.search(r"\{([\w,-]+)\}", usage).group(1).split(",") == [
+            "info", "quotient", "is-multiple", "max-multiples", "fiber-tree", "md-monoid",
+            "ed1", "full-rank", "unique-betti", "search-low-e", "rank-sweep", "oracle",
+        ]
+
+    def test_fiber_tree_option_order(self, capsys):
+        text = self.help_text(capsys, "fiber-tree")
+        section = text.split("\noptions:\n")[1]
+        assert re.findall(r"^  (--[\w-]+)", section, re.MULTILINE) == [
+            "--sgp", "--d", "--root", "--dot", "--max-frobenius", "--max-genus",
+            "--max-depth", "--max-nodes", "--format",
+        ]
+
+
+class TestAsProgram:
+    """The CLI run as ``python -m numsgps.cli`` in a fresh interpreter."""
+
+    def program(self, *argv):
+        src = str(Path(numsgps.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "numsgps.cli", *argv],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8"},
+            capture_output=True,
+            encoding="utf-8",
+            timeout=60,
+        )
+
+    def test_readme_info_line(self):
+        done = self.program("info", "--sgp", "5,7,9")
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0,
+            "⟨5,7,9⟩ F=13 g=8 e=3 m=5 t=2 PF={11,13} reducible\n",
+            "",
+        )
+
+    def test_gcd_refused(self):
+        done = self.program("info", "--sgp", "4,6")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: gcd(4,6) != 1\n"
 
 
 class TestInternalInvariantExit:

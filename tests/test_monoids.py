@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from numsgps.core import from_gaps
-from numsgps.errors import InternalInvariantError, NotAMultiple, NotMdSet
+from numsgps.core import WHOLE_N, from_gaps
+from numsgps.errors import InternalInvariantError, InvalidInput, NotAMultiple, NotMdSet
 from numsgps.monoids import build_monoid, decompose_multiple, is_md_set
 from numsgps.multiples import MultipleContext, is_d_multiple
 from numsgps.oracle import (
@@ -40,6 +40,15 @@ class TestIsMdSet:
     def test_counterexample(self):
         # 2 generates 2 = 2·1 which is a scaled gap.
         assert not is_md_set(ctx_of((5, 7, 9), 2), [2])
+
+    def test_whole_n(self):
+        # ℕ has no gaps, so every set of naturals qualifies; d·F(ℕ) = −d
+        # must not reach the closure as a bound.
+        ctx = MultipleContext(WHOLE_N, 2)
+        assert is_md_set(ctx, [3])
+        assert is_md_set(ctx, [])
+        with pytest.raises(InvalidInput):
+            is_md_set(ctx, [-1])
 
     def test_equivalence_battery(self, small_semigroups):
         """Three characterizations agree on 300 random (S, d, X):
