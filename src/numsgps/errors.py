@@ -57,7 +57,8 @@ class NotMaximal(InvalidInput):
 
 
 class BoundsMissing(InvalidInput):
-    """Unbounded fiber enumeration refused; at least one truncation bound is required."""
+    """An unbounded fiber enumeration or low-e search refused; at least one
+    truncation bound is required."""
 
 
 class NotMdSet(InvalidInput):

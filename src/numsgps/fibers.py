@@ -26,19 +26,24 @@ from .multiples import MultipleContext, addable_gaps, is_d_multiple
 
 @dataclass(frozen=True)
 class TruncationBounds:
-    """Pruning limits for fiber enumeration; at least one must be set."""
+    """Pruning limits for fiber enumeration and the low-e search; at least
+    one must be set."""
 
     max_frobenius: int | None = None
     max_genus: int | None = None
     max_depth: int | None = None
     max_nodes: int | None = None
 
-    def require_finite(self):
+    def require_finite(self, search: str):
+        """Refuse, naming ``search`` (the caller), when no bound is set."""
         if all(
             b is None
             for b in (self.max_frobenius, self.max_genus, self.max_depth, self.max_nodes)
         ):
-            raise BoundsMissing("fiber enumeration requires at least one bound")
+            raise BoundsMissing(
+                f"{search} requires at least one bound: --max-frobenius, "
+                "--max-genus, --max-depth or --max-nodes"
+            )
 
 
 @dataclass
@@ -165,7 +170,7 @@ def enumerate_fiber(
     pruning at either loses no node inside the bound.  max_nodes counts in
     depth-first preorder with children ascending by removed generator.
     """
-    bounds.require_finite()
+    bounds.require_finite("fiber enumeration")
     _require_multiple(ctx, root)
     if addable_gaps(ctx, root):
         raise NotMaximal(f"{root} is not a maximal {ctx.d}-multiple of {ctx.semigroup}")

@@ -45,7 +45,8 @@ def is_md_set(ctx: MultipleContext, xs: Iterable[int]) -> bool:
     gens = _normalized_naturals(xs)
     if ctx.semigroup.is_whole_n:
         return True
-    return not _closure(gens, ctx.scaled_frobenius) & ctx.scaled_gap_mask
+    scaled = ctx.scaled_gap_mask  # refuses a d·F(S) past the ceiling before the closure
+    return not _closure(gens, ctx.scaled_frobenius) & scaled
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,11 @@ inclusion-maximal d-multiples of a fixed semigroup S.
 
 T is a d-multiple of S when T/d = {x | d·x ∈ T} equals S, equivalently when
 the gap sandwich d·(ℕ∖S) ⊆ ℕ∖T ⊆ ℕ∖d·S holds.  The maximal d-multiples all
-share the Frobenius number d·F(S) and are found by a breadth-first closure
-over single-gap adjunctions starting from the ground multiple
-d·S ∪ {n | n > d·F(S)}.
+share the Frobenius number d·F(S) and are found by a depth-first search
+that adjoins single gaps, in decreasing order only, to the ground multiple
+d·S ∪ {n | n > d·F(S)}.  Every d-multiple with that Frobenius number is the
+ground multiple plus a set E, and adjoining E from its largest element down
+is its one path in the search, so no multiple is built twice.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (
+    CLOSURE_CEILING,
     NumericalSemigroup,
     _adjoined,
     _from_gap_tuple,
@@ -42,7 +45,11 @@ class MultipleContext:
 
     @cached_property
     def scaled_gap_mask(self) -> int:
-        """Bitmask of d·gaps(S)."""
+        """Bitmask of d·gaps(S), refused with :class:`CeilingExceeded` when
+        d·F(S) passes :data:`~numsgps.core.CLOSURE_CEILING`.  Everything that
+        loops or closes up to d·F(S) reads it first."""
+        if self.scaled_frobenius > CLOSURE_CEILING:
+            raise CeilingExceeded(f"d·F(S) = {self.scaled_frobenius} passes {CLOSURE_CEILING}")
         mask = 0
         for h in self.scaled_gaps:
             mask |= 1 << h
@@ -112,24 +119,24 @@ def addable_gaps(ctx: MultipleContext, T: NumericalSemigroup) -> tuple[int, ...]
 
 def _ground_multiple(ctx: MultipleContext) -> NumericalSemigroup:
     """d·S ∪ {n | n > d·F(S)}, the least d-multiple with Frobenius d·F(S)."""
-    gaps = [
-        n for n in range(1, ctx.scaled_frobenius + 1) if not ctx.in_scaled_semigroup(n)
-    ]
-    return _from_gap_tuple(gaps)
+    d, scaled = ctx.d, ctx.scaled_gap_mask
+    return _from_gap_tuple(
+        n for n in range(1, ctx.scaled_frobenius + 1) if n % d or scaled >> n & 1
+    )
 
 
 def max_multiples(ctx: MultipleContext, node_cap: int | None = None) -> MaxMultiplesResult:
     """The complete set of inclusion-maximal d-multiples of S.
 
-    Breadth-first closure: start from the ground multiple, repeatedly adjoin
-    every addable gap, deduplicate by gap mask, and collect the semigroups
-    whose addable set is empty.  Each adjunction removes one gap, so the
-    search terminates; every maximal contains the ground multiple, so none
-    is missed.  The maximals are sorted by (genus, gap tuple) at the end, so
-    the output does not depend on frontier order.
+    Depth-first search from the ground multiple that adjoins addable gaps in
+    decreasing order only: a multiple reached by adjoining z adjoins only
+    gaps below z.  A d-multiple T with F(T) = d·F(S) is the ground multiple
+    plus a set E, and adjoining E from its largest element down is the one
+    such path to T, so each T is built once and no ``seen`` set is needed.
+    The maximals, those with no addable gap, are sorted by (genus, gap tuple).
 
-    The BFS visits every d-multiple with Frobenius number d·F(S), which can
-    be enormous; callers that only need a best-effort answer may pass
+    The search visits every d-multiple with Frobenius number d·F(S), which
+    can be enormous; callers that only need a best-effort answer may pass
     ``node_cap`` and catch :class:`CeilingExceeded`.
     """
     S = ctx.semigroup
@@ -137,27 +144,20 @@ def max_multiples(ctx: MultipleContext, node_cap: int | None = None) -> MaxMulti
         raise WholeN("maximal multiples are undefined for the whole of ℕ")
     if ctx.d == 1:
         return MaxMultiplesResult(ctx, (S,))
-    start = _ground_multiple(ctx)
-    seen = {start.gap_mask}
-    frontier = [start]
+    stack = [(_ground_multiple(ctx), ctx.scaled_frobenius)]
+    visited = 0
     maximals: list[NumericalSemigroup] = []
-    while frontier:
-        if node_cap is not None and len(seen) > node_cap:
+    while stack:
+        T, below = stack.pop()
+        visited += 1
+        if node_cap is not None and visited > node_cap:
             raise CeilingExceeded(
                 f"more than {node_cap} multiples with Frobenius {ctx.scaled_frobenius}"
             )
-        next_frontier: list[NumericalSemigroup] = []
-        for T in frontier:
-            addable = addable_gaps(ctx, T)
-            if not addable:
-                maximals.append(T)
-                continue
-            for z in addable:
-                child = _adjoined(T, z)
-                if child.gap_mask not in seen:
-                    seen.add(child.gap_mask)
-                    next_frontier.append(child)
-        frontier = next_frontier
+        addable = addable_gaps(ctx, T)
+        if not addable:
+            maximals.append(T)
+        stack.extend((_adjoined(T, z), z) for z in addable if z < below)
     maximals.sort(key=lambda t: (t.genus, t.gaps))
     return MaxMultiplesResult(ctx, tuple(maximals))
 

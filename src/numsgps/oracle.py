@@ -86,8 +86,9 @@ def _closed_gap_sets(
     return out
 
 
-def _canonical(semigroups) -> tuple[NumericalSemigroup, ...]:
-    return tuple(sorted(semigroups, key=lambda s: (s.genus, s.gaps)))
+def _canonical(gap_sets) -> tuple[NumericalSemigroup, ...]:
+    """The semigroups with the given gap tuples, sorted by (genus, gaps)."""
+    return tuple(map(_from_gap_tuple, sorted(gap_sets, key=lambda g: (len(g), g))))
 
 
 def all_with_frobenius(f: int) -> tuple[NumericalSemigroup, ...]:
@@ -102,7 +103,7 @@ def all_with_frobenius(f: int) -> tuple[NumericalSemigroup, ...]:
     if f > ceiling:
         raise CeilingExceeded(f"census for f={f} exceeds ceiling {ceiling}")
     sets = _closed_gap_sets(f, (1 << f) - 2, 1 << f)
-    return _canonical(_from_gap_tuple(g) for g in sets)
+    return _canonical(sets)
 
 
 def all_with_frobenius_genus_tree(f: int) -> tuple[NumericalSemigroup, ...]:
@@ -110,34 +111,29 @@ def all_with_frobenius_genus_tree(f: int) -> tuple[NumericalSemigroup, ...]:
     minimal generator above the Frobenius number at a time."""
     if f < 1:
         raise InvalidInput(f"the Frobenius number must be positive, got {f}")
-    results = []
+    gap_sets = []
     frontier = [WHOLE_N]
     while frontier:
         nxt = []
         for S in frontier:
-            if S.frobenius == f:
-                results.append(S)
-                continue
             for x in S.msg:
-                if S.frobenius < x <= f:
+                if x == f:
+                    gap_sets.append(S.gaps + (x,))
+                elif S.frobenius < x < f:
                     nxt.append(_from_gap_tuple(S.gaps + (x,)))
         frontier = nxt
-    return _canonical(results)
+    return _canonical(gap_sets)
 
 
 def semigroups_by_genus(max_genus: int) -> tuple[NumericalSemigroup, ...]:
     """All numerical semigroups with genus ≤ max_genus (ℕ included)."""
-    out = [WHOLE_N]
+    gap_sets = [()]
     frontier = [WHOLE_N]
     for _ in range(max_genus):
-        nxt = []
-        for S in frontier:
-            for x in S.msg:
-                if x > S.frobenius:
-                    nxt.append(_from_gap_tuple(S.gaps + (x,)))
-        out.extend(nxt)
-        frontier = nxt
-    return _canonical(out)
+        level = [S.gaps + (x,) for S in frontier for x in S.msg if x > S.frobenius]
+        gap_sets.extend(level)
+        frontier = map(_from_gap_tuple, level)
+    return _canonical(gap_sets)
 
 
 def all_multiples_bounded(
@@ -164,9 +160,7 @@ def all_multiples_bounded(
         raise CeilingExceeded(
             f"more than {budget.hard_node_limit} multiples below F={fmax}"
         )
-    return _canonical(
-        _from_gap_tuple(g) for g in sets if len(g) <= budget.max_genus
-    )
+    return _canonical(g for g in sets if len(g) <= budget.max_genus)
 
 
 def oversemigroups(S: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]:
@@ -174,9 +168,7 @@ def oversemigroups(S: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]:
     allowed = 0
     for h in S.gaps:
         allowed |= 1 << h
-    return _canonical(
-        _from_gap_tuple(g) for g in _closed_gap_sets(max(S.frobenius, 0), allowed, 0)
-    )
+    return _canonical(_closed_gap_sets(max(S.frobenius, 0), allowed, 0))
 
 
 def is_irreducible_bruteforce(S: NumericalSemigroup) -> bool:

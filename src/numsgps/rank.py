@@ -186,7 +186,7 @@ def bounded_low_e_multiple_search(
     """
     if S.is_whole_n:
         raise WholeN("quotient rank analysis is undefined for the whole of ℕ")
-    bounds.require_finite()
+    bounds.require_finite("the low-e search")
     e = S.embedding_dimension
     root_cap = bounds.max_nodes if bounds.max_nodes is not None else 4000
     for d in range(1, d_max + 1):

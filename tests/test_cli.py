@@ -260,6 +260,31 @@ class TestExitCodes:
         assert "1048576" in err
         assert time.perf_counter() - start < 5
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("md-monoid", "--sgp", "2,3", "--d", "1000000000000", "--x", "5"),
+            ("max-multiples", "--sgp", "2,3", "--d", "1000000000000"),
+            ("fiber-tree", "--sgp", "2,3", "--d", "1000000000000", "--max-nodes", "3"),
+        ],
+    )
+    def test_huge_d_refused(self, capsys, argv):
+        # d·F(S) = 10**12 is far past the closure ceiling; a mask or loop
+        # up to it would exhaust memory or time.
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "1048576" in err
+        assert time.perf_counter() - start < 5
+
+    def test_low_e_search_names_its_bounds(self, capsys):
+        code, out, err = run(capsys, "search-low-e", "--sgp", "4,5,7", "--dmax", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the low-e search requires at least one bound")
+        for flag in ("--max-frobenius", "--max-genus", "--max-depth", "--max-nodes"):
+            assert flag in err
+
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from numsgps.core import WHOLE_N, from_gaps, intersect, is_irreducible
-from numsgps.errors import NotNumerical, WholeN
+from numsgps.errors import CeilingExceeded, NotNumerical, WholeN
 from numsgps.multiples import (
     MultipleContext,
     irreducibility_transfer,
@@ -14,6 +14,7 @@ from numsgps.multiples import (
     max_multiples,
     quotient,
 )
+from numsgps.oracle import EnumerationBudget, all_multiples_bounded
 
 from conftest import sgp
 from sweeps import multiples_pool
@@ -110,7 +111,7 @@ class TestMaxMultiples:
     def test_completeness_against_census(
         self, small_semigroups, census_by_frobenius, monkeypatch
     ):
-        """Production BFS equals the maximal elements of the census filter."""
+        """Production search equals the maximal elements of the census filter."""
         monkeypatch.setenv("NUMSGPS_ORACLE_CEILING", "24")
         for S in small_semigroups:
             if S.frobenius > 8:
@@ -128,6 +129,21 @@ class TestMaxMultiples:
                     if not any(T < U for U in candidates)
                 }
                 assert set(max_multiples(ctx).maximals) == expected
+
+    def test_node_cap_is_the_multiple_count(self, small_semigroups):
+        """node_cap = N passes and N − 1 raises, where N counts the
+        d-multiples with Frobenius d·F(S) that the oracle enumerates."""
+        for S in small_semigroups:
+            if S.frobenius > 7:
+                continue
+            for d in range(2, 5):
+                ctx = MultipleContext(S, d)
+                f = d * S.frobenius
+                budget = EnumerationBudget(f, f, 100_000)
+                n = sum(T.frobenius == f for T in all_multiples_bounded(ctx, budget))
+                assert max_multiples(ctx, node_cap=n) == max_multiples(ctx)
+                with pytest.raises(CeilingExceeded, match=f"more than {n - 1} multiples"):
+                    max_multiples(ctx, node_cap=n - 1)
 
 
 class TestMultipleFamilies:
