@@ -1,7 +1,10 @@
 """Command-line surface: stable text/JSON/DOT output for every subsystem.
 
 Each subcommand is one row of the table in :func:`_commands` (path, help,
-handler, formats, options), and :func:`build_parser` loops over it.  A
+handler, formats, options), and :func:`build_parser` loops over it.  Given
+argv, it builds only the row argv names (after any top-level ``--out``);
+help before the command, no command, an unknown command or oracle leaf,
+and anything else it cannot resolve get the full parser.  A
 handler computes its result once and returns one zero-argument renderer
 per output (a JSON payload under ``"json"``, text under any other key).
 :func:`main` alone picks the format, runs only the renderers it needs,
@@ -149,7 +152,7 @@ def _cmd_is_multiple(args) -> dict:
 
 def _cmd_max_multiples(args) -> dict:
     ctx = _context(args)
-    return _listing(multiples.max_multiples(ctx).maximals, "maximals", ctx)
+    return _listing(multiples.max_multiples(ctx, args.max_nodes).maximals, "maximals", ctx)
 
 
 def _trees_text(trees) -> str:
@@ -317,7 +320,7 @@ def _commands():
         ("is-multiple", "test whether a candidate is a d-multiple of S", _cmd_is_multiple,
          _TEXT_JSON, _SGP, _D, ("--candidate", _REQUIRED)),
         ("max-multiples", "all inclusion-maximal d-multiples of S", _cmd_max_multiples,
-         _TEXT_JSON, _SGP, _D),
+         _TEXT_JSON, _SGP, _D, ("--max-nodes", {"type": int})),
         ("fiber-tree", "enumerate a saturation fiber as a rooted tree", _cmd_fiber_tree,
          ("text", "json", "dot"), _SGP, _D,
          ("--root", {"default": "auto", "help": "'auto' or a generator list"}),
@@ -344,18 +347,63 @@ def _commands():
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _command_path(rows, argv):
+    """The path of the row of ``rows`` that argv names, or None when the full
+    parser must decide: help or any other option before the command, no
+    command, an unknown command or group leaf, or a top-level ``--out``
+    without a plain value.  ``--out`` is skipped in each spelling argparse
+    accepts (``--out X``, ``--out=X`` and prefixes such as ``--o X``)."""
+    runs = {tuple(path.split(" ")): run for path, _, run, *_ in rows}
+    tokens = iter(argv)
+    for token in tokens:
+        flag, eq, _ = token.partition("=")
+        if len(flag) > 2 and "--out".startswith(flag):
+            if not eq and next(tokens, "-").startswith("-"):
+                return None
+            continue
+        if token.startswith("-"):
+            return None
+        words = (token,)
+        if words in runs and runs[words] is None:  # a group: its leaf comes next
+            words += (next(tokens, ""),)
+        return " ".join(words) if runs.get(words) else None
+    return None
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for argv, or for every subcommand when argv is None.
+
+    When :func:`_command_path` resolves argv to one row of the table, only
+    that row (and its group, for an ``oracle`` leaf) is built; otherwise
+    every row is.  Either parser gives argv the same parse, usage and
+    errors: the one-row parser lists every name of each group it builds as
+    that group's metavar, so its usage line matches the full one.
+    """
+    rows = _commands()
+    wanted = None if argv is None else _command_path(rows, argv)
+
+    def metavar(group):
+        """Every name in the group, for the usage line of the one-row parser."""
+        if wanted is None:
+            return None  # argparse lists the choices it has, which are all of them
+        return "{" + ",".join(p.rpartition(" ")[2] for p, *_ in rows
+                              if p.rpartition(" ")[0] == group) + "}"
+
     parser = argparse.ArgumentParser(
         prog="numsgps",
         description="Numerical semigroups, their d-multiples, fiber trees and rank tools.",
     )
     parser.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    groups = {"": parser.add_subparsers(dest="command", required=True)}
-    for path, help_text, run, formats, *options in _commands():
+    groups = {"": parser.add_subparsers(dest="command", required=True, metavar=metavar(""))}
+    for path, help_text, run, formats, *options in rows:
         group, _, name = path.rpartition(" ")
+        if wanted is not None and path not in (wanted, wanted.rpartition(" ")[0]):
+            continue
         p = groups[group].add_parser(name, help=help_text)
         if run is None:
-            groups[path] = p.add_subparsers(dest=f"{name}_command", required=True)
+            groups[path] = p.add_subparsers(
+                dest=f"{name}_command", required=True, metavar=metavar(path)
+            )
             continue
         for flag, spec in options:
             p.add_argument(flag, **spec)
@@ -378,7 +426,8 @@ def _write(path, text: str) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         renderers = args.run(args)
         # The side files --dot and --csv get the renderer of their name;

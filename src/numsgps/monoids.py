@@ -39,11 +39,12 @@ def _generates(gens: tuple[int, ...], target: int) -> bool:
 def is_md_set(ctx: MultipleContext, xs: Iterable[int]) -> bool:
     """True iff X is contained in some d-multiple of S.
 
-    Equivalent to ⟨X⟩ ∩ d·gaps(S) = ∅.  S = ℕ has no gaps, so every X
-    qualifies (and d·F(ℕ) = −d bounds no closure).
+    Equivalent to ⟨X⟩ ∩ d·gaps(S) = ∅.  ⟨∅⟩ = {0} meets no gap, and S = ℕ
+    has none, so both qualify without a closure (d·F(S) may pass the
+    ceiling, and d·F(ℕ) = −d bounds none).
     """
     gens = _normalized_naturals(xs)
-    if ctx.semigroup.is_whole_n:
+    if not gens or ctx.semigroup.is_whole_n:
         return True
     scaled = ctx.scaled_gap_mask  # refuses a d·F(S) past the ceiling before the closure
     return not _closure(gens, ctx.scaled_frobenius) & scaled

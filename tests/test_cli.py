@@ -1,6 +1,7 @@
 """The command-line surface: exact text fixtures, canonical JSON round
 trips, DOT output, CSV reproducibility and exit codes."""
 
+import argparse
 import inspect
 import json
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import numsgps
+from numsgps import cli
 from numsgps.cli import canonical_json, main, parse_semigroup
 
 from conftest import sgp
@@ -278,6 +280,28 @@ class TestExitCodes:
         assert "1048576" in err
         assert time.perf_counter() - start < 5
 
+    def test_max_multiples_node_cap(self, capsys):
+        # ⟨2,3⟩ with d = 40 has far too many multiples with Frobenius 40 to visit.
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "max-multiples", "--sgp", "2,3", "--d", "40", "--max-nodes", "1000"
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert time.perf_counter() - start < 5
+        # ⟨3,5,7⟩, d = 3 has exactly 20 multiples with Frobenius 12.
+        argv = ("max-multiples", "--sgp", "3,5,7", "--d", "3")
+        assert run(capsys, *argv, "--max-nodes", "19")[:2] == (3, "")
+        assert run(capsys, *argv, "--max-nodes", "20") == run(capsys, *argv)
+
+    def test_md_monoid_huge_d(self, capsys):
+        # d·F(S) = 10**12 passes the closure ceiling, but an empty X needs no closure.
+        argv = ("md-monoid", "--sgp", "2,3", "--d", "1000000000000")
+        assert run(capsys, *argv) == (
+            0, "minimal system {} md-e=0 monoid 1000000000000*⟨2,3⟩\n", ""
+        )
+        assert run(capsys, *argv, "--x", "5")[:2] == (3, "")
+
     def test_low_e_search_names_its_bounds(self, capsys):
         code, out, err = run(capsys, "search-low-e", "--sgp", "4,5,7", "--dmax", "2")
         assert (code, out) == (2, "")
@@ -363,6 +387,100 @@ class TestHelp:
             "--sgp", "--d", "--root", "--dot", "--max-frobenius", "--max-genus",
             "--max-depth", "--max-nodes", "--format",
         ]
+
+
+def outcome(capsys, argv, out_path):
+    """(exit code, stdout, stderr, --out file text) of main(argv), usage errors included."""
+    out_path.unlink(missing_ok=True)
+    try:
+        code = main([a.replace("{out}", str(out_path)) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    written = out_path.read_text(encoding="utf-8") if out_path.exists() else None
+    return code, captured.out, captured.err, written
+
+
+def leaf_count(parser) -> int:
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        return 1
+    return sum(leaf_count(p) for a in groups for p in a.choices.values())
+
+
+class TestOneRowParser:
+    """main builds only the subparser argv names; whatever argv is, the
+    result matches the full parser's byte for byte."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a valid call of every table row
+            ["info", "--sgp", "3,5,7"],
+            ["quotient", "--sgp", "6,9,11", "--d", "5"],
+            ["is-multiple", "--sgp", "3,4,5", "--d", "3", "--candidate", "4,5,7"],
+            ["max-multiples", "--sgp", "3,5,7", "--d", "3", "--max-nodes", "20"],
+            ["fiber-tree", "--sgp", "3,4,5", "--d", "2", "--max-nodes", "3", "--format", "dot"],
+            ["md-monoid", "--sgp", "5,7,9", "--d", "2", "--x", "9,10"],
+            ["ed1", "--sgp", "5,7,9", "--d", "2", "--x", "9", "--format", "json"],
+            ["full-rank", "--sgp", "4,5,6,7"],
+            ["unique-betti", "--c", "2,3,5"],
+            ["search-low-e", "--sgp", "4,5,7", "--dmax", "2", "--max-frobenius", "20"],
+            ["rank-sweep", "--count", "1", "--max-genus", "4", "--seed", "1"],
+            ["oracle", "frobenius-census", "--f", "6"],
+            ["oracle", "multiples-bounded", "--sgp", "3,4,5", "--d", "2", "--max-frobenius", "6"],
+            # --out before the command, in each spelling
+            ["--out", "{out}", "info", "--sgp", "3,4"],
+            ["--out={out}", "info", "--sgp", "3,4"],
+            ["--o", "{out}", "info", "--sgp", "3,4"],
+            ["--ou={out}", "oracle", "frobenius-census", "--f", "4"],
+            ["--out", "{out}"],
+            ["--out"],
+            ["--out", "--help"],
+            # unrecognized arguments
+            ["info", "--sgp", "3,4", "extra"],
+            ["oracle", "frobenius-census", "--f", "4", "--bogus"],
+            ["--bogus", "info", "--sgp", "3,4"],
+            # a missing required option, a bad --format
+            ["quotient", "--sgp", "3,4"],
+            ["info", "--sgp", "3,4", "--format", "xml"],
+            # unknown command or leaf, bare group, no command, a leading --
+            ["no-such-command"],
+            ["oracle", "no-such-leaf"],
+            ["oracle frobenius-census", "--f", "4"],
+            ["oracle"],
+            [],
+            ["--", "info", "--sgp", "3,4"],
+            # help
+            ["--help"],
+            ["-h", "info"],
+            ["info", "--help"],
+            ["oracle", "--help"],
+            ["oracle", "multiples-bounded", "-h"],
+        ],
+    )
+    def test_same_as_full_parser(self, capsys, monkeypatch, tmp_path, argv):
+        out_path = tmp_path / "out.txt"
+        one_row = outcome(capsys, argv, out_path)
+        monkeypatch.setattr(cli, "_command_path", lambda rows, argv: None)
+        assert outcome(capsys, argv, out_path) == one_row
+
+    def test_full_parser_errors_name_the_dest(self, capsys, tmp_path):
+        # Only the one-row parser lists the command names as a metavar.
+        out_path = tmp_path / "out.txt"
+        assert outcome(capsys, ["no-such-command"], out_path)[2].endswith(
+            "\nnumsgps: error: argument command: invalid choice: 'no-such-command' (choose from "
+            "'info', 'quotient', 'is-multiple', 'max-multiples', 'fiber-tree', 'md-monoid', "
+            "'ed1', 'full-rank', 'unique-betti', 'search-low-e', 'rank-sweep', 'oracle')\n"
+        )
+        assert outcome(capsys, ["oracle"], out_path)[2].endswith(
+            "\nnumsgps oracle: error: the following arguments are required: oracle_command\n"
+        )
+
+    def test_builds_one_leaf(self):
+        assert leaf_count(cli.build_parser(["info", "--sgp", "3,5,7"])) == 1
+        assert leaf_count(cli.build_parser(["--o", "x", "oracle", "frobenius-census"])) == 1
+        assert leaf_count(cli.build_parser(["--help"])) == leaf_count(cli.build_parser()) == 13
 
 
 class TestAsProgram:
