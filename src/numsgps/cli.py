@@ -34,7 +34,11 @@ from .errors import InvalidInput, NumsgpsError
 def canonical_json(payload) -> str:
     """json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\\n",
     byte for byte, emitted from an explicit stack so that nesting as deep as a
-    long fiber chain stays off the recursion limit.  Keys must be strings."""
+    long fiber chain stays off the recursion limit.  Keys must be strings.
+
+    A non-empty list or tuple of plain ints (``type(x) is int``, so no
+    bools), such as the gaps and msg of every semigroup, is emitted in one
+    join at its indent instead of one stack entry per item."""
     out = []
     todo = ["\n", (0, "", payload)]  # literal text, or (nesting level, text before, value)
     while todo:
@@ -48,15 +52,19 @@ def canonical_json(payload) -> str:
         elif type(v) is str:
             out.append(head + encode_basestring(v))
         elif isinstance(v, (dict, list, tuple)) and v:
+            pad = "\n" + "  " * (level + 1)
+            sep = "," + pad
+            close = "\n" + "  " * level
             if isinstance(v, dict):
                 brackets = "{}"
                 items = [(encode_basestring(k) + ": ", x) for k, x in sorted(v.items())]
+            elif all(type(x) is int for x in v):
+                out.append(head + "[" + pad + sep.join(map(int.__repr__, v)) + close + "]")
+                continue
             else:
                 brackets, items = "[]", [("", x) for x in v]
-            pad = "\n" + "  " * (level + 1)
-            sep = "," + pad
             out.append(head + brackets[0])
-            todo.append("\n" + "  " * level + brackets[1])
+            todo.append(close + brackets[1])
             for i in range(len(items) - 1, -1, -1):
                 prefix, x = items[i]
                 todo.append((level + 1, (sep if i else pad) + prefix, x))
@@ -167,12 +175,13 @@ def _trees_text(trees) -> str:
 
 
 def _cmd_fiber_tree(args) -> dict:
+    bounds = _bounds(args)  # refuses a negative bound before root discovery
     ctx = _context(args)
     if args.root == "auto":
         roots = sorted(multiples.max_multiples(ctx).maximals, key=lambda s: s.msg)
     else:
         roots = [parse_semigroup(args.root)]
-    trees = [fibers.enumerate_fiber(ctx, root, _bounds(args)) for root in roots]
+    trees = [fibers.enumerate_fiber(ctx, root, bounds) for root in roots]
     return {
         "json": lambda: {
             **_head(ctx),

@@ -9,7 +9,7 @@ enumeration always demands an explicit truncation bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .core import NumericalSemigroup, _adjoined, _removed
 # Unused here; perfbench/selftest.py checks that its tracer reaches the
@@ -18,6 +18,7 @@ from .core import _from_gap_tuple  # noqa: F401
 from .errors import (
     BoundsMissing,
     InternalInvariantError,
+    InvalidInput,
     NotAMultiple,
     NotMaximal,
 )
@@ -27,12 +28,19 @@ from .multiples import MultipleContext, addable_gaps, is_d_multiple
 @dataclass(frozen=True)
 class TruncationBounds:
     """Pruning limits for fiber enumeration and the low-e search; at least
-    one must be set."""
+    one must be set, and none may be negative."""
 
     max_frobenius: int | None = None
     max_genus: int | None = None
     max_depth: int | None = None
     max_nodes: int | None = None
+
+    def __post_init__(self):
+        for bound in fields(self):
+            value = getattr(self, bound.name)
+            if value is not None and value < 0:
+                flag = "--" + bound.name.replace("_", "-")
+                raise InvalidInput(f"{flag} must be a non-negative integer, got {value}")
 
     def require_finite(self, search: str):
         """Refuse, naming ``search`` (the caller), when no bound is set."""
@@ -139,14 +147,19 @@ def children(ctx: MultipleContext, T: NumericalSemigroup) -> tuple[FiberNode, ..
     return tuple(FiberNode(child, x, 0) for x, child in _child_pairs(ctx, T, {}))
 
 
-def _child_pairs(ctx, T, theta_cache):
+def _child_pairs(ctx, T, theta_cache, x_max=None):
     # A candidate T ∖ {x} can be probed from every node containing it one
     # generator up, so enumerations share θ results via theta_cache.  Each
     # candidate is again a d-multiple, since x ∉ d·S, so θ runs unchecked.
+    # F(T ∖ {x}) = max(F(T), x), so a candidate with x > x_max (a Frobenius
+    # bound) would only be dropped: T.msg ascends, and the loop stops at the
+    # first such x, before building it or probing its θ.
     d, scaled, F = ctx.d, ctx.scaled_gap_mask, T.frobenius
     fast = F != ctx.scaled_frobenius
     out = []
     for x in T.msg:
+        if x_max is not None and x > x_max:
+            break
         if x % d == 0 and not scaled >> x & 1:  # x ∈ d·S
             continue
         if fast:
@@ -169,6 +182,12 @@ def enumerate_fiber(
     Frobenius number and genus grow monotonically along any branch, so
     pruning at either loses no node inside the bound.  max_nodes counts in
     depth-first preorder with children ascending by removed generator.
+
+    A child T ∖ {x} of T has genus g(T) + 1 and Frobenius number
+    max(F(T), x), both known before it is built.  So children that a bound
+    would drop are never built: a node at max_depth, at max_genus or past
+    max_frobenius (only the root can be) gets no child generation at all,
+    and every other node generates only the x ≤ max_frobenius.
     """
     bounds.require_finite("fiber enumeration")
     _require_multiple(ctx, root)
@@ -180,9 +199,14 @@ def enumerate_fiber(
     theta_cache: dict = {}
 
     def pending(node: FiberNode):
-        if bounds.max_depth is not None and node.depth >= bounds.max_depth:
+        T = node.semigroup
+        if (
+            (bounds.max_depth is not None and node.depth >= bounds.max_depth)
+            or (bounds.max_genus is not None and T.genus >= bounds.max_genus)
+            or (bounds.max_frobenius is not None and T.frobenius > bounds.max_frobenius)
+        ):
             return iter(())
-        return iter(_child_pairs(ctx, node.semigroup, theta_cache))
+        return iter(_child_pairs(ctx, T, theta_cache, bounds.max_frobenius))
 
     # An explicit stack of (node, its unvisited child pairs) keeps depth off
     # the interpreter's recursion limit.
@@ -190,10 +214,6 @@ def enumerate_fiber(
     while stack:
         node, rest = stack[-1]
         for x, child in rest:
-            if bounds.max_frobenius is not None and child.frobenius > bounds.max_frobenius:
-                continue
-            if bounds.max_genus is not None and child.genus > bounds.max_genus:
-                continue
             if bounds.max_nodes is not None and count >= bounds.max_nodes:
                 return tree
             child_node = FiberNode(child, x, node.depth + 1)
@@ -212,15 +232,18 @@ def fiber_tree_to_dot(*trees: FiberTree) -> str:
     lines before its edge lines."""
     lines = ["digraph fiber {"]
     for tree in trees:
-        edges = []
-        for node in tree.nodes():
-            s = node.semigroup
-            lines.append(f'  "{s}" [label="{s} F={s.frobenius} g={s.genus}"];')
-            edges.extend(
-                f'  "{s}" -> "{child.semigroup}" [label="{child.removed_generator}"];'
-                for child in node.children
-            )
-        lines.extend(edges)
+        nodes = tree.nodes()
+        name = {id(n): str(n.semigroup) for n in nodes}  # each formatted once
+        lines.extend(
+            f'  "{name[id(n)]}" [label="{name[id(n)]} '
+            f'F={n.semigroup.frobenius} g={n.semigroup.genus}"];'
+            for n in nodes
+        )
+        lines.extend(
+            f'  "{name[id(n)]}" -> "{name[id(c)]}" [label="{c.removed_generator}"];'
+            for n in nodes
+            for c in n.children
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"
 

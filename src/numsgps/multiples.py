@@ -137,8 +137,11 @@ def max_multiples(ctx: MultipleContext, node_cap: int | None = None) -> MaxMulti
 
     The search visits every d-multiple with Frobenius number d·F(S), which
     can be enormous; callers that only need a best-effort answer may pass
-    ``node_cap`` and catch :class:`CeilingExceeded`.
+    ``node_cap`` and catch :class:`CeilingExceeded`.  A negative
+    ``node_cap`` is refused with :class:`InvalidInput`.
     """
+    if node_cap is not None and node_cap < 0:
+        raise InvalidInput(f"--max-nodes must be a non-negative integer, got {node_cap}")
     S = ctx.semigroup
     if S.is_whole_n:
         raise WholeN("maximal multiples are undefined for the whole of ℕ")

@@ -186,6 +186,8 @@ def bounded_low_e_multiple_search(
     """
     if S.is_whole_n:
         raise WholeN("quotient rank analysis is undefined for the whole of ℕ")
+    if d_max < 0:
+        raise InvalidInput(f"--dmax must be a non-negative integer, got {d_max}")
     bounds.require_finite("the low-e search")
     e = S.embedding_dimension
     root_cap = bounds.max_nodes if bounds.max_nodes is not None else 4000
@@ -246,6 +248,8 @@ def rank_sweep(count: int, max_genus: int, seed: int, d_max: int = 3) -> list[di
     """
     if count < 0 or max_genus < 1:
         raise InvalidInput("count must be ≥ 0 and max_genus ≥ 1")
+    if d_max < 0:  # before d_max·F(S) + 6 becomes a negative Frobenius bound
+        raise InvalidInput(f"--dmax must be a non-negative integer, got {d_max}")
     rng = random.Random(seed)
     rows = []
     for _ in range(count):

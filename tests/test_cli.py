@@ -129,6 +129,23 @@ class TestJson:
         expected = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
         assert canonical_json(payload) == expected + "\n"
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, True],
+            [True, 1],
+            [-1, -(2**70), 0, 2**64, 2**64 + 1],
+            (3, 4, 5),
+            {"t": ((1, 2), (), (3,))},
+            [[[1, 2], [3]], [[[4, 5], [6]]]],
+            {"a": [], "b": [[]], "c": [[], [7]]},
+            [{"msg": [3, 4, 5], "gaps": [1, 2]}, {"msg": [1], "gaps": []}],
+        ],
+    )
+    def test_canonical_json_int_lists(self, payload):
+        expected = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
+        assert canonical_json(payload) == expected + "\n"
+
     def test_quotient_json(self, capsys):
         code, out, _ = run(capsys, "quotient", "--sgp", "6,9,11", "--d", "5", "--format", "json")
         assert code == 0
@@ -293,6 +310,23 @@ class TestExitCodes:
         argv = ("max-multiples", "--sgp", "3,5,7", "--d", "3")
         assert run(capsys, *argv, "--max-nodes", "19")[:2] == (3, "")
         assert run(capsys, *argv, "--max-nodes", "20") == run(capsys, *argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("max-multiples", "--sgp", "3,5,7", "--d", "3", "--max-nodes", "-1"),
+            ("fiber-tree", "--sgp", "3,5,7", "--d", "3", "--max-nodes", "-1"),
+            ("fiber-tree", "--sgp", "3,5,7", "--d", "3", "--max-depth", "-2"),
+            ("fiber-tree", "--sgp", "3,5,7", "--d", "3", "--max-genus", "-1"),
+            ("search-low-e", "--sgp", "4,5,7", "--dmax", "2", "--max-frobenius", "-5"),
+            ("search-low-e", "--sgp", "4,5,7", "--max-frobenius", "20", "--dmax", "-1"),
+            ("rank-sweep", "--count", "1", "--max-genus", "8", "--seed", "0", "--dmax", "-1"),
+        ],
+    )
+    def test_negative_bound_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {argv[-2]} must be a non-negative integer, got {argv[-1]}\n"
 
     def test_md_monoid_huge_d(self, capsys):
         # d·F(S) = 10**12 passes the closure ceiling, but an empty X needs no closure.

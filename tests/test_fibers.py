@@ -1,10 +1,12 @@
 """θ, saturation, fiber-tree children and truncated enumeration, checked
 against definition-level brute force."""
 
+import itertools
+
 import pytest
 
 from numsgps.core import WHOLE_N
-from numsgps.errors import BoundsMissing, NotAMultiple, NotMaximal
+from numsgps.errors import BoundsMissing, InvalidInput, NotAMultiple, NotMaximal
 from numsgps.fibers import (
     TruncationBounds,
     children,
@@ -228,6 +230,13 @@ class TestEnumerateFiber:
         with pytest.raises(BoundsMissing):
             enumerate_fiber(ctx, sgp(6, 9, 11), TruncationBounds())
 
+    @pytest.mark.parametrize("field", ["max_frobenius", "max_genus", "max_depth", "max_nodes"])
+    def test_negative_bound_refused(self, field):
+        flag = "--" + field.replace("_", "-")
+        with pytest.raises(InvalidInput, match=f"^{flag} must be a non-negative integer, got -1$"):
+            TruncationBounds(**{field: -1})
+        assert getattr(TruncationBounds(**{field: 0}), field) == 0
+
     def test_root_must_be_maximal(self):
         ctx = ctx_of((3, 4, 5), 3)
         with pytest.raises(NotMaximal):
@@ -264,6 +273,71 @@ class TestEnumerateFiber:
                 expected = set(all_multiples_bounded(ctx, budget))
                 assert set(seen) == expected
 
+    def test_partition_of_genus_bounded_multiples(self, small_semigroups):
+        """Fibers truncated at a genus bound above every root's genus
+        partition the multiples of genus at most that bound; F < 2g bounds
+        their Frobenius numbers for the oracle."""
+        for S in small_semigroups:
+            if S.frobenius > 5:
+                continue
+            for d in (2, 3):
+                ctx = MultipleContext(S, d)
+                roots = max_multiples(ctx).maximals
+                gmax = max(R.genus for R in roots) + 2
+                bounds = TruncationBounds(max_genus=gmax)
+                seen = [T for R in roots for T in enumerate_fiber(ctx, R, bounds).semigroups()]
+                assert len(seen) == len(set(seen)), "fibers must be disjoint"
+                budget = EnumerationBudget(2 * gmax - 1, gmax, 100_000)
+                assert set(seen) == set(all_multiples_bounded(ctx, budget))
+
+    def test_pruning_matches_filtered_reference(self, small_semigroups):
+        """Every mix of the four bounds gives the preorder of a deeper
+        depth-bounded tree, filtered by the bounds (the root always stays)
+        and cut to the first max_nodes.  So building only the children the
+        bounds keep loses no node, adds none and keeps the order.
+
+        The reference depth covers every mix: a node with F ≤ f0 + 4 has
+        genus at most F, so depth at most f0 + 4 − g(root); genus g(root) + 3
+        means depth 3; and the first 9 nodes in preorder lie within depth 8.
+        """
+        for S in small_semigroups:
+            if S.frobenius > 5:
+                continue
+            for d in (2, 3):
+                ctx = MultipleContext(S, d)
+                f0 = d * S.frobenius
+                for R in max_multiples(ctx).maximals:
+                    g0 = R.genus
+                    deep = TruncationBounds(max_depth=max(f0 + 4 - g0, 8))
+                    reference = [
+                        (n.semigroup, n.removed_generator, n.depth)
+                        for n in enumerate_fiber(ctx, R, deep).nodes()
+                    ]
+                    for mix in itertools.product(
+                        (None, f0 - 1, f0, f0 + 2, f0 + 4),
+                        (None, g0 - 1, g0, g0 + 1, g0 + 3),
+                        (None, 0, 1, 3),
+                        (None, 0, 1, 4, 9),
+                    ):
+                        if mix == (None,) * 4:
+                            continue
+                        fmax, gmax, dmax, nmax = mix
+                        kept = [
+                            (T, x, depth)
+                            for T, x, depth in reference
+                            if depth == 0
+                            or (
+                                (fmax is None or T.frobenius <= fmax)
+                                and (gmax is None or T.genus <= gmax)
+                                and (dmax is None or depth <= dmax)
+                            )
+                        ]
+                        if nmax is not None:
+                            kept = kept[: max(nmax, 1)]
+                        tree = enumerate_fiber(ctx, R, TruncationBounds(*mix))
+                        got = [(n.semigroup, n.removed_generator, n.depth) for n in tree.nodes()]
+                        assert got == kept, (S, d, R, mix)
+
     def test_depth_bound(self):
         ctx = ctx_of((2, 3), 11)
         tree = enumerate_fiber(
@@ -273,10 +347,22 @@ class TestEnumerateFiber:
 
     def test_dot_output_is_stable(self):
         ctx = ctx_of((2, 3), 11)
-        tree = enumerate_fiber(ctx, sgp(4, 5), TruncationBounds(max_genus=7))
-        dot = fiber_tree_to_dot(tree)
-        assert dot.startswith("digraph fiber {")
-        assert dot == fiber_tree_to_dot(tree)
+        bounds = TruncationBounds(max_genus=7)
+        trees = [enumerate_fiber(ctx, root, bounds) for root in (sgp(5, 7, 8, 9), sgp(4, 5))]
+        dot = fiber_tree_to_dot(*trees)
+        assert dot == (
+            "digraph fiber {\n"
+            '  "⟨5,7,8,9⟩" [label="⟨5,7,8,9⟩ F=11 g=6"];\n'
+            '  "⟨5,8,9,12⟩" [label="⟨5,8,9,12⟩ F=11 g=7"];\n'
+            '  "⟨5,7,9,13⟩" [label="⟨5,7,9,13⟩ F=11 g=7"];\n'
+            '  "⟨5,7,8⟩" [label="⟨5,7,8⟩ F=11 g=7"];\n'
+            '  "⟨5,7,8,9⟩" -> "⟨5,8,9,12⟩" [label="7"];\n'
+            '  "⟨5,7,8,9⟩" -> "⟨5,7,9,13⟩" [label="8"];\n'
+            '  "⟨5,7,8,9⟩" -> "⟨5,7,8⟩" [label="9"];\n'
+            '  "⟨4,5⟩" [label="⟨4,5⟩ F=11 g=6"];\n'
+            "}\n"
+        )
+        assert dot == fiber_tree_to_dot(*trees)
 
 
 class TestWholeNContext:
