@@ -6,10 +6,14 @@ argv, it builds only the row argv names (after any top-level ``--out``);
 help before the command, no command, an unknown command or oracle leaf,
 and anything else it cannot resolve get the full parser.  A
 handler computes its result once and returns one zero-argument renderer
-per output (a JSON payload under ``"json"``, text under any other key).
-:func:`main` alone picks the format, runs only the renderers it needs,
-calls :func:`canonical_json` and writes: the ``--dot``/``--csv`` side files
-first, then ``--out`` or stdout.  An unwritable path is invalid input.
+per output.  A renderer returns text, a JSON payload (a dict, under
+``"json"``) or an iterable of text chunks; the ``fiber-tree`` renderers
+yield chunks node by node, so its output, which grows with the cube of
+the tree depth as JSON, never has to fit in memory.  All search happens in
+the handler, so a refusal comes before the first byte.  :func:`main` alone
+picks the format, runs only the renderers it needs, turns payloads into
+:func:`canonical_json` and streams the chunks: the ``--dot``/``--csv`` side
+files first, then ``--out`` or stdout.  An unwritable path is invalid input.
 
 Exit codes: 0 success, 2 invalid input, 3 budget or ceiling exceeded,
 4 internal invariant violation.  JSON is canonical (sorted keys, two-space
@@ -24,6 +28,7 @@ import csv
 import io
 import json
 import sys
+from itertools import compress
 from json.encoder import encode_basestring
 
 from . import core, ed1, fibers, monoids, multiples, oracle, rank
@@ -163,15 +168,78 @@ def _cmd_max_multiples(args) -> dict:
     return _listing(multiples.max_multiples(ctx, args.max_nodes).maximals, "maximals", ctx)
 
 
-def _trees_text(trees) -> str:
+def _trees_text(trees):
     """One line per node in preorder, indented by depth and tagged with the
-    generator removed to reach it."""
-    return "".join(
-        ("" if n.removed_generator is None else "  " * n.depth + f"[x={n.removed_generator}] ")
-        + f"{n.semigroup} F={n.semigroup.frobenius} g={n.semigroup.genus}\n"
-        for tree in trees
-        for n in tree.nodes()
+    generator removed to reach it; one chunk per line."""
+    for tree in trees:
+        for n in tree.nodes():
+            T, x = n.semigroup, n.removed_generator
+            tag = "" if x is None else "  " * n.depth + f"[x={x}] "
+            yield f"{tag}{T} F={T.frobenius} g={T.genus}\n"
+
+
+# bin(mask) reversed, as bytes, reads 1 at each set bit and 0 elsewhere once
+# translated; itertools.compress then picks the names of the gaps.
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _node_fields(node, names: list) -> str:
+    """Everything of a fiber node's JSON object after its children: the
+    fields at its indent and the closing brace.  A node at depth k sits at
+    nesting level 2 + 2k.  ``names`` holds str(n) at index n; the gaps are
+    picked from it by the bits of the gap mask, without building the gap
+    tuple."""
+    T, x = node.semigroup, node.removed_generator
+    pad = "\n" + "  " * (2 + 2 * node.depth)
+    p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
+    flags = bin(T.gap_mask)[:1:-1].encode().translate(_BIT_FLAGS)
+    if len(names) < len(flags):
+        names.extend(map(str, range(len(names), len(flags))))
+    sep = "," + p3
+    gaps = f"[{p3}{sep.join(compress(names, flags))}{p2}]" if T.gap_mask else "[]"
+    return (
+        f'{p1}"depth": {node.depth},{p1}"removed_generator": {"null" if x is None else x},'
+        f'{p1}"semigroup": {{{p2}"frobenius": {T.frobenius},{p2}"gaps": {gaps},'
+        f'{p2}"genus": {T.genus},{p2}"msg": [{p3}{sep.join(map(str, T.msg))}{p2}]{p1}}}{pad}}}'
     )
+
+
+def _trees_json(ctx, trees):
+    """canonical_json of the fiber-tree payload (the S/d head, then
+    ``trees``), byte for byte, in chunks written straight from the nodes.
+
+    A node is one chunk before its children and one after them; a childless
+    node is one chunk.  The chunk after the children is built when the node
+    comes off the stack, so the stack holds nodes, never the text of an
+    unfinished ancestor, and memory stays at the tree plus one chunk.
+    ``trees`` is not empty: every S other than ℕ has a maximal d-multiple.
+    """
+    head = canonical_json({**_head(ctx), "trees": []})
+    yield head[: -len("[]\n}\n")] + "["
+    names: list = []
+    todo: list = []  # (text before it, node) to open, or a node to close
+
+    def push(items, level):
+        """Queue the items of a JSON list at nesting level ``level``."""
+        pad = "\n" + "  " * level
+        todo.extend(("," + pad, item) for item in reversed(items[1:]))
+        todo.append((pad, items[0]))
+
+    push([tree.root for tree in trees], 2)
+    while todo:
+        entry = todo.pop()
+        if type(entry) is not tuple:  # a node whose children are written
+            yield "\n" + "  " * (3 + 2 * entry.depth) + "]," + _node_fields(entry, names)
+            continue
+        before, node = entry
+        opening = before + "{\n" + "  " * (3 + 2 * node.depth) + '"children": ['
+        if not node.children:
+            yield opening + "]," + _node_fields(node, names)
+            continue
+        yield opening
+        todo.append(node)
+        push(node.children, 4 + 2 * node.depth)
+    yield "\n  ]\n}\n"
 
 
 def _cmd_fiber_tree(args) -> dict:
@@ -181,12 +249,11 @@ def _cmd_fiber_tree(args) -> dict:
         roots = sorted(multiples.max_multiples(ctx).maximals, key=lambda s: s.msg)
     else:
         roots = [parse_semigroup(args.root)]
+    # Every tree is enumerated here, so a refusal comes before any output;
+    # the renderers only format the nodes, chunk by chunk.
     trees = [fibers.enumerate_fiber(ctx, root, bounds) for root in roots]
     return {
-        "json": lambda: {
-            **_head(ctx),
-            "trees": [fibers.fiber_node_to_json_dict(t.root) for t in trees],
-        },
+        "json": lambda: _trees_json(ctx, trees),
         "text": lambda: _trees_text(trees),
         "dot": lambda: fibers.fiber_tree_to_dot(*trees),
     }
@@ -422,14 +489,25 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     return parser
 
 
-def _write(path, text: str) -> None:
-    """Write text to stdout, or to the file at path as UTF-8 with its line ends unchanged."""
+def _chunks(rendered):
+    """A renderer's result as str chunks: text is one chunk, a JSON payload
+    (a dict) is its canonical JSON, and anything else already is chunks."""
+    if isinstance(rendered, str):
+        return (rendered,)
+    if isinstance(rendered, dict):
+        return (canonical_json(rendered),)
+    return rendered
+
+
+def _write(path, chunks) -> None:
+    """Write str chunks to stdout, or to the file at path as UTF-8 with
+    their line ends unchanged."""
     if not path:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     except OSError as err:
         raise InvalidInput(f"cannot write {path}: {err.strerror or err}") from err
 
@@ -443,11 +521,11 @@ def main(argv=None) -> int:
         # stdout (or --out) comes last, so a refused path leaves it empty.
         targets = [(getattr(args, k, None), k) for k in ("dot", "csv") if getattr(args, k, None)]
         targets.append((args.out, getattr(args, "format", "text")))
-        rendered = {key: renderers[key]() for _, key in targets}
-        if "json" in rendered:
-            rendered["json"] = canonical_json(rendered["json"])
-        for path, key in targets:
-            _write(path, rendered[key])
+        # Each target calls its renderer, so chunks that stream are fresh for
+        # each (--dot PATH --format dot writes the same DOT twice).
+        outputs = [(path, _chunks(renderers[key]())) for path, key in targets]
+        for path, chunks in outputs:
+            _write(path, chunks)
     except NumsgpsError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code

@@ -124,7 +124,7 @@ class NumericalSemigroup:
         return [x for x in range(bound + 1) if self.contains(x)]
 
     def __str__(self) -> str:
-        return "⟨" + ",".join(str(a) for a in self.msg) + "⟩"
+        return "⟨" + ",".join(map(str, self.msg)) + "⟩"
 
     def __le__(self, other: NumericalSemigroup) -> bool:
         """Inclusion: self ⊆ other iff gaps(other) ⊆ gaps(self)."""

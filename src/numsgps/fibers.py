@@ -226,39 +226,18 @@ def enumerate_fiber(
     return tree
 
 
-def fiber_tree_to_dot(*trees: FiberTree) -> str:
-    """DOT rendering of one or more fiber trees as one digraph: node label
-    '⟨msg⟩ F=.. g=..', edge label = removed generator, each tree's node
-    lines before its edge lines."""
-    lines = ["digraph fiber {"]
+def fiber_tree_to_dot(*trees: FiberTree):
+    """DOT rendering of one or more fiber trees as one digraph, one line per
+    chunk: node label '⟨msg⟩ F=.. g=..', edge label = removed generator, each
+    tree's node lines before its edge lines."""
+    yield "digraph fiber {\n"
     for tree in trees:
         nodes = tree.nodes()
         name = {id(n): str(n.semigroup) for n in nodes}  # each formatted once
-        lines.extend(
-            f'  "{name[id(n)]}" [label="{name[id(n)]} '
-            f'F={n.semigroup.frobenius} g={n.semigroup.genus}"];'
-            for n in nodes
-        )
-        lines.extend(
-            f'  "{name[id(n)]}" -> "{name[id(c)]}" [label="{c.removed_generator}"];'
-            for n in nodes
-            for c in n.children
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def fiber_node_to_json_dict(node: FiberNode) -> dict:
-    """The subtree under node as nested dicts, built without recursion."""
-    top: dict = {}
-    stack = [(node, top)]
-    while stack:
-        n, out = stack.pop()
-        out.update(
-            semigroup=n.semigroup.to_json_dict(),
-            removed_generator=n.removed_generator,
-            depth=n.depth,
-            children=[{} for _ in n.children],
-        )
-        stack.extend(zip(n.children, out["children"]))
-    return top
+        for n in nodes:
+            T = n.semigroup
+            yield f'  "{name[id(n)]}" [label="{name[id(n)]} F={T.frobenius} g={T.genus}"];\n'
+        for n in nodes:
+            for c in n.children:
+                yield f'  "{name[id(n)]}" -> "{name[id(c)]}" [label="{c.removed_generator}"];\n'
+    yield "}\n"

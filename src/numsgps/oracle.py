@@ -35,17 +35,24 @@ def census_ceiling() -> int:
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Hard, finite limits for brute-force enumeration."""
+    """Hard, finite, non-negative limits for brute-force enumeration; a
+    refusal names the ``oracle multiples-bounded`` flag of the limit."""
 
     max_frobenius: int
     max_genus: int
     hard_node_limit: int
 
     def __post_init__(self):
-        for name in ("max_frobenius", "max_genus", "hard_node_limit"):
+        for name, flag in (
+            ("max_frobenius", "--max-frobenius"),
+            ("max_genus", "--max-genus"),
+            ("hard_node_limit", "--limit"),
+        ):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool):
                 raise InvalidInput(f"{name} must be a finite integer, got {v!r}")
+            if v < 0:
+                raise InvalidInput(f"{flag} must be a non-negative integer, got {v}")
 
 
 def _closed_gap_sets(

@@ -182,7 +182,10 @@ def bounded_low_e_multiple_search(
 
     A hit certifies quotient rank < e(S); None proves nothing beyond the
     bounds.  Within one d the hit of least (genus, gap tuple) is returned,
-    so the outcome is deterministic.
+    so the outcome is deterministic.  Root discovery (the maximal
+    d-multiples) visits at most ``bounds.max_nodes`` multiples, or 4000
+    when max_nodes is unset; a d whose root discovery hits that cap is
+    skipped.
     """
     if S.is_whole_n:
         raise WholeN("quotient rank analysis is undefined for the whole of ℕ")
@@ -243,8 +246,9 @@ def rank_sweep(count: int, max_genus: int, seed: int, d_max: int = 3) -> list[di
 
     Each row records, for one random semigroup, the condition verdict, the
     subset obstruction, and the bounded low-embedding-dimension hunt (over
-    d ≤ d_max, fibers truncated at F ≤ d_max·F(S) + 6 and 2000 nodes).  No
-    verdict on the open converse is derived, only evidence.
+    d ≤ d_max, fibers truncated at F ≤ d_max·F(S) + 6 and 2000 nodes, and
+    root discovery capped at 2000 multiples).  No verdict on the open
+    converse is derived, only evidence.
     """
     if count < 0 or max_genus < 1:
         raise InvalidInput("count must be ≥ 0 and max_genus ≥ 1")

@@ -35,6 +35,23 @@ def coin_dp(gens, target):
     return reachable, coeffs
 
 
+def fiber_node_to_json_dict(node) -> dict:
+    """Reference for fiber JSON: the subtree under a FiberNode as the nested
+    dicts that json.dumps renders, built without recursion."""
+    top: dict = {}
+    stack = [(node, top)]
+    while stack:
+        n, out = stack.pop()
+        out.update(
+            semigroup=n.semigroup.to_json_dict(),
+            removed_generator=n.removed_generator,
+            depth=n.depth,
+            children=[{} for _ in n.children],
+        )
+        stack.extend(zip(n.children, out["children"]))
+    return top
+
+
 @pytest.fixture(scope="session")
 def census_by_frobenius():
     """Complete censuses, cached per session: f -> all semigroups with F = f."""

@@ -2,6 +2,7 @@
 trips, DOT output, CSV reproducibility and exit codes."""
 
 import argparse
+import hashlib
 import inspect
 import json
 import os
@@ -14,10 +15,11 @@ from pathlib import Path
 import pytest
 
 import numsgps
-from numsgps import cli
+from numsgps import cli, fibers, multiples
 from numsgps.cli import canonical_json, main, parse_semigroup
+from numsgps.oracle import all_with_frobenius
 
-from conftest import sgp
+from conftest import fiber_node_to_json_dict, sgp
 
 
 # One or more JSON outputs of every subcommand that has a JSON format.
@@ -245,6 +247,98 @@ class TestFiberTree:
         assert depth == 149
 
 
+def fiber_json_reference(sgp_arg, d, root, bounds) -> str:
+    """The fiber-tree JSON built as nested dicts and dumped by the standard
+    library, to hold the streamed output against."""
+    ctx = multiples.MultipleContext(parse_semigroup(sgp_arg), d)
+    if root is None:
+        roots = sorted(multiples.max_multiples(ctx).maximals, key=lambda s: s.msg)
+    else:
+        roots = [parse_semigroup(root)]
+    payload = {
+        "S": ctx.semigroup.to_json_dict(),
+        "d": d,
+        "trees": [
+            fiber_node_to_json_dict(fibers.enumerate_fiber(ctx, r, bounds).root) for r in roots
+        ],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+class TestFiberJson:
+    """fiber-tree --format json is streamed from the nodes; it must match
+    the standard library's rendering of the nested payload byte for byte."""
+
+    @staticmethod
+    def cases():
+        # Every S with F(S) <= 5, d in {2, 3}, each kind of truncation; many
+        # of these contexts have more than one maximal multiple, so a forest.
+        for f in range(1, 6):
+            for S in all_with_frobenius(f):
+                for d in (2, 3):
+                    f0 = d * f
+                    for flag, value in (
+                        ("--max-genus", f0 // 2 + 4),
+                        ("--max-frobenius", f0 + 4),
+                        ("--max-depth", 3),
+                        ("--max-nodes", 25),
+                    ):
+                        yield ",".join(map(str, S.msg)), d, None, flag, value
+        # An explicit root, and ℕ as a root (its gap list is empty).
+        yield "2,3", 11, "5,7,8,9", "--max-genus", 8
+        yield "1", 2, "1", "--max-nodes", 5
+
+    def test_matches_reference(self, capsys):
+        forests = 0
+        for sgp_arg, d, root, flag, value in self.cases():
+            argv = ["fiber-tree", "--sgp", sgp_arg, "--d", str(d), flag, str(value)]
+            if root is not None:
+                argv += ["--root", root]
+            code, out, err = run(capsys, *argv, "--format", "json")
+            bounds = fibers.TruncationBounds(**{flag[2:].replace("-", "_"): value})
+            expected = fiber_json_reference(sgp_arg, d, root, bounds)
+            assert (code, err) == (0, "") and out == expected, argv
+            forests += len(json.loads(out)["trees"]) > 1
+        assert forests > 10
+
+    def test_out_file_matches_stdout(self, capsys, tmp_path):
+        argv = ["fiber-tree", "--sgp", "3,5", "--d", "3", "--max-genus", "12", "--format", "json"]
+        target = tmp_path / "forest.json"
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(json.loads(out)["trees"]) > 1
+        assert run(capsys, "--out", str(target), *argv) == (0, "", "")
+        assert target.read_bytes() == out.encode("utf-8")
+
+    def test_bounded_memory(self):
+        # 183 MB of JSON: built as one string it needs far more than the
+        # 256 MB address-space limit set in the child; streamed it fits.
+        resource = pytest.importorskip("resource")
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+        src = str(Path(numsgps.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = ["fiber-tree", "--sgp", "3,5,7", "--d", "3", "--max-nodes", "500", "--format", "json"]
+        child = subprocess.Popen(
+            [sys.executable, "-m", "numsgps.cli", *argv],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8"},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            preexec_fn=limit_memory,
+        )
+        digest, size = hashlib.sha256(), 0
+        for block in iter(lambda: child.stdout.read(1 << 16), b""):
+            digest.update(block)
+            size += len(block)
+        err = child.stderr.read().decode("utf-8", "replace")
+        assert child.wait(timeout=60) == 0, err
+        assert (size, digest.hexdigest()) == (
+            183_210_923,
+            "dcc4f1afeecc87601ae5c4957949c65cdb0e7bfa75b3f9dfb4c4084275f71a1b",
+        )
+
+
 class TestExitCodes:
     def test_invalid_gcd(self, capsys):
         code, _, err = run(capsys, "info", "--sgp", "4,6")
@@ -321,6 +415,11 @@ class TestExitCodes:
             ("search-low-e", "--sgp", "4,5,7", "--dmax", "2", "--max-frobenius", "-5"),
             ("search-low-e", "--sgp", "4,5,7", "--max-frobenius", "20", "--dmax", "-1"),
             ("rank-sweep", "--count", "1", "--max-genus", "8", "--seed", "0", "--dmax", "-1"),
+            ("oracle", "multiples-bounded", "--sgp", "3,4,5", "--d", "2", "--max-frobenius", "-5"),
+            ("oracle", "multiples-bounded", "--sgp", "3,4,5", "--d", "2",
+             "--max-frobenius", "8", "--max-genus", "-1"),
+            ("oracle", "multiples-bounded", "--sgp", "3,4,5", "--d", "2",
+             "--max-frobenius", "8", "--limit", "-1"),
         ],
     )
     def test_negative_bound_refused(self, capsys, argv):

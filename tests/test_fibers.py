@@ -349,7 +349,7 @@ class TestEnumerateFiber:
         ctx = ctx_of((2, 3), 11)
         bounds = TruncationBounds(max_genus=7)
         trees = [enumerate_fiber(ctx, root, bounds) for root in (sgp(5, 7, 8, 9), sgp(4, 5))]
-        dot = fiber_tree_to_dot(*trees)
+        dot = "".join(fiber_tree_to_dot(*trees))
         assert dot == (
             "digraph fiber {\n"
             '  "⟨5,7,8,9⟩" [label="⟨5,7,8,9⟩ F=11 g=6"];\n'
@@ -362,7 +362,7 @@ class TestEnumerateFiber:
             '  "⟨4,5⟩" [label="⟨4,5⟩ F=11 g=6"];\n'
             "}\n"
         )
-        assert dot == fiber_tree_to_dot(*trees)
+        assert dot == "".join(fiber_tree_to_dot(*trees))
 
 
 class TestWholeNContext:
