@@ -11,9 +11,10 @@ per output.  A renderer returns text, a JSON payload (a dict, under
 yield chunks node by node, so its output, which grows with the cube of
 the tree depth as JSON, never has to fit in memory.  All search happens in
 the handler, so a refusal comes before the first byte.  :func:`main` alone
-picks the format, runs only the renderers it needs, turns payloads into
-:func:`canonical_json` and streams the chunks: the ``--dot``/``--csv`` side
-files first, then ``--out`` or stdout.  An unwritable path is invalid input.
+picks the format, runs only the renderers it needs, encodes payloads with
+the standard library's ``json`` (:func:`canonical_json`) and streams the
+chunks: the ``--dot``/``--csv`` side files first, then ``--out`` or
+stdout.  An unwritable path is invalid input.
 
 Exit codes: 0 success, 2 invalid input, 3 budget or ceiling exceeded,
 4 internal invariant violation.  JSON is canonical (sorted keys, two-space
@@ -29,7 +30,6 @@ import io
 import json
 import sys
 from itertools import compress
-from json.encoder import encode_basestring
 
 from . import core, ed1, fibers, monoids, multiples, oracle, rank
 from .core import NumericalSemigroup
@@ -37,45 +37,11 @@ from .errors import InvalidInput, NumsgpsError
 
 
 def canonical_json(payload) -> str:
-    """json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\\n",
-    byte for byte, emitted from an explicit stack so that nesting as deep as a
-    long fiber chain stays off the recursion limit.  Keys must be strings.
-
-    A non-empty list or tuple of plain ints (``type(x) is int``, so no
-    bools), such as the gaps and msg of every semigroup, is emitted in one
-    join at its indent instead of one stack entry per item."""
-    out = []
-    todo = ["\n", (0, "", payload)]  # literal text, or (nesting level, text before, value)
-    while todo:
-        entry = todo.pop()
-        if type(entry) is str:
-            out.append(entry)
-            continue
-        level, head, v = entry
-        if type(v) is int:
-            out.append(head + int.__repr__(v))
-        elif type(v) is str:
-            out.append(head + encode_basestring(v))
-        elif isinstance(v, (dict, list, tuple)) and v:
-            pad = "\n" + "  " * (level + 1)
-            sep = "," + pad
-            close = "\n" + "  " * level
-            if isinstance(v, dict):
-                brackets = "{}"
-                items = [(encode_basestring(k) + ": ", x) for k, x in sorted(v.items())]
-            elif all(type(x) is int for x in v):
-                out.append(head + "[" + pad + sep.join(map(int.__repr__, v)) + close + "]")
-                continue
-            else:
-                brackets, items = "[]", [("", x) for x in v]
-            out.append(head + brackets[0])
-            todo.append(close + brackets[1])
-            for i in range(len(items) - 1, -1, -1):
-                prefix, x = items[i]
-                todo.append((level + 1, (sep if i else pad) + prefix, x))
-        else:  # None, booleans, floats and empty containers
-            out.append(head + json.dumps(v, ensure_ascii=False))
-    return "".join(out)
+    """The payload as sorted-key, two-space-indented JSON with a final
+    newline.  The standard library encoder recurses once per nesting level,
+    so deep payloads must not come through here: the fiber forest, the one
+    output that nests with the tree depth, is streamed by :func:`_trees_json`."""
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def _csv_ints(raw: str, what: str) -> list[int]:

@@ -28,7 +28,9 @@ from .multiples import MultipleContext, addable_gaps, is_d_multiple
 @dataclass(frozen=True)
 class TruncationBounds:
     """Pruning limits for fiber enumeration and the low-e search; at least
-    one must be set, and none may be negative."""
+    one must be set, and none may be negative.  They prune only the
+    descendants of a fiber's root, which :func:`enumerate_fiber` always
+    keeps: max_nodes 0 and 1 both give the root alone."""
 
     max_frobenius: int | None = None
     max_genus: int | None = None
@@ -178,6 +180,10 @@ def enumerate_fiber(
     ctx: MultipleContext, root: NumericalSemigroup, bounds: TruncationBounds
 ) -> FiberTree:
     """Materialize the fiber tree of a maximal d-multiple, pruned at bounds.
+
+    The root is always in the tree, whatever the bounds: they prune only its
+    descendants, so max_nodes 0, max_depth 0, max_genus ≤ g(root) or
+    max_frobenius < F(root) give the root alone.
 
     Frobenius number and genus grow monotonically along any branch, so
     pruning at either loses no node inside the bound.  max_nodes counts in

@@ -250,8 +250,10 @@ def rank_sweep(count: int, max_genus: int, seed: int, d_max: int = 3) -> list[di
     root discovery capped at 2000 multiples).  No verdict on the open
     converse is derived, only evidence.
     """
-    if count < 0 or max_genus < 1:
-        raise InvalidInput("count must be ≥ 0 and max_genus ≥ 1")
+    if count < 0:
+        raise InvalidInput(f"--count must be a non-negative integer, got {count}")
+    if max_genus < 1:
+        raise InvalidInput(f"--max-genus must be a positive integer, got {max_genus}")
     if d_max < 0:  # before d_max·F(S) + 6 becomes a negative Frobenius bound
         raise InvalidInput(f"--dmax must be a non-negative integer, got {d_max}")
     rng = random.Random(seed)

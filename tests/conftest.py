@@ -1,5 +1,9 @@
 import pytest
 
+# sweeps.py is a helper, not a test module: without this its asserts are
+# left to the interpreter, which strips them under python -O.
+pytest.register_assert_rewrite("sweeps")
+
 from numsgps.core import NumericalSemigroup, from_generators
 from numsgps.oracle import all_with_frobenius, semigroups_by_genus
 

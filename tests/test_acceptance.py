@@ -10,6 +10,7 @@ from contextlib import contextmanager
 from math import gcd, prod
 
 import pytest
+from _pytest.assertion.rewrite import AssertionRewritingHook
 
 from numsgps.cli import main
 from numsgps.core import (
@@ -42,6 +43,7 @@ from numsgps.rank import (
     unique_betti_apery,
 )
 
+import sweeps
 from conftest import sgp
 from sweeps import (
     apery_shape_sweep,
@@ -304,3 +306,9 @@ def test_criterion_8_property_suites(census_by_frobenius, small_semigroups):
         }
         print(f"  [criterion 8 case counts: {counts}]")
         assert all(v > 0 for v in counts.values())
+
+
+def test_sweeps_asserts_are_rewritten():
+    """pytest rewrites the asserts of the sweeps above, so they still check
+    under python -O, which strips a plain assert."""
+    assert isinstance(sweeps.__loader__, AssertionRewritingHook)

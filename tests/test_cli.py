@@ -420,12 +420,16 @@ class TestExitCodes:
              "--max-frobenius", "8", "--max-genus", "-1"),
             ("oracle", "multiples-bounded", "--sgp", "3,4,5", "--d", "2",
              "--max-frobenius", "8", "--limit", "-1"),
+            ("rank-sweep", "--max-genus", "8", "--seed", "0", "--count", "-1"),
+            ("rank-sweep", "--count", "1", "--seed", "0", "--max-genus", "0"),
         ],
     )
     def test_negative_bound_refused(self, capsys, argv):
+        # A bound refused at 0 must be positive; every other one, non-negative.
+        kind = "positive" if argv[-1] == "0" else "non-negative"
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == f"error: {argv[-2]} must be a non-negative integer, got {argv[-1]}\n"
+        assert err == f"error: {argv[-2]} must be a {kind} integer, got {argv[-1]}\n"
 
     def test_md_monoid_huge_d(self, capsys):
         # d·F(S) = 10**12 passes the closure ceiling, but an empty X needs no closure.

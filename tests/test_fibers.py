@@ -220,9 +220,15 @@ class TestEnumerateFiber:
         got = set(tree.semigroups())
         assert {sgp(5, 7, 8, 9), sgp(5, 7, 9, 13), sgp(5, 7, 8)} <= got
 
-    def test_max_nodes_one(self):
+    @pytest.mark.parametrize(
+        "bound, value",
+        [("max_nodes", 0), ("max_nodes", 1), ("max_depth", 0), ("max_genus", 0),
+         ("max_frobenius", 0)],
+    )
+    def test_max_nodes_one(self, bound, value):
+        # The bounds prune only below the root, which is always kept.
         ctx = ctx_of((2, 3), 11)
-        tree = enumerate_fiber(ctx, sgp(5, 7, 8, 9), TruncationBounds(max_nodes=1))
+        tree = enumerate_fiber(ctx, sgp(5, 7, 8, 9), TruncationBounds(**{bound: value}))
         assert tree.semigroups() == [sgp(5, 7, 8, 9)]
 
     def test_bounds_required(self):
