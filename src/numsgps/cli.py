@@ -301,7 +301,16 @@ def _cmd_unique_betti(args) -> dict:
 
 def _cmd_search_low_e(args) -> dict:
     S = parse_semigroup(args.sgp)
-    d, T = rank.bounded_low_e_multiple_search(S, args.dmax, _bounds(args)) or (None, None)
+    skipped: list[int] = []
+    bounds = _bounds(args)
+    d, T = rank.bounded_low_e_multiple_search(S, args.dmax, bounds, skipped) or (None, None)
+    if skipped:
+        cap = bounds.max_nodes if bounds.max_nodes is not None else rank.ROOT_CAP
+        print(
+            f"note: d={','.join(map(str, skipped))} not searched: root discovery "
+            f"passed {cap} multiples (--max-nodes)",
+            file=sys.stderr,
+        )
     return {
         "json": lambda: {
             "semigroup": S.to_json_dict(),

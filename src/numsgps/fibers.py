@@ -10,8 +10,10 @@ enumeration always demands an explicit truncation bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
+from operator import or_
 
-from .core import NumericalSemigroup, _adjoined, _removed
+from .core import NumericalSemigroup, _adjoined, _bits, _removed
 # Unused here; perfbench/selftest.py checks that its tracer reaches the
 # builder through every namespace that bound it, this one included.
 from .core import _from_gap_tuple  # noqa: F401
@@ -104,7 +106,8 @@ def theta(ctx: MultipleContext, T: NumericalSemigroup) -> int | None:
 def _theta(ctx: MultipleContext, T: NumericalSemigroup) -> int | None:
     """θ(T), unchecked: T must be a d-multiple of S.  When F(T) ≠ d·F(S),
     d ∤ F(T) (:func:`divisibility_check`), so θ(T) = F(T) without any
-    pseudo-Frobenius computation."""
+    pseudo-Frobenius computation.  It serves :func:`theta` and
+    :func:`saturate`; fiber children are decided without it."""
     if T.is_whole_n:
         return None
     if T.frobenius != ctx.scaled_frobenius:
@@ -142,37 +145,49 @@ def children(ctx: MultipleContext, T: NumericalSemigroup) -> tuple[FiberNode, ..
     """The children of T in its fiber tree, ascending by removed generator.
 
     A child is T ∖ {x} for x a minimal generator outside d·S whose θ-step
-    returns x.  When F(T) differs from d·F(S) the θ recomputation collapses
-    to the test x > F(T).
+    returns x.  The verdict is read from the bits of T before the child is
+    built: when F(T) differs from d·F(S) it is the test x > F(T), and
+    otherwise a pseudo-Frobenius mask of T ∖ {x} computed from T's own gap
+    mask and generators.
     """
     _require_multiple(ctx, T)
-    return tuple(FiberNode(child, x, 0) for x, child in _child_pairs(ctx, T, {}))
+    return tuple(FiberNode(child, x, 0) for x, child in _child_pairs(ctx, T))
 
 
-def _child_pairs(ctx, T, theta_cache, x_max=None):
-    # A candidate T ∖ {x} can be probed from every node containing it one
-    # generator up, so enumerations share θ results via theta_cache.  Each
-    # candidate is again a d-multiple, since x ∉ d·S, so θ runs unchecked.
-    # F(T ∖ {x}) = max(F(T), x), so a candidate with x > x_max (a Frobenius
-    # bound) would only be dropped: T.msg ascends, and the loop stops at the
-    # first such x, before building it or probing its θ.
-    d, scaled, F = ctx.d, ctx.scaled_gap_mask, T.frobenius
+def _child_pairs(ctx, T, x_max=None):
+    # Each candidate T' = T ∖ {x} is again a d-multiple, since x ∉ d·S, and
+    # F(T') = max(F, x) with F = F(T).  When F(T') ≠ d·F(S), θ(T') = F(T'),
+    # so T' is kept iff x > F.  When x < F = d·F(S), x itself is addable in
+    # T' (T' ∪ {x} = T), so θ(T') = x iff no z in (x, F] is addable in T':
+    # z ∈ PF(T'), 2z ∈ T' and z ∉ d·gaps(S).  The members a (a ∈ msg(T),
+    # a ≠ x), x + a and 3x generate T' (see core._removed), so z > x is in
+    # PF(T') iff it is a gap with no z + c a gap for those c; above bit x the
+    # gap mask of T' is G, so the shifts are shifts of G.  Only kept children
+    # are built.  No verdict is cached: one child is probed from several
+    # parents, with different x.  F(T') > x_max (a Frobenius bound) would
+    # only be dropped, so the ascending loop stops at the first x > x_max.
+    d, scaled, G, msg, F = ctx.d, ctx.scaled_gap_mask, T.gap_mask, T.msg, T.frobenius
     fast = F != ctx.scaled_frobenius
+    if not fast:
+        shifted = [G >> a for a in msg]
+        before = [0, *accumulate(shifted, or_)]  # before[i]: a < msg[i]
+        after = [*accumulate(reversed(shifted), or_)][::-1] + [0]  # a ≥ msg[i]
     out = []
-    for x in T.msg:
+    for i, x in enumerate(msg):
         if x_max is not None and x > x_max:
             break
         if x % d == 0 and not scaled >> x & 1:  # x ∈ d·S
             continue
-        if fast:
-            if x > F:
-                out.append((x, _removed(T, x)))
-        else:
-            child = _removed(T, x)
-            if child.gap_mask not in theta_cache:
-                theta_cache[child.gap_mask] = _theta(ctx, child)
-            if theta_cache[child.gap_mask] == x:
-                out.append((x, child))
+        if x < F:
+            if fast:
+                continue
+            # Shifts by c = a ≠ x, then x + a, then 3x.
+            covered = before[i] | after[i + 1] | after[0] >> x | G >> 3 * x
+            pf = G & ~(covered | scaled | (2 << x) - 1)  # PF(T') above x, off d·gaps(S)
+            # Such a z is addable iff 2z ∈ T', as it is whenever 2z > F.
+            if pf >> F // 2 + 1 or not all(G >> 2 * z & 1 for z in _bits(pf)):
+                continue
+        out.append((x, _removed(T, x)))
     return out
 
 
@@ -193,7 +208,9 @@ def enumerate_fiber(
     max(F(T), x), both known before it is built.  So children that a bound
     would drop are never built: a node at max_depth, at max_genus or past
     max_frobenius (only the root can be) gets no child generation at all,
-    and every other node generates only the x ≤ max_frobenius.
+    and every other node generates only the x ≤ max_frobenius.  Of those,
+    only the children the θ-step keeps are built (see :func:`children`), and
+    no θ result is cached across nodes.
     """
     bounds.require_finite("fiber enumeration")
     _require_multiple(ctx, root)
@@ -202,7 +219,6 @@ def enumerate_fiber(
     root_node = FiberNode(root, None, 0)
     tree = FiberTree(ctx, root_node)
     count = 1
-    theta_cache: dict = {}
 
     def pending(node: FiberNode):
         T = node.semigroup
@@ -212,7 +228,7 @@ def enumerate_fiber(
             or (bounds.max_frobenius is not None and T.frobenius > bounds.max_frobenius)
         ):
             return iter(())
-        return iter(_child_pairs(ctx, T, theta_cache, bounds.max_frobenius))
+        return iter(_child_pairs(ctx, T, bounds.max_frobenius))
 
     # An explicit stack of (node, its unvisited child pairs) keeps depth off
     # the interpreter's recursion limit.

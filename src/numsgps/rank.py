@@ -28,6 +28,9 @@ from .errors import (
 from .fibers import TruncationBounds, enumerate_fiber
 from .multiples import MultipleContext, max_multiples
 
+# The low-e search's cap on root discovery when no --max-nodes is given.
+ROOT_CAP = 4000
+
 
 @dataclass(frozen=True)
 class ApexWitness:
@@ -176,16 +179,21 @@ def _coin_decomposition(gens: list[int], target: int) -> list[int] | None:
 
 
 def bounded_low_e_multiple_search(
-    S: NumericalSemigroup, d_max: int, bounds: TruncationBounds
+    S: NumericalSemigroup,
+    d_max: int,
+    bounds: TruncationBounds,
+    skipped: list[int] | None = None,
 ) -> tuple[int, NumericalSemigroup] | None:
     """First multiple T of S within bounds with e(T) < e(S), scanning d ascending.
 
     A hit certifies quotient rank < e(S); None proves nothing beyond the
     bounds.  Within one d the hit of least (genus, gap tuple) is returned,
     so the outcome is deterministic.  Root discovery (the maximal
-    d-multiples) visits at most ``bounds.max_nodes`` multiples, or 4000
-    when max_nodes is unset; a d whose root discovery hits that cap is
-    skipped.
+    d-multiples) visits at most ``bounds.max_nodes`` multiples, or
+    :data:`ROOT_CAP` when max_nodes is unset; a d whose root discovery hits
+    that cap is skipped and appended to ``skipped`` when a list is given.
+    ``search-low-e`` passes one and names the skipped d and the cap in a
+    note on stderr, so that its ``none`` is not read as complete.
     """
     if S.is_whole_n:
         raise WholeN("quotient rank analysis is undefined for the whole of ℕ")
@@ -193,7 +201,7 @@ def bounded_low_e_multiple_search(
         raise InvalidInput(f"--dmax must be a non-negative integer, got {d_max}")
     bounds.require_finite("the low-e search")
     e = S.embedding_dimension
-    root_cap = bounds.max_nodes if bounds.max_nodes is not None else 4000
+    root_cap = bounds.max_nodes if bounds.max_nodes is not None else ROOT_CAP
     for d in range(1, d_max + 1):
         ctx = MultipleContext(S, d)
         try:
@@ -201,6 +209,8 @@ def bounded_low_e_multiple_search(
         except CeilingExceeded:
             # Root discovery blew the budget; this d stays unexplored,
             # which the no-proof contract of a None result already covers.
+            if skipped is not None:
+                skipped.append(d)
             continue
         hits = []
         for root in roots:

@@ -446,6 +446,17 @@ class TestExitCodes:
         for flag in ("--max-frobenius", "--max-genus", "--max-depth", "--max-nodes"):
             assert flag in err
 
+    def test_low_e_search_names_skipped_d(self, capsys):
+        """A none after root discovery passed its cap for some d says so on
+        stderr; stdout and the exit code stay those of a plain none."""
+        argv = ("search-low-e", "--sgp", "4,5,7", "--max-frobenius", "24")
+        assert run(capsys, *argv, "--dmax", "3", "--max-nodes", "10") == (
+            0,
+            "none\n",
+            "note: d=2,3 not searched: root discovery passed 10 multiples (--max-nodes)\n",
+        )
+        assert run(capsys, *argv, "--dmax", "2") == (0, "none\n", "")
+
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])

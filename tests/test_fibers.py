@@ -5,10 +5,12 @@ import itertools
 
 import pytest
 
-from numsgps.core import WHOLE_N
+from numsgps.core import WHOLE_N, _removed
 from numsgps.errors import BoundsMissing, InvalidInput, NotAMultiple, NotMaximal
 from numsgps.fibers import (
     TruncationBounds,
+    _child_pairs,
+    _theta,
     children,
     divisibility_check,
     enumerate_fiber,
@@ -21,6 +23,7 @@ from numsgps.oracle import (
     EnumerationBudget,
     all_multiples_bounded,
     children_bruteforce,
+    semigroups_by_genus,
     theta_bruteforce,
 )
 
@@ -167,6 +170,33 @@ class TestChildren:
                         for n in children(ctx, T)
                     }
                     assert got == set(children_bruteforce(ctx, T))
+
+    def test_mask_verdict_matches_theta(self):
+        """_child_pairs decides each child from T's bits before building it;
+        at every node of the truncated fibers of every S with genus ≤ 4 it
+        keeps exactly the x ∉ d·S with θ(T ∖ {x}) = x, and a Frobenius
+        bound x_max cuts that list at x ≤ x_max."""
+        nodes = 0
+        for S in semigroups_by_genus(4)[1:]:
+            for d in (2, 3, 4):
+                ctx = MultipleContext(S, d)
+                bounds = TruncationBounds(max_frobenius=d * S.frobenius + 6, max_nodes=200)
+                for R in max_multiples(ctx).maximals:
+                    for T in enumerate_fiber(ctx, R, bounds).semigroups():
+                        nodes += 1
+                        kept = [
+                            x for x in T.msg
+                            if not ctx.in_scaled_semigroup(x)
+                            and _theta(ctx, _removed(T, x)) == x
+                        ]
+                        pairs = _child_pairs(ctx, T)
+                        assert [x for x, _ in pairs] == kept
+                        assert all(child == _removed(T, x) for x, child in pairs)
+                        x_max = T.msg[len(T.msg) // 2]
+                        assert [x for x, _ in _child_pairs(ctx, T, x_max)] == [
+                            x for x in kept if x <= x_max
+                        ]
+        assert nodes == 9174
 
     def test_edge_soundness(self, small_semigroups):
         """Every child arises by removing a minimal generator outside d·S,
