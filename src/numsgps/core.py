@@ -226,15 +226,15 @@ def _removed(T: NumericalSemigroup, x: int) -> NumericalSemigroup:
     return NumericalSemigroup(G, _generators_among(G, (A ^ 1 << x) | A << x | 1 << 3 * x))
 
 
-def _closure(gens: Iterable[int], bound: int) -> int:
-    """Bitmask of ⟨gens⟩ ∩ [0, bound], unchecked: gens must be positive.
+def _closure(gens: Iterable[int], bound: int, members: int = 1) -> int:
+    """Bitmask of (members + ⟨gens⟩) ∩ [0, bound], unchecked: gens must be
+    positive and ``members`` a mask within [0, bound]; by default {0}.
 
     Closes the members under each generator a by shifts by a, 2a, 4a, …
     totalling at least ``bound``.  Generators above the bound add nothing
     and are skipped, so gens may come in any order.
     """
     full = (2 << bound) - 1
-    members = 1
     for a in gens:
         if a > bound:
             continue

@@ -3,22 +3,28 @@ inclusion-maximal d-multiples of a fixed semigroup S.
 
 T is a d-multiple of S when T/d = {x | d·x ∈ T} equals S, equivalently when
 the gap sandwich d·(ℕ∖S) ⊆ ℕ∖T ⊆ ℕ∖d·S holds.  The maximal d-multiples all
-share the Frobenius number d·F(S) and are found by a depth-first search
-that adjoins single gaps, in decreasing order only, to the ground multiple
-d·S ∪ {n | n > d·F(S)}.  Every d-multiple with that Frobenius number is the
-ground multiple plus a set E, and adjoining E from its largest element down
-is its one path in the search, so no multiple is built twice.
+share the Frobenius number N = d·F(S), so each one is fixed by its closed
+member mask M within [0, N]: M holds d·S ∩ [0, N], misses d·gaps(S), and
+its other members are free positions p < N with d ∤ p.  A subset of free
+positions whose closure with d·S misses d·gaps(S) stays one when shrunk,
+so the maximal d-multiples are the maximal sets of an independence system
+(Lawler, Lenstra & Rinnooy Kan, SIAM J. Comput. 9, 1980).  They are found
+by a depth-first search over the free positions in ascending order that
+includes or excludes each one, on bitmasks alone, and builds a semigroup
+only for the leaves it keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .core import (
     CLOSURE_CEILING,
     NumericalSemigroup,
-    _adjoined,
+    _bits,
+    _closure,
     _from_gap_tuple,
     checked,
     is_irreducible,
@@ -117,28 +123,70 @@ def addable_gaps(ctx: MultipleContext, T: NumericalSemigroup) -> tuple[int, ...]
     )
 
 
-def _ground_multiple(ctx: MultipleContext) -> NumericalSemigroup:
-    """d·S ∪ {n | n > d·F(S)}, the least d-multiple with Frobenius d·F(S)."""
-    d, scaled = ctx.d, ctx.scaled_gap_mask
-    return _from_gap_tuple(
-        n for n in range(1, ctx.scaled_frobenius + 1) if n % d or scaled >> n & 1
-    )
+def _gap_masks(ctx: MultipleContext, maximal: bool):
+    """Gap masks of the d-multiples with Frobenius number N = d·F(S): all
+    of them, or only the maximal ones.
+
+    A gap mask is the complement in [0, N] of a closed member mask M.  With
+    B = d·gaps(S), a closed M admits the free position p iff no kp + u with
+    k ≥ 1 and u ∈ M lies in B, that is iff M misses W_p = ⋃ₖ (B >> kp);
+    then M ∪ {p} closes to ⋃ₖ (M << kp).  The search starts from
+    d·S ∩ [0, N] and decides the free positions in ascending order: a
+    closure adds only sums above p, so a position it leaves out never comes
+    back.  Each admitted p branches into include and exclude, and each set
+    of decisions gives its own M, so no mask is met twice.
+
+    A leaf is maximal iff M blocks every position it excluded, that is M
+    meets its W_p.  Only free positions in W_p can come to block p, so when
+    ``maximal`` is set a branch is cut once it has decided the last of them
+    with p still unblocked.
+    """
+    d, N, B = ctx.d, ctx.scaled_frobenius, ctx.scaled_gap_mask
+    steps = ((1 << d * (N // d + 1)) - 1) // ((1 << d) - 1)  # 0, d, …, N
+    positions = [p for p in range(1, N) if p % d]
+    blockers = []
+    for p in positions:
+        W = 0
+        for kp in range(p, N + 1, p):
+            W |= B >> kp
+        blockers.append(W)
+    # The last free position in each W_p, or -1.
+    last = [(W & ~steps).bit_length() - 1 for W in blockers]
+    stack = [(0, steps & ~B, (), N)]  # (next index, M, unblocked exclusions, deadline)
+    while stack:
+        i, M, excluded, deadline = stack.pop()
+        for i in range(i, len(positions)):
+            p = positions[i]
+            if deadline < p:
+                break
+            if not (M >> p & 1 or M & blockers[i]):
+                grown = _closure((p,), N, M)
+                if maximal:
+                    stack.append((i + 1, M, (*excluded, i), min(deadline, last[i])))
+                    excluded = tuple(j for j in excluded if not grown & blockers[j])
+                    deadline = min((last[j] for j in excluded), default=N)
+                else:
+                    stack.append((i + 1, M, excluded, deadline))
+                M = grown
+        if deadline == N:
+            yield (2 << N) - 1 & ~M
 
 
 def max_multiples(ctx: MultipleContext, node_cap: int | None = None) -> MaxMultiplesResult:
     """The complete set of inclusion-maximal d-multiples of S.
 
-    Depth-first search from the ground multiple that adjoins addable gaps in
-    decreasing order only: a multiple reached by adjoining z adjoins only
-    gaps below z.  A d-multiple T with F(T) = d·F(S) is the ground multiple
-    plus a set E, and adjoining E from its largest element down is the one
-    such path to T, so each T is built once and no ``seen`` set is needed.
-    The maximals, those with no addable gap, are sorted by (genus, gap tuple).
+    A depth-first search over the free positions p < d·F(S), d ∤ p, in
+    ascending order, on closed member masks (see :func:`_gap_masks`).  It
+    cuts a branch once a position it excluded can no longer be blocked, and
+    builds a semigroup only for the leaves it keeps.  The maximals are
+    sorted by (genus, gap tuple).
 
-    The search visits every d-multiple with Frobenius number d·F(S), which
-    can be enormous; callers that only need a best-effort answer may pass
-    ``node_cap`` and catch :class:`CeilingExceeded`.  A negative
-    ``node_cap`` is refused with :class:`InvalidInput`.
+    There can be very many d-multiples with Frobenius number d·F(S);
+    callers that only need a best-effort answer may pass ``node_cap`` and
+    catch :class:`CeilingExceeded`, raised when more than ``node_cap`` of
+    them exist.  They are counted by the same search without the cut and
+    never built.  A negative ``node_cap`` is refused with
+    :class:`InvalidInput`.
     """
     if node_cap is not None and node_cap < 0:
         raise InvalidInput(f"--max-nodes must be a non-negative integer, got {node_cap}")
@@ -147,20 +195,13 @@ def max_multiples(ctx: MultipleContext, node_cap: int | None = None) -> MaxMulti
         raise WholeN("maximal multiples are undefined for the whole of ℕ")
     if ctx.d == 1:
         return MaxMultiplesResult(ctx, (S,))
-    stack = [(_ground_multiple(ctx), ctx.scaled_frobenius)]
-    visited = 0
-    maximals: list[NumericalSemigroup] = []
-    while stack:
-        T, below = stack.pop()
-        visited += 1
-        if node_cap is not None and visited > node_cap:
+    if node_cap is not None:
+        count = sum(1 for _ in islice(_gap_masks(ctx, False), node_cap + 1))
+        if count > node_cap:
             raise CeilingExceeded(
                 f"more than {node_cap} multiples with Frobenius {ctx.scaled_frobenius}"
             )
-        addable = addable_gaps(ctx, T)
-        if not addable:
-            maximals.append(T)
-        stack.extend((_adjoined(T, z), z) for z in addable if z < below)
+    maximals = [_from_gap_tuple(_bits(G)) for G in _gap_masks(ctx, True)]
     maximals.sort(key=lambda t: (t.genus, t.gaps))
     return MaxMultiplesResult(ctx, tuple(maximals))
 

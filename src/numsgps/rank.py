@@ -189,11 +189,11 @@ def bounded_low_e_multiple_search(
     A hit certifies quotient rank < e(S); None proves nothing beyond the
     bounds.  Within one d the hit of least (genus, gap tuple) is returned,
     so the outcome is deterministic.  Root discovery (the maximal
-    d-multiples) visits at most ``bounds.max_nodes`` multiples, or
-    :data:`ROOT_CAP` when max_nodes is unset; a d whose root discovery hits
-    that cap is skipped and appended to ``skipped`` when a list is given.
-    ``search-low-e`` passes one and names the skipped d and the cap in a
-    note on stderr, so that its ``none`` is not read as complete.
+    d-multiples) is refused when more than ``bounds.max_nodes`` multiples,
+    or :data:`ROOT_CAP` when max_nodes is unset, have Frobenius number
+    d·F(S); such a d is skipped and appended to ``skipped`` when a list is
+    given.  ``search-low-e`` passes one and names the skipped d and the
+    cap in a note on stderr, so that its ``none`` is not read as complete.
     """
     if S.is_whole_n:
         raise WholeN("quotient rank analysis is undefined for the whole of ℕ")

@@ -4,7 +4,8 @@ import pytest
 # left to the interpreter, which strips them under python -O.
 pytest.register_assert_rewrite("sweeps")
 
-from numsgps.core import NumericalSemigroup, from_generators
+from numsgps.core import NumericalSemigroup, _adjoined, _from_gap_tuple, from_generators
+from numsgps.multiples import MultipleContext, addable_gaps
 from numsgps.oracle import all_with_frobenius, semigroups_by_genus
 
 
@@ -37,6 +38,32 @@ def coin_dp(gens, target):
         coeffs[k] += 1
         n -= gens[k]
     return reachable, coeffs
+
+
+def reference_max_multiples(ctx: MultipleContext):
+    """Reference for max_multiples, for d ≥ 2: the maximal d-multiples,
+    sorted by (genus, gap tuple), found by visiting every d-multiple with
+    Frobenius number d·F(S).
+
+    Depth-first search from the ground multiple d·S ∪ {n | n > d·F(S)}
+    that adjoins addable gaps in decreasing order only: a d-multiple T with
+    F(T) = d·F(S) is the ground multiple plus a set E, and adjoining E from
+    its largest element down is its one path, so each T is built once.
+    """
+    d, scaled = ctx.d, ctx.scaled_gap_mask
+    ground = _from_gap_tuple(
+        n for n in range(1, ctx.scaled_frobenius + 1) if n % d or scaled >> n & 1
+    )
+    stack = [(ground, ctx.scaled_frobenius)]
+    maximals = []
+    while stack:
+        T, below = stack.pop()
+        addable = addable_gaps(ctx, T)
+        if not addable:
+            maximals.append(T)
+        stack.extend((_adjoined(T, z), z) for z in addable if z < below)
+    maximals.sort(key=lambda t: (t.genus, t.gaps))
+    return tuple(maximals)
 
 
 def fiber_node_to_json_dict(node) -> dict:

@@ -405,6 +405,28 @@ class TestExitCodes:
         assert run(capsys, *argv, "--max-nodes", "19")[:2] == (3, "")
         assert run(capsys, *argv, "--max-nodes", "20") == run(capsys, *argv)
 
+    def test_max_multiples_uncapped_finishes(self, capsys):
+        # ⟨2,3⟩ with d = 60 did not finish in 4 minutes when every multiple
+        # with Frobenius 60 was built.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "max-multiples", "--sgp", "2,3", "--d", "60")
+        assert (code, err) == (0, "")
+        assert out.count("\n") == 1857
+        assert time.perf_counter() - start < 5
+
+    def test_fiber_tree_auto_root_discovery_finishes(self, capsys):
+        # Root discovery for ⟨2,3⟩ with d = 40 took 13.2 s; the digest is of
+        # the 572 lines it printed then.
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "fiber-tree", "--sgp", "2,3", "--d", "40", "--max-nodes", "3"
+        )
+        assert (code, err) == (0, "")
+        assert time.perf_counter() - start < 5
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "499039df2efe29294ea0eee254f1590db6c22abec589e880606810b5518f438a"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [

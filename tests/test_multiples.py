@@ -16,7 +16,7 @@ from numsgps.multiples import (
 )
 from numsgps.oracle import EnumerationBudget, all_multiples_bounded
 
-from conftest import sgp
+from conftest import reference_max_multiples, sgp
 from sweeps import multiples_pool
 
 
@@ -144,6 +144,29 @@ class TestMaxMultiples:
                 assert max_multiples(ctx, node_cap=n) == max_multiples(ctx)
                 with pytest.raises(CeilingExceeded, match=f"more than {n - 1} multiples"):
                     max_multiples(ctx, node_cap=n - 1)
+
+    def test_matches_reference_search(self, genus_tree_12):
+        """Gap masks and msg equal the reference search's, which visits every
+        d-multiple with Frobenius d·F(S), on every S with genus ≤ 7 and
+        d ∈ {2, 3, 4} that has at most 30,000 of them.  node_cap counts
+        those multiples (test_node_cap_is_the_multiple_count), so it picks
+        the cases without running the reference on the large ones."""
+        cases = 0
+        for S in genus_tree_12:
+            if not 1 <= S.genus <= 7:
+                continue
+            for d in range(2, 5):
+                ctx = MultipleContext(S, d)
+                try:
+                    got = max_multiples(ctx, node_cap=30_000).maximals
+                except CeilingExceeded:
+                    continue
+                expected = reference_max_multiples(ctx)
+                assert [(T.gap_mask, T.msg) for T in got] == [
+                    (T.gap_mask, T.msg) for T in expected
+                ], ctx
+                cases += 1
+        assert cases == 235
 
 
 class TestMultipleFamilies:
