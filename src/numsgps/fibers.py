@@ -48,10 +48,7 @@ class TruncationBounds:
 
     def require_finite(self, search: str):
         """Refuse, naming ``search`` (the caller), when no bound is set."""
-        if all(
-            b is None
-            for b in (self.max_frobenius, self.max_genus, self.max_depth, self.max_nodes)
-        ):
+        if all(getattr(self, bound.name) is None for bound in fields(self)):
             raise BoundsMissing(
                 f"{search} requires at least one bound: --max-frobenius, "
                 "--max-genus, --max-depth or --max-nodes"
@@ -145,27 +142,30 @@ def children(ctx: MultipleContext, T: NumericalSemigroup) -> tuple[FiberNode, ..
     """The children of T in its fiber tree, ascending by removed generator.
 
     A child is T ∖ {x} for x a minimal generator outside d·S whose θ-step
-    returns x.  The verdict is read from the bits of T before the child is
-    built: when F(T) differs from d·F(S) it is the test x > F(T), and
-    otherwise a pseudo-Frobenius mask of T ∖ {x} computed from T's own gap
-    mask and generators.
+    returns x.  Which x qualify is decided from the bits of T alone: when
+    F(T) differs from d·F(S) it is the test x > F(T), and otherwise a
+    pseudo-Frobenius mask of T ∖ {x} computed from T's own gap mask and
+    generators.  Only the kept children are built.
     """
     _require_multiple(ctx, T)
-    return tuple(FiberNode(child, x, 0) for x, child in _child_pairs(ctx, T))
+    return tuple(FiberNode(_removed(T, x), x, 0) for x in _child_pairs(ctx, T))
 
 
 def _child_pairs(ctx, T, x_max=None):
-    # Each candidate T' = T ∖ {x} is again a d-multiple, since x ∉ d·S, and
-    # F(T') = max(F, x) with F = F(T).  When F(T') ≠ d·F(S), θ(T') = F(T'),
-    # so T' is kept iff x > F.  When x < F = d·F(S), x itself is addable in
-    # T' (T' ∪ {x} = T), so θ(T') = x iff no z in (x, F] is addable in T':
-    # z ∈ PF(T'), 2z ∈ T' and z ∉ d·gaps(S).  The members a (a ∈ msg(T),
-    # a ≠ x), x + a and 3x generate T' (see core._removed), so z > x is in
-    # PF(T') iff it is a gap with no z + c a gap for those c; above bit x the
-    # gap mask of T' is G, so the shifts are shifts of G.  Only kept children
-    # are built.  No verdict is cached: one child is probed from several
-    # parents, with different x.  F(T') > x_max (a Frobenius bound) would
-    # only be dropped, so the ascending loop stops at the first x > x_max.
+    # The ascending removed generators x of T's children, decided from bits;
+    # nothing is built here.  (The name stays: perfbench/tracer.py wraps
+    # this function by it.)  Each candidate T' = T ∖ {x} is again a
+    # d-multiple, since x ∉ d·S, and F(T') = max(F, x) with F = F(T).
+    # When F(T') ≠ d·F(S), θ(T') = F(T'), so T' is kept iff x > F.  When
+    # x < F = d·F(S), x itself is addable in T' (T' ∪ {x} = T), so
+    # θ(T') = x iff no z in (x, F] is addable in T': z ∈ PF(T'), 2z ∈ T'
+    # and z ∉ d·gaps(S).  The members a (a ∈ msg(T), a ≠ x), x + a and 3x
+    # generate T' (see core._removed), so z > x is in PF(T') iff it is a
+    # gap with no z + c a gap for those c; above bit x the gap mask of T' is
+    # G, so the shifts are shifts of G.  No verdict is cached: one child is
+    # probed from several parents, with different x.  F(T') > x_max (a
+    # Frobenius bound) would only be dropped, so the ascending loop stops at
+    # the first x > x_max.
     d, scaled, G, msg, F = ctx.d, ctx.scaled_gap_mask, T.gap_mask, T.msg, T.frobenius
     fast = F != ctx.scaled_frobenius
     if not fast:
@@ -187,7 +187,7 @@ def _child_pairs(ctx, T, x_max=None):
             # Such a z is addable iff 2z ∈ T', as it is whenever 2z > F.
             if pf >> F // 2 + 1 or not all(G >> 2 * z & 1 for z in _bits(pf)):
                 continue
-        out.append((x, _removed(T, x)))
+        out.append(x)
     return out
 
 
@@ -205,12 +205,13 @@ def enumerate_fiber(
     depth-first preorder with children ascending by removed generator.
 
     A child T ∖ {x} of T has genus g(T) + 1 and Frobenius number
-    max(F(T), x), both known before it is built.  So children that a bound
-    would drop are never built: a node at max_depth, at max_genus or past
-    max_frobenius (only the root can be) gets no child generation at all,
-    and every other node generates only the x ≤ max_frobenius.  Of those,
-    only the children the θ-step keeps are built (see :func:`children`), and
-    no θ result is cached across nodes.
+    max(F(T), x), both known before it is built.  So a node at max_depth, at
+    max_genus or past max_frobenius (only the root can be) gets no edges at
+    all, and every other node gets only the x ≤ max_frobenius that the
+    θ-step keeps, decided from its bits (see :func:`children`).  The walk
+    keeps one stack of edges (parent, x) and builds a child only when it
+    pops its edge to attach it, so every node built is in the tree; no θ
+    result is cached across nodes.
     """
     bounds.require_finite("fiber enumeration")
     _require_multiple(ctx, root)
@@ -218,33 +219,27 @@ def enumerate_fiber(
         raise NotMaximal(f"{root} is not a maximal {ctx.d}-multiple of {ctx.semigroup}")
     root_node = FiberNode(root, None, 0)
     tree = FiberTree(ctx, root_node)
-    count = 1
 
-    def pending(node: FiberNode):
+    def edges(node: FiberNode) -> list[tuple[FiberNode, int]]:
+        """node's child edges, last first, so the stack pops them ascending."""
         T = node.semigroup
         if (
             (bounds.max_depth is not None and node.depth >= bounds.max_depth)
             or (bounds.max_genus is not None and T.genus >= bounds.max_genus)
             or (bounds.max_frobenius is not None and T.frobenius > bounds.max_frobenius)
         ):
-            return iter(())
-        return iter(_child_pairs(ctx, T, bounds.max_frobenius))
+            return []
+        return [(node, x) for x in reversed(_child_pairs(ctx, T, bounds.max_frobenius))]
 
-    # An explicit stack of (node, its unvisited child pairs) keeps depth off
-    # the interpreter's recursion limit.
-    stack = [(root_node, pending(root_node))]
-    while stack:
-        node, rest = stack[-1]
-        for x, child in rest:
-            if bounds.max_nodes is not None and count >= bounds.max_nodes:
-                return tree
-            child_node = FiberNode(child, x, node.depth + 1)
-            node.children.append(child_node)
-            count += 1
-            stack.append((child_node, pending(child_node)))
-            break
-        else:
-            stack.pop()
+    # An explicit stack keeps depth off the interpreter's recursion limit.
+    stack = edges(root_node)
+    count = 1
+    while stack and (bounds.max_nodes is None or count < bounds.max_nodes):
+        parent, x = stack.pop()
+        child = FiberNode(_removed(parent.semigroup, x), x, parent.depth + 1)
+        parent.children.append(child)
+        count += 1
+        stack += edges(child)
     return tree
 
 

@@ -189,11 +189,9 @@ class TestChildren:
                             if not ctx.in_scaled_semigroup(x)
                             and _theta(ctx, _removed(T, x)) == x
                         ]
-                        pairs = _child_pairs(ctx, T)
-                        assert [x for x, _ in pairs] == kept
-                        assert all(child == _removed(T, x) for x, child in pairs)
+                        assert _child_pairs(ctx, T) == kept
                         x_max = T.msg[len(T.msg) // 2]
-                        assert [x for x, _ in _child_pairs(ctx, T, x_max)] == [
+                        assert _child_pairs(ctx, T, x_max) == [
                             x for x in kept if x <= x_max
                         ]
         assert nodes == 9174
@@ -380,6 +378,30 @@ class TestEnumerateFiber:
             ctx, sgp(5, 7, 8, 9), TruncationBounds(max_depth=1, max_genus=20)
         )
         assert {n.depth for n in tree.nodes()} == {0, 1}
+
+    @pytest.mark.parametrize(
+        "gens, d, max_nodes, roots, nodes",
+        [((3, 4, 5), 3, 2000, 1, 2000), ((2, 3), 13, 90, 8, 452)],
+    )
+    def test_builds_only_attached_children(self, monkeypatch, gens, d, max_nodes, roots, nodes):
+        """A node-capped walk builds each non-root node once and nothing
+        else: no child is built ahead of the cap and then dropped."""
+        builds = 0
+
+        def counted(T, x):
+            nonlocal builds
+            builds += 1
+            return _removed(T, x)
+
+        monkeypatch.setattr("numsgps.fibers._removed", counted)
+        ctx = ctx_of(gens, d)
+        maximals = max_multiples(ctx).maximals
+        got = sum(
+            len(enumerate_fiber(ctx, R, TruncationBounds(max_nodes=max_nodes)).nodes())
+            for R in maximals
+        )
+        assert (len(maximals), got) == (roots, nodes)
+        assert builds == nodes - roots
 
     def test_dot_output_is_stable(self):
         ctx = ctx_of((2, 3), 11)
