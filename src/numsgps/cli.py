@@ -1,20 +1,20 @@
 """Command-line surface: stable text/JSON/DOT output for every subsystem.
 
 Each subcommand is one row of the table in :func:`_commands` (path, help,
-handler, formats, options), and :func:`build_parser` loops over it.  Given
-argv, it builds only the row argv names (after any top-level ``--out``);
-help before the command, no command, an unknown command or oracle leaf,
-and anything else it cannot resolve get the full parser.  A
-handler computes its result once and returns one zero-argument renderer
-per output.  A renderer returns text, a JSON payload (a dict, under
-``"json"``) or an iterable of text chunks; the ``fiber-tree`` renderers
-yield chunks node by node, so its output, which grows with the cube of
-the tree depth as JSON, never has to fit in memory.  All search happens in
-the handler, so a refusal comes before the first byte.  :func:`main` alone
-picks the format, runs only the renderers it needs, encodes payloads with
-the standard library's ``json`` (:func:`canonical_json`) and streams the
-chunks: the ``--dot``/``--csv`` side files first, then ``--out`` or
-stdout.  An unwritable path is invalid input.
+handler, formats, options), and :func:`build_parser` loops over it.
+:func:`main` builds that parser once per process, on its first call, and
+parses every later argv with it too: in-process callers parse many argv,
+and a parse leaves the parser as it was.  A handler computes its result
+once and returns one zero-argument renderer per output.  A renderer
+returns text, a JSON payload (a dict, under ``"json"``) or an iterable of
+text chunks; the ``fiber-tree`` renderers yield chunks node by node, so
+its output, which grows with the cube of the tree depth as JSON, never
+has to fit in memory.  All search happens in the handler, so a refusal
+comes before the first byte.  :func:`main` alone picks the format, runs
+only the renderers it needs, encodes payloads with the standard
+library's ``json`` (:func:`canonical_json`) and streams the chunks: the
+``--dot``/``--csv`` side files first, then ``--out`` or stdout.  An
+unwritable path is invalid input.
 
 Exit codes: 0 success, 2 invalid input, 3 budget or ceiling exceeded,
 4 internal invariant violation.  JSON is canonical (sorted keys, two-space
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -305,10 +306,9 @@ def _cmd_search_low_e(args) -> dict:
     bounds = _bounds(args)
     d, T = rank.bounded_low_e_multiple_search(S, args.dmax, bounds, skipped) or (None, None)
     if skipped:
-        cap = bounds.max_nodes if bounds.max_nodes is not None else rank.ROOT_CAP
         print(
             f"note: d={','.join(map(str, skipped))} not searched: root discovery "
-            f"passed {cap} multiples (--max-nodes)",
+            f"passed {rank.root_cap(bounds)} multiples (--max-nodes)",
             file=sys.stderr,
         )
     return {
@@ -364,7 +364,8 @@ _TEXT_JSON = ("text", "json")
 def _commands():
     """The command table in --help order: (path, help, handler, formats,
     *options) per subcommand, where a row without a handler is a group.
-    Built on each call, so it holds the handlers bound at that time."""
+    :func:`main` reads it once per process, when it first builds its
+    parser, since in-process callers parse many argv with that parser."""
     return (
         ("info", "invariants of one semigroup", _cmd_info, _TEXT_JSON, _SGP),
         ("quotient", "compute T/d", _cmd_quotient, _TEXT_JSON, _SGP, _D),
@@ -398,63 +399,20 @@ def _commands():
     )
 
 
-def _command_path(rows, argv):
-    """The path of the row of ``rows`` that argv names, or None when the full
-    parser must decide: help or any other option before the command, no
-    command, an unknown command or group leaf, or a top-level ``--out``
-    without a plain value.  ``--out`` is skipped in each spelling argparse
-    accepts (``--out X``, ``--out=X`` and prefixes such as ``--o X``)."""
-    runs = {tuple(path.split(" ")): run for path, _, run, *_ in rows}
-    tokens = iter(argv)
-    for token in tokens:
-        flag, eq, _ = token.partition("=")
-        if len(flag) > 2 and "--out".startswith(flag):
-            if not eq and next(tokens, "-").startswith("-"):
-                return None
-            continue
-        if token.startswith("-"):
-            return None
-        words = (token,)
-        if words in runs and runs[words] is None:  # a group: its leaf comes next
-            words += (next(tokens, ""),)
-        return " ".join(words) if runs.get(words) else None
-    return None
-
-
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser for argv, or for every subcommand when argv is None.
-
-    When :func:`_command_path` resolves argv to one row of the table, only
-    that row (and its group, for an ``oracle`` leaf) is built; otherwise
-    every row is.  Either parser gives argv the same parse, usage and
-    errors: the one-row parser lists every name of each group it builds as
-    that group's metavar, so its usage line matches the full one.
-    """
-    rows = _commands()
-    wanted = None if argv is None else _command_path(rows, argv)
-
-    def metavar(group):
-        """Every name in the group, for the usage line of the one-row parser."""
-        if wanted is None:
-            return None  # argparse lists the choices it has, which are all of them
-        return "{" + ",".join(p.rpartition(" ")[2] for p, *_ in rows
-                              if p.rpartition(" ")[0] == group) + "}"
-
+def build_parser() -> argparse.ArgumentParser:
+    """A new parser for every row of the table.  :func:`main` builds one per
+    process, through :func:`_parser`, since in-process callers parse many argv."""
     parser = argparse.ArgumentParser(
         prog="numsgps",
         description="Numerical semigroups, their d-multiples, fiber trees and rank tools.",
     )
     parser.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    groups = {"": parser.add_subparsers(dest="command", required=True, metavar=metavar(""))}
-    for path, help_text, run, formats, *options in rows:
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, help_text, run, formats, *options in _commands():
         group, _, name = path.rpartition(" ")
-        if wanted is not None and path not in (wanted, wanted.rpartition(" ")[0]):
-            continue
         p = groups[group].add_parser(name, help=help_text)
         if run is None:
-            groups[path] = p.add_subparsers(
-                dest=f"{name}_command", required=True, metavar=metavar(path)
-            )
+            groups[path] = p.add_subparsers(dest=f"{name}_command", required=True)
             continue
         for flag, spec in options:
             p.add_argument(flag, **spec)
@@ -462,6 +420,12 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
             p.add_argument("--format", choices=formats, default="text")
         p.set_defaults(run=run)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on its first call."""
+    return build_parser()
 
 
 def _chunks(rendered):
@@ -488,8 +452,7 @@ def _write(path, chunks) -> None:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         renderers = args.run(args)
         # The side files --dot and --csv get the renderer of their name;

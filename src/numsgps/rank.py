@@ -178,6 +178,12 @@ def _coin_decomposition(gens: list[int], target: int) -> list[int] | None:
     return coeffs
 
 
+def root_cap(bounds: TruncationBounds) -> int:
+    """The cap on root discovery in the low-e search: ``bounds.max_nodes``,
+    or :data:`ROOT_CAP` when max_nodes is unset."""
+    return bounds.max_nodes if bounds.max_nodes is not None else ROOT_CAP
+
+
 def bounded_low_e_multiple_search(
     S: NumericalSemigroup,
     d_max: int,
@@ -189,10 +195,9 @@ def bounded_low_e_multiple_search(
     A hit certifies quotient rank < e(S); None proves nothing beyond the
     bounds.  Within one d the hit of least (genus, gap tuple) is returned,
     so the outcome is deterministic.  Root discovery (the maximal
-    d-multiples) is refused when more than ``bounds.max_nodes`` multiples,
-    or :data:`ROOT_CAP` when max_nodes is unset, have Frobenius number
-    d·F(S); such a d is skipped and appended to ``skipped`` when a list is
-    given.  ``search-low-e`` passes one and names the skipped d and the
+    d-multiples) is refused when more than :func:`root_cap` multiples have
+    Frobenius number d·F(S); such a d is skipped and appended to
+    ``skipped`` when a list is given.  ``search-low-e`` passes one and names the skipped d and the
     cap in a note on stderr, so that its ``none`` is not read as complete.
     """
     if S.is_whole_n:
@@ -201,11 +206,11 @@ def bounded_low_e_multiple_search(
         raise InvalidInput(f"--dmax must be a non-negative integer, got {d_max}")
     bounds.require_finite("the low-e search")
     e = S.embedding_dimension
-    root_cap = bounds.max_nodes if bounds.max_nodes is not None else ROOT_CAP
+    cap = root_cap(bounds)
     for d in range(1, d_max + 1):
         ctx = MultipleContext(S, d)
         try:
-            roots = max_multiples(ctx, node_cap=root_cap).maximals
+            roots = max_multiples(ctx, node_cap=cap).maximals
         except CeilingExceeded:
             # Root discovery blew the budget; this d stays unexplored,
             # which the no-proof contract of a None result already covers.

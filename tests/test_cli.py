@@ -1,7 +1,6 @@
 """The command-line surface: exact text fixtures, canonical JSON round
 trips, DOT output, CSV reproducibility and exit codes."""
 
-import argparse
 import hashlib
 import inspect
 import json
@@ -571,16 +570,12 @@ def outcome(capsys, argv, out_path):
     return code, captured.out, captured.err, written
 
 
-def leaf_count(parser) -> int:
-    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if not groups:
-        return 1
-    return sum(leaf_count(p) for a in groups for p in a.choices.values())
-
-
 class TestOneRowParser:
-    """main builds only the subparser argv names; whatever argv is, the
-    result matches the full parser's byte for byte."""
+    """main parses every argv with the one parser it built on its first
+    call.  Each of these argv (help, usage errors, every ``--out``
+    spelling), run in order on that parser after every earlier one, gives
+    the outcome of a freshly built parser byte for byte.  The class keeps
+    the name of the one-row parser these argv were first written for."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -631,12 +626,13 @@ class TestOneRowParser:
     )
     def test_same_as_full_parser(self, capsys, monkeypatch, tmp_path, argv):
         out_path = tmp_path / "out.txt"
-        one_row = outcome(capsys, argv, out_path)
-        monkeypatch.setattr(cli, "_command_path", lambda rows, argv: None)
-        assert outcome(capsys, argv, out_path) == one_row
+        reused = outcome(capsys, argv, out_path)
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert outcome(capsys, argv, out_path) == reused
 
     def test_full_parser_errors_name_the_dest(self, capsys, tmp_path):
-        # Only the one-row parser lists the command names as a metavar.
+        # No metavar is set, so argparse names the dest in these errors.
         out_path = tmp_path / "out.txt"
         assert outcome(capsys, ["no-such-command"], out_path)[2].endswith(
             "\nnumsgps: error: argument command: invalid choice: 'no-such-command' (choose from "
@@ -647,10 +643,36 @@ class TestOneRowParser:
             "\nnumsgps oracle: error: the following arguments are required: oracle_command\n"
         )
 
-    def test_builds_one_leaf(self):
-        assert leaf_count(cli.build_parser(["info", "--sgp", "3,5,7"])) == 1
-        assert leaf_count(cli.build_parser(["--o", "x", "oracle", "frobenius-census"])) == 1
-        assert leaf_count(cli.build_parser(["--help"])) == leaf_count(cli.build_parser()) == 13
+
+class TestParserReuse:
+    """An option given in one call on the reused parser leaves nothing
+    behind for the next: without it, nothing goes to a file and the output
+    goes to stdout, as from a freshly built parser."""
+
+    @pytest.mark.parametrize(
+        "with_path, without",
+        [
+            (
+                ["fiber-tree", "--sgp", "3,4,5", "--d", "2", "--max-nodes", "3", "--dot", "{path}"],
+                ["fiber-tree", "--sgp", "3,4,5", "--d", "2", "--max-nodes", "3"],
+            ),
+            (
+                ["rank-sweep", "--count", "1", "--max-genus", "4", "--seed", "1", "--csv", "{path}"],
+                ["rank-sweep", "--count", "1", "--max-genus", "4", "--seed", "1"],
+            ),
+            (["--out", "{path}", "info", "--sgp", "3,4"], ["info", "--sgp", "3,4"]),
+        ],
+        ids=["dot", "csv", "out"],
+    )
+    def test_nothing_carries_over(self, capsys, monkeypatch, tmp_path, with_path, without):
+        path = tmp_path / "side.txt"
+        assert run(capsys, *(a.replace("{path}", str(path)) for a in with_path))[0] == 0
+        path.unlink()
+        code, out, err = run(capsys, *without)
+        assert not path.exists()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert (code, out, err) == run(capsys, *without)
+        assert out and code == 0
 
 
 class TestAsProgram:
@@ -686,11 +708,10 @@ class TestInternalInvariantExit:
         from numsgps import cli
         from numsgps.errors import InternalInvariantError
 
-        def boom(args):
+        def boom(spec):
             raise InternalInvariantError("simulated bug")
 
-        monkeypatch.setitem(cli.__dict__, "_cmd_info", boom)
-        # rebuild the parser so the patched handler is wired in
+        monkeypatch.setattr(cli, "parse_semigroup", boom)
         code = cli.main(["info", "--sgp", "2,3"])
         err = capsys.readouterr().err
         assert code == 4

@@ -12,6 +12,7 @@ from numsgps.errors import NotPairwiseCoprime, TooSmall, WholeN
 from numsgps.fibers import TruncationBounds
 from numsgps.multiples import quotient
 from numsgps.rank import (
+    ROOT_CAP,
     UniqueBettiSpec,
     _coin_decomposition,
     bounded_low_e_multiple_search,
@@ -19,6 +20,7 @@ from numsgps.rank import (
     j_subset_obstruction,
     rank_sweep,
     random_semigroup,
+    root_cap,
     unique_betti,
     unique_betti_apery,
 )
@@ -186,6 +188,10 @@ class TestBoundedLowESearch:
         assert (d, T) == (3, sgp(5, 7))
         assert quotient(T, d) == S
         assert T.embedding_dimension < S.embedding_dimension
+
+    def test_root_cap(self):
+        assert root_cap(TruncationBounds(max_frobenius=20)) == ROOT_CAP
+        assert root_cap(TruncationBounds(max_frobenius=20, max_nodes=7)) == 7
 
     def test_bounds_required(self):
         from numsgps.errors import BoundsMissing
