@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 
 from .core import (
     CLOSURE_CEILING,
@@ -123,9 +122,10 @@ def addable_gaps(ctx: MultipleContext, T: NumericalSemigroup) -> tuple[int, ...]
     )
 
 
-def _gap_masks(ctx: MultipleContext, maximal: bool):
-    """Gap masks of the d-multiples with Frobenius number N = d·F(S): all
-    of them, or only the maximal ones.
+def _search_space(ctx: MultipleContext):
+    """The start of the search over the d-multiples with Frobenius number
+    N = d·F(S): the mask of 0, d, …, N, the free positions p < N with
+    d ∤ p in ascending order, and the blocker mask W_p of each.
 
     A gap mask is the complement in [0, N] of a closed member mask M.  With
     B = d·gaps(S), a closed M admits the free position p iff no kp + u with
@@ -135,11 +135,6 @@ def _gap_masks(ctx: MultipleContext, maximal: bool):
     closure adds only sums above p, so a position it leaves out never comes
     back.  Each admitted p branches into include and exclude, and each set
     of decisions gives its own M, so no mask is met twice.
-
-    A leaf is maximal iff M blocks every position it excluded, that is M
-    meets its W_p.  Only free positions in W_p can come to block p, so when
-    ``maximal`` is set a branch is cut once it has decided the last of them
-    with p still unblocked.
     """
     d, N, B = ctx.d, ctx.scaled_frobenius, ctx.scaled_gap_mask
     steps = ((1 << d * (N // d + 1)) - 1) // ((1 << d) - 1)  # 0, d, …, N
@@ -150,6 +145,47 @@ def _gap_masks(ctx: MultipleContext, maximal: bool):
         for kp in range(p, N + 1, p):
             W |= B >> kp
         blockers.append(W)
+    return steps, positions, blockers
+
+
+def _count_passes(ctx: MultipleContext, space, cap: int) -> bool:
+    """Whether more than ``cap`` d-multiples have Frobenius number d·F(S).
+
+    They are the leaves of the search of :func:`_search_space` without a
+    cut.  Its first path ends in one leaf, and every admitted position opens
+    an exclude branch that ends in a leaf of its own, so the count is 1 +
+    the branches opened, and the walk stops once that passes ``cap``.  As
+    the ground multiple d·S ∪ {n > d·F(S)} always exists, cap 0 is always
+    passed.
+    """
+    steps, positions, blockers = space
+    N = ctx.scaled_frobenius
+    count = 1
+    stack = [(0, steps & ~ctx.scaled_gap_mask)]
+    while stack:
+        i, M = stack.pop()
+        for i in range(i, len(positions)):
+            p = positions[i]
+            if not (M >> p & 1 or M & blockers[i]):
+                if count >= cap:  # this branch's leaf passes the cap
+                    return True
+                count += 1
+                stack.append((i + 1, M))
+                M = _closure((p,), N, M)
+    return count > cap
+
+
+def _gap_masks(ctx: MultipleContext, space):
+    """Gap masks of the maximal d-multiples, by the search of
+    :func:`_search_space`.
+
+    A leaf is maximal iff M blocks every position it excluded, that is M
+    meets its W_p.  Only free positions in W_p can come to block p, so a
+    branch is cut once it has decided the last of them with p still
+    unblocked.
+    """
+    N, B = ctx.scaled_frobenius, ctx.scaled_gap_mask
+    steps, positions, blockers = space
     # The last free position in each W_p, or -1.
     last = [(W & ~steps).bit_length() - 1 for W in blockers]
     stack = [(0, steps & ~B, (), N)]  # (next index, M, unblocked exclusions, deadline)
@@ -160,14 +196,10 @@ def _gap_masks(ctx: MultipleContext, maximal: bool):
             if deadline < p:
                 break
             if not (M >> p & 1 or M & blockers[i]):
-                grown = _closure((p,), N, M)
-                if maximal:
-                    stack.append((i + 1, M, (*excluded, i), min(deadline, last[i])))
-                    excluded = tuple(j for j in excluded if not grown & blockers[j])
-                    deadline = min((last[j] for j in excluded), default=N)
-                else:
-                    stack.append((i + 1, M, excluded, deadline))
-                M = grown
+                stack.append((i + 1, M, (*excluded, i), min(deadline, last[i])))
+                M = _closure((p,), N, M)
+                excluded = tuple(j for j in excluded if not M & blockers[j])
+                deadline = min((last[j] for j in excluded), default=N)
         if deadline == N:
             yield (2 << N) - 1 & ~M
 
@@ -176,16 +208,17 @@ def max_multiples(ctx: MultipleContext, node_cap: int | None = None) -> MaxMulti
     """The complete set of inclusion-maximal d-multiples of S.
 
     A depth-first search over the free positions p < d·F(S), d ∤ p, in
-    ascending order, on closed member masks (see :func:`_gap_masks`).  It
-    cuts a branch once a position it excluded can no longer be blocked, and
-    builds a semigroup only for the leaves it keeps.  The maximals are
+    ascending order, on closed member masks (see :func:`_search_space`).
+    It cuts a branch once a position it excluded can no longer be blocked,
+    and builds a semigroup only for the leaves it keeps.  The maximals are
     sorted by (genus, gap tuple).
 
     There can be very many d-multiples with Frobenius number d·F(S);
     callers that only need a best-effort answer may pass ``node_cap`` and
     catch :class:`CeilingExceeded`, raised when more than ``node_cap`` of
-    them exist.  They are counted by the same search without the cut and
-    never built.  A negative ``node_cap`` is refused with
+    them exist.  They are counted, and never built, by the same search
+    without the cut, which stops once it passes the cap (see
+    :func:`_count_passes`).  A negative ``node_cap`` is refused with
     :class:`InvalidInput`.
     """
     if node_cap is not None and node_cap < 0:
@@ -195,13 +228,12 @@ def max_multiples(ctx: MultipleContext, node_cap: int | None = None) -> MaxMulti
         raise WholeN("maximal multiples are undefined for the whole of ℕ")
     if ctx.d == 1:
         return MaxMultiplesResult(ctx, (S,))
-    if node_cap is not None:
-        count = sum(1 for _ in islice(_gap_masks(ctx, False), node_cap + 1))
-        if count > node_cap:
-            raise CeilingExceeded(
-                f"more than {node_cap} multiples with Frobenius {ctx.scaled_frobenius}"
-            )
-    maximals = [_from_gap_tuple(_bits(G)) for G in _gap_masks(ctx, True)]
+    space = _search_space(ctx)
+    if node_cap is not None and _count_passes(ctx, space, node_cap):
+        raise CeilingExceeded(
+            f"more than {node_cap} multiples with Frobenius {ctx.scaled_frobenius}"
+        )
+    maximals = [_from_gap_tuple(_bits(G)) for G in _gap_masks(ctx, space)]
     maximals.sort(key=lambda t: (t.genus, t.gaps))
     return MaxMultiplesResult(ctx, tuple(maximals))
 

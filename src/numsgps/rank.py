@@ -6,6 +6,9 @@ The quotient rank of S is min e(T) over all multiples T of S; it is full
 when it equals e(S).  If the sum of all minimal generators but a_i lies in
 Ap(S, a_i) for every i, the rank is full; the converse is open, so a false
 verdict proves nothing and the bounded search below never claims one.
+Its None proves nothing beyond its bounds, except for two-generated S:
+the only semigroup with e = 1 is ℕ, and ℕ/d = ℕ, so for e(S) = 2 None is
+exact, no d is searched and ``search-low-e`` writes no stderr note.
 """
 
 from __future__ import annotations
@@ -193,12 +196,16 @@ def bounded_low_e_multiple_search(
     """First multiple T of S within bounds with e(T) < e(S), scanning d ascending.
 
     A hit certifies quotient rank < e(S); None proves nothing beyond the
-    bounds.  Within one d the hit of least (genus, gap tuple) is returned,
-    so the outcome is deterministic.  Root discovery (the maximal
-    d-multiples) is refused when more than :func:`root_cap` multiples have
-    Frobenius number d·F(S); such a d is skipped and appended to
-    ``skipped`` when a list is given.  ``search-low-e`` passes one and names the skipped d and the
-    cap in a note on stderr, so that its ``none`` is not read as complete.
+    bounds, except when e(S) = 2.  Then None is exact: a multiple with
+    e = 1 would be ℕ, and ℕ/d = ℕ ≠ S, so no d is searched, nothing is
+    appended to ``skipped`` and ``search-low-e`` writes no note.  Otherwise d runs from 2, as the only
+    1-multiple is S itself.  Within one d the hit of least (genus, gap
+    tuple) is returned, so the outcome is deterministic.  Root discovery
+    (the maximal d-multiples) is refused when more than :func:`root_cap`
+    multiples have Frobenius number d·F(S); such a d is skipped and
+    appended to ``skipped`` when a list is given.  ``search-low-e`` passes
+    one and names the skipped d and the cap in a note on stderr, so that
+    its ``none`` is not read as complete.
     """
     if S.is_whole_n:
         raise WholeN("quotient rank analysis is undefined for the whole of ℕ")
@@ -206,8 +213,10 @@ def bounded_low_e_multiple_search(
         raise InvalidInput(f"--dmax must be a non-negative integer, got {d_max}")
     bounds.require_finite("the low-e search")
     e = S.embedding_dimension
+    if e <= 2:
+        return None
     cap = root_cap(bounds)
-    for d in range(1, d_max + 1):
+    for d in range(2, d_max + 1):
         ctx = MultipleContext(S, d)
         try:
             roots = max_multiples(ctx, node_cap=cap).maximals
@@ -262,8 +271,10 @@ def rank_sweep(count: int, max_genus: int, seed: int, d_max: int = 3) -> list[di
     Each row records, for one random semigroup, the condition verdict, the
     subset obstruction, and the bounded low-embedding-dimension hunt (over
     d ≤ d_max, fibers truncated at F ≤ d_max·F(S) + 6 and 2000 nodes, and
-    root discovery capped at 2000 multiples).  No verdict on the open
-    converse is derived, only evidence.
+    root discovery capped at 2000 multiples).  The hunt's empty cells are
+    exact for e(S) = 2, where no d is searched, and prove nothing beyond
+    the bounds otherwise.  No verdict on the open converse is derived,
+    only evidence.
     """
     if count < 0:
         raise InvalidInput(f"--count must be a non-negative integer, got {count}")

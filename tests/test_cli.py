@@ -477,6 +477,10 @@ class TestExitCodes:
             "note: d=2,3 not searched: root discovery passed 10 multiples (--max-nodes)\n",
         )
         assert run(capsys, *argv, "--dmax", "2") == (0, "none\n", "")
+        # For e(S) = 2 the none is exact and no d is searched, so none is
+        # skipped at the cap.
+        argv = ("search-low-e", "--sgp", "3,5", "--dmax", "3", "--max-frobenius", "24")
+        assert run(capsys, *argv, "--max-nodes", "2") == (0, "none\n", "")
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

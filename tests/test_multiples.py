@@ -132,7 +132,8 @@ class TestMaxMultiples:
 
     def test_node_cap_is_the_multiple_count(self, small_semigroups):
         """node_cap = N passes and N − 1 raises, where N counts the
-        d-multiples with Frobenius d·F(S) that the oracle enumerates."""
+        d-multiples with Frobenius d·F(S) that the oracle enumerates; 0
+        always raises, as the ground multiple d·S ∪ {n > d·F(S)} is one."""
         for S in small_semigroups:
             if S.frobenius > 7:
                 continue
@@ -144,6 +145,8 @@ class TestMaxMultiples:
                 assert max_multiples(ctx, node_cap=n) == max_multiples(ctx)
                 with pytest.raises(CeilingExceeded, match=f"more than {n - 1} multiples"):
                     max_multiples(ctx, node_cap=n - 1)
+                with pytest.raises(CeilingExceeded, match="more than 0 multiples"):
+                    max_multiples(ctx, node_cap=0)
 
     def test_matches_reference_search(self, genus_tree_12):
         """Gap masks and msg equal the reference search's, which visits every

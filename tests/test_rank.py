@@ -2,6 +2,7 @@
 subset-sum obstruction, the bounded low-e hunt, and the seeded sweep."""
 
 import random
+import time
 from itertools import combinations
 from math import prod
 
@@ -10,7 +11,8 @@ import pytest
 from numsgps.core import apery, from_generators
 from numsgps.errors import NotPairwiseCoprime, TooSmall, WholeN
 from numsgps.fibers import TruncationBounds
-from numsgps.multiples import quotient
+from numsgps.multiples import MultipleContext, quotient
+from numsgps.oracle import EnumerationBudget, all_multiples_bounded
 from numsgps.rank import (
     ROOT_CAP,
     UniqueBettiSpec,
@@ -188,6 +190,48 @@ class TestBoundedLowESearch:
         assert (d, T) == (3, sgp(5, 7))
         assert quotient(T, d) == S
         assert T.embedding_dimension < S.embedding_dimension
+
+    def test_matches_oracle(self, small_semigroups):
+        """On every S with F(S) ≤ 9, with d_max 3 and F ≤ 3·F(S) + k for
+        k ∈ {0, 3}, the search gives the oracle's answer: the first d with a
+        multiple of smaller e and that d's least (genus, gaps) one, or None.
+        No d is skipped, so each None is complete within the bounds."""
+        cases = hits = two_generated = 0
+        for S in small_semigroups:
+            if S.frobenius > 9:
+                continue
+            for k in (0, 3):
+                f = 3 * S.frobenius + k
+                expected = None
+                for d in range(1, 4):
+                    low = [
+                        T
+                        for T in all_multiples_bounded(
+                            MultipleContext(S, d), EnumerationBudget(f, f, 10**6)
+                        )
+                        if T.embedding_dimension < S.embedding_dimension
+                    ]
+                    if low:
+                        expected = d, min(low, key=lambda t: (t.genus, t.gaps))
+                        break
+                skipped = []
+                bounds = TruncationBounds(max_frobenius=f)
+                assert bounded_low_e_multiple_search(S, 3, bounds, skipped) == expected, (S, k)
+                assert skipped == []
+                cases += 1
+                hits += expected is not None
+                two_generated += S.embedding_dimension == 2
+        assert (cases, hits, two_generated) == (114, 65, 14)
+
+    def test_two_generated_searches_nothing(self):
+        """For e(S) = 2 None is exact (e = 1 only for ℕ, and ℕ/d = ℕ), so
+        no d is searched: none is skipped at the cap, however large d_max."""
+        skipped = []
+        bounds = TruncationBounds(max_frobenius=24, max_nodes=2)
+        start = time.perf_counter()
+        assert bounded_low_e_multiple_search(sgp(3, 5), 10**6, bounds, skipped) is None
+        assert skipped == []
+        assert time.perf_counter() - start < 5
 
     def test_root_cap(self):
         assert root_cap(TruncationBounds(max_frobenius=20)) == ROOT_CAP
