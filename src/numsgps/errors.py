@@ -89,6 +89,11 @@ class CeilingExceeded(LimitExceeded):
     pass
 
 
+class NodeCapExceeded(CeilingExceeded):
+    """More multiples than a caller's ``node_cap`` exist; the only ceiling
+    the low-e search forgives, as it skips that d."""
+
+
 class Overflow(LimitExceeded):
     """A computed value left the supported 64-bit integer range."""
 

@@ -9,6 +9,7 @@ enumeration always demands an explicit truncation bound.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from operator import or_
@@ -156,31 +157,30 @@ def _child_pairs(ctx, T, x_max=None):
     # nothing is built here.  (The name stays: perfbench/tracer.py wraps
     # this function by it.)  Each candidate T' = T ∖ {x} is again a
     # d-multiple, since x ∉ d·S, and F(T') = max(F, x) with F = F(T).
-    # When F(T') ≠ d·F(S), θ(T') = F(T'), so T' is kept iff x > F.  When
-    # x < F = d·F(S), x itself is addable in T' (T' ∪ {x} = T), so
-    # θ(T') = x iff no z in (x, F] is addable in T': z ∈ PF(T'), 2z ∈ T'
-    # and z ∉ d·gaps(S).  The members a (a ∈ msg(T), a ≠ x), x + a and 3x
+    # When F(T') ≠ d·F(S), θ(T') = F(T'), so T' is kept iff x > F.  If
+    # F ≠ d·F(S), that holds for every x, and as then F > d·F(S), an x > F
+    # lies in d·S iff d | x: the kept x are one slice of msg less its
+    # multiples of d.  When x < F = d·F(S), x itself is addable in T'
+    # (T' ∪ {x} = T), so θ(T') = x iff no z in (x, F] is addable in T':
+    # z ∈ PF(T'), 2z ∈ T' and z ∉ d·gaps(S).  The members a (a ∈ msg(T), a ≠ x), x + a and 3x
     # generate T' (see core._removed), so z > x is in PF(T') iff it is a
     # gap with no z + c a gap for those c; above bit x the gap mask of T' is
     # G, so the shifts are shifts of G.  No verdict is cached: one child is
     # probed from several parents, with different x.  F(T') > x_max (a
-    # Frobenius bound) would only be dropped, so the ascending loop stops at
-    # the first x > x_max.
+    # Frobenius bound) would only be dropped, so only the x ≤ x_max are
+    # probed.
     d, scaled, G, msg, F = ctx.d, ctx.scaled_gap_mask, T.gap_mask, T.msg, T.frobenius
-    fast = F != ctx.scaled_frobenius
-    if not fast:
-        shifted = [G >> a for a in msg]
-        before = [0, *accumulate(shifted, or_)]  # before[i]: a < msg[i]
-        after = [*accumulate(reversed(shifted), or_)][::-1] + [0]  # a ≥ msg[i]
+    end = len(msg) if x_max is None else bisect_right(msg, x_max)
+    if F != ctx.scaled_frobenius:
+        return [x for x in msg[bisect_right(msg, F):end] if x % d]
+    shifted = [G >> a for a in msg]
+    before = [0, *accumulate(shifted, or_)]  # before[i]: a < msg[i]
+    after = [*accumulate(reversed(shifted), or_)][::-1] + [0]  # a ≥ msg[i]
     out = []
-    for i, x in enumerate(msg):
-        if x_max is not None and x > x_max:
-            break
+    for i, x in enumerate(msg[:end]):
         if x % d == 0 and not scaled >> x & 1:  # x ∈ d·S
             continue
         if x < F:
-            if fast:
-                continue
             # Shifts by c = a ≠ x, then x + a, then 3x.
             covered = before[i] | after[i + 1] | after[0] >> x | G >> 3 * x
             pf = G & ~(covered | scaled | (2 << x) - 1)  # PF(T') above x, off d·gaps(S)

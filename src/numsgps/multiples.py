@@ -29,7 +29,13 @@ from .core import (
     is_irreducible,
     pseudo_frobenius,
 )
-from .errors import CeilingExceeded, InternalInvariantError, InvalidInput, WholeN
+from .errors import (
+    CeilingExceeded,
+    InternalInvariantError,
+    InvalidInput,
+    NodeCapExceeded,
+    WholeN,
+)
 
 
 @dataclass(frozen=True)
@@ -215,10 +221,12 @@ def max_multiples(ctx: MultipleContext, node_cap: int | None = None) -> MaxMulti
 
     There can be very many d-multiples with Frobenius number d·F(S);
     callers that only need a best-effort answer may pass ``node_cap`` and
-    catch :class:`CeilingExceeded`, raised when more than ``node_cap`` of
+    catch :class:`NodeCapExceeded`, raised when more than ``node_cap`` of
     them exist.  They are counted, and never built, by the same search
     without the cut, which stops once it passes the cap (see
-    :func:`_count_passes`).  A negative ``node_cap`` is refused with
+    :func:`_count_passes`).  NodeCapExceeded is a :class:`CeilingExceeded`
+    kept apart from the closure ceiling on d·F(S), which is raised
+    whatever the cap.  A negative ``node_cap`` is refused with
     :class:`InvalidInput`.
     """
     if node_cap is not None and node_cap < 0:
@@ -230,7 +238,7 @@ def max_multiples(ctx: MultipleContext, node_cap: int | None = None) -> MaxMulti
         return MaxMultiplesResult(ctx, (S,))
     space = _search_space(ctx)
     if node_cap is not None and _count_passes(ctx, space, node_cap):
-        raise CeilingExceeded(
+        raise NodeCapExceeded(
             f"more than {node_cap} multiples with Frobenius {ctx.scaled_frobenius}"
         )
     maximals = [_from_gap_tuple(_bits(G)) for G in _gap_masks(ctx, space)]

@@ -8,7 +8,10 @@ Ap(S, a_i) for every i, the rank is full; the converse is open, so a false
 verdict proves nothing and the bounded search below never claims one.
 Its None proves nothing beyond its bounds, except for two-generated S:
 the only semigroup with e = 1 is ℕ, and ℕ/d = ℕ, so for e(S) = 2 None is
-exact, no d is searched and ``search-low-e`` writes no stderr note.
+exact, no d is searched and ``search-low-e`` writes no stderr note.  For
+e(S) = 3 a hit is two-generated, and the two-generated d-multiples are few
+and known in closed form (F(⟨a,b⟩) = ab − a − b, Sylvester), so the hunt
+walks only the fibers that can hold one.
 """
 
 from __future__ import annotations
@@ -21,14 +24,14 @@ from math import gcd, prod
 
 from .core import NumericalSemigroup, _closure, from_generators
 from .errors import (
-    CeilingExceeded,
     InternalInvariantError,
     InvalidInput,
+    NodeCapExceeded,
     NotPairwiseCoprime,
     TooSmall,
     WholeN,
 )
-from .fibers import TruncationBounds, enumerate_fiber
+from .fibers import TruncationBounds, enumerate_fiber, saturate
 from .multiples import MultipleContext, max_multiples
 
 # The low-e search's cap on root discovery when no --max-nodes is given.
@@ -181,6 +184,39 @@ def _coin_decomposition(gens: list[int], target: int) -> list[int] | None:
     return coeffs
 
 
+def _two_generated_multiples(
+    ctx: MultipleContext, f_max: int | None = None
+) -> list[NumericalSemigroup]:
+    """Every two-generated d-multiple T = ⟨a,b⟩ of S with F(T) ≤ f_max
+    (all of them when f_max is None), ascending by (a, b); S ≠ ℕ.
+
+    There are finitely many.  d·m(S) ∈ T, so a ≤ d·m(S).  a ∤ d, as
+    otherwise T/d = ℕ, so a ∤ d·s for some generator s of S, and
+    d·s ∈ ⟨a,b⟩ then forces b ≤ d·max msg(S).  F(T) = ab − a − b
+    (Sylvester) is at least d·F(S), the largest scaled gap.  A pair that
+    passes these bounds is tested on integers alone: n ∈ ⟨a,b⟩ iff
+    n ≥ b·(n·b⁻¹ mod a), and T/d = S iff T holds d·msg(S) and misses
+    d·gaps(S).  Only the pairs that pass are built.
+    """
+    S, d, N = ctx.semigroup, ctx.d, ctx.scaled_frobenius
+    members = [d * s for s in S.msg]
+    b_max = members[-1]
+    out = []
+    for a in range(2, d * S.multiplicity + 1):
+        # (a − 1)(b − 1) − 1 within [N, f_max]
+        b_lo = max(a + 1, -(-(N + 1) // (a - 1)) + 1)
+        b_hi = b_max if f_max is None else min(b_max, (f_max + 1) // (a - 1) + 1)
+        for b in range(b_lo, b_hi + 1):
+            if gcd(a, b) != 1:
+                continue
+            inv = pow(b, -1, a)
+            if all(n >= b * (n * inv % a) for n in members) and not any(
+                n >= b * (n * inv % a) for n in ctx.scaled_gaps
+            ):
+                out.append(from_generators((a, b)))
+    return out
+
+
 def root_cap(bounds: TruncationBounds) -> int:
     """The cap on root discovery in the low-e search: ``bounds.max_nodes``,
     or :data:`ROOT_CAP` when max_nodes is unset."""
@@ -198,14 +234,25 @@ def bounded_low_e_multiple_search(
     A hit certifies quotient rank < e(S); None proves nothing beyond the
     bounds, except when e(S) = 2.  Then None is exact: a multiple with
     e = 1 would be ℕ, and ℕ/d = ℕ ≠ S, so no d is searched, nothing is
-    appended to ``skipped`` and ``search-low-e`` writes no note.  Otherwise d runs from 2, as the only
-    1-multiple is S itself.  Within one d the hit of least (genus, gap
-    tuple) is returned, so the outcome is deterministic.  Root discovery
-    (the maximal d-multiples) is refused when more than :func:`root_cap`
-    multiples have Frobenius number d·F(S); such a d is skipped and
-    appended to ``skipped`` when a list is given.  ``search-low-e`` passes
-    one and names the skipped d and the cap in a note on stderr, so that
-    its ``none`` is not read as complete.
+    appended to ``skipped`` and ``search-low-e`` writes no note.
+    Otherwise d runs from 2, as the only 1-multiple is S itself.  Within
+    one d the hit of least (genus, gap tuple) is returned, so the outcome
+    is deterministic.  Root discovery (the maximal d-multiples) is refused
+    when more than :func:`root_cap` multiples have Frobenius number
+    d·F(S); such a d is skipped and appended to ``skipped`` when a list is
+    given.  ``search-low-e`` passes one and names the skipped d and the cap
+    in a note on stderr, so that its ``none`` is not read as complete.  A
+    d·F(S) past the closure ceiling is not skipped: its
+    :class:`CeilingExceeded` propagates, as in ``max-multiples``.
+
+    The fiber of each discovered root is walked within the bounds, except
+    for e(S) = 3, where a hit is two-generated.  A hit below a root has
+    F ≤ max_frobenius, and it lies in the fiber of its own saturation,
+    since the fibers partition the d-multiples.  So only the roots with
+    e < 3 and the saturations of the two-generated d-multiples with
+    F ≤ max_frobenius (finitely many, see :func:`_two_generated_multiples`)
+    are walked: every fiber that holds a hit, so the answer is that of
+    walking every root.
     """
     if S.is_whole_n:
         raise WholeN("quotient rank analysis is undefined for the whole of ℕ")
@@ -220,12 +267,22 @@ def bounded_low_e_multiple_search(
         ctx = MultipleContext(S, d)
         try:
             roots = max_multiples(ctx, node_cap=cap).maximals
-        except CeilingExceeded:
+        except NodeCapExceeded:
             # Root discovery blew the budget; this d stays unexplored,
             # which the no-proof contract of a None result already covers.
             if skipped is not None:
                 skipped.append(d)
             continue
+        if e == 3:
+            # A hit is two-generated: a root, or a node in the fiber of its
+            # own saturation.
+            roots = dict.fromkeys(
+                [R for R in roots if R.embedding_dimension < e]
+                + [
+                    saturate(ctx, T)
+                    for T in _two_generated_multiples(ctx, bounds.max_frobenius)
+                ]
+            )
         hits = []
         for root in roots:
             tree = enumerate_fiber(ctx, root, bounds)
@@ -271,9 +328,10 @@ def rank_sweep(count: int, max_genus: int, seed: int, d_max: int = 3) -> list[di
     Each row records, for one random semigroup, the condition verdict, the
     subset obstruction, and the bounded low-embedding-dimension hunt (over
     d ≤ d_max, fibers truncated at F ≤ d_max·F(S) + 6 and 2000 nodes, and
-    root discovery capped at 2000 multiples).  The hunt's empty cells are
-    exact for e(S) = 2, where no d is searched, and prove nothing beyond
-    the bounds otherwise.  No verdict on the open converse is derived,
+    root discovery capped at 2000 multiples; for e(S) = 3 only the fibers
+    that can hold a two-generated multiple are walked).  The hunt's empty
+    cells are exact for e(S) = 2, where no d is searched, and prove nothing
+    beyond the bounds otherwise.  No verdict on the open converse is derived,
     only evidence.
     """
     if count < 0:

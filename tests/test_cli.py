@@ -482,6 +482,17 @@ class TestExitCodes:
         argv = ("search-low-e", "--sgp", "3,5", "--dmax", "3", "--max-frobenius", "24")
         assert run(capsys, *argv, "--max-nodes", "2") == (0, "none\n", "")
 
+    def test_low_e_search_refuses_the_closure_ceiling(self, capsys):
+        """d·F(S) past the closure ceiling is refused with exit 3, as in
+        max-multiples, not skipped as if root discovery passed its cap."""
+        code, out, err = run(
+            capsys, "search-low-e", "--sgp", "1100,1101,1102", "--dmax", "3",
+            "--max-frobenius", "10",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "1048576" in err
+
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])

@@ -17,6 +17,7 @@ from numsgps.rank import (
     ROOT_CAP,
     UniqueBettiSpec,
     _coin_decomposition,
+    _two_generated_multiples,
     bounded_low_e_multiple_search,
     full_rank_condition,
     j_subset_obstruction,
@@ -27,7 +28,7 @@ from numsgps.rank import (
     unique_betti_apery,
 )
 
-from conftest import coin_dp, sgp
+from conftest import coin_dp, reference_low_e_search, sgp
 
 
 def coprime_specs(product_cap: int):
@@ -222,6 +223,69 @@ class TestBoundedLowESearch:
                 hits += expected is not None
                 two_generated += S.embedding_dimension == 2
         assert (cases, hits, two_generated) == (114, 65, 14)
+
+    @pytest.mark.parametrize(
+        "make_bounds, expected",
+        [
+            (
+                lambda S: TruncationBounds(max_frobenius=4 * S.frobenius + 3, max_nodes=2000),
+                (8, 19),
+            ),
+            (lambda S: TruncationBounds(max_genus=2 * S.frobenius + 3), (10, 16)),
+            (lambda S: TruncationBounds(max_depth=3), (10, 16)),
+            (lambda S: TruncationBounds(max_nodes=300), (8, 21)),
+        ],
+        ids=["max_frobenius+max_nodes", "max_genus", "max_depth", "max_nodes"],
+    )
+    def test_three_generated_matches_walking_every_root(
+        self, census_by_frobenius, make_bounds, expected
+    ):
+        """For e(S) = 3 the search walks only the fibers that can hold a
+        two-generated multiple; on every such S with F(S) ≤ 13 and d ≤ 4 it
+        gives the answer and the skipped d of walking every root.  The pinned
+        (hits, S with a skipped d) keep both outcomes covered."""
+        hits = skips = 0
+        for f in range(1, 14):
+            for S in census_by_frobenius(f):
+                if S.embedding_dimension != 3:
+                    continue
+                bounds = make_bounds(S)
+                skipped, expected_skipped = [], []
+                got = bounded_low_e_multiple_search(S, 4, bounds, skipped)
+                assert got == reference_low_e_search(S, 4, bounds, expected_skipped), S
+                assert skipped == expected_skipped, S
+                hits += got is not None
+                skips += bool(skipped)
+        assert (hits, skips) == expected
+
+    def test_two_generated_multiples_match_oracle(self, small_semigroups):
+        """On every S with F(S) ≤ 9 and d ≤ 3, the enumeration gives the
+        oracle's two-generated d-multiples with F ≤ 3·F(S) + 3, whether it is
+        bounded there or unbounded and filtered; every one it gives unbounded
+        is a d-multiple."""
+        cases = found = unbounded_found = 0
+        for S in small_semigroups:
+            if S.frobenius > 9:
+                continue
+            f = 3 * S.frobenius + 3
+            for d in range(1, 4):
+                ctx = MultipleContext(S, d)
+                expected = sorted(
+                    (
+                        T
+                        for T in all_multiples_bounded(ctx, EnumerationBudget(f, f, 10**6))
+                        if T.embedding_dimension == 2
+                    ),
+                    key=lambda t: t.msg,
+                )
+                assert _two_generated_multiples(ctx, f) == expected, (S, d)
+                unbounded = _two_generated_multiples(ctx)
+                assert [T for T in unbounded if T.frobenius <= f] == expected, (S, d)
+                assert all(quotient(T, d) == S for T in unbounded)
+                cases += 1
+                found += len(expected)
+                unbounded_found += len(unbounded)
+        assert (cases, found, unbounded_found) == (171, 30, 45)
 
     def test_two_generated_searches_nothing(self):
         """For e(S) = 2 None is exact (e = 1 only for ℕ, and ℕ/d = ℕ), so
