@@ -11,7 +11,8 @@ the only semigroup with e = 1 is ℕ, and ℕ/d = ℕ, so for e(S) = 2 None is
 exact, no d is searched and ``search-low-e`` writes no stderr note.  For
 e(S) = 3 a hit is two-generated, and the two-generated d-multiples are few
 and known in closed form (F(⟨a,b⟩) = ab − a − b, Sylvester), so the hunt
-walks only the fibers that can hold one.
+takes the fibers that can hold one from them, runs no root discovery and
+skips no d; only for e(S) ≥ 4 can a d be skipped at the root cap.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, product
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from .core import NumericalSemigroup, _closure, from_generators
 from .errors import (
@@ -184,28 +185,28 @@ def _coin_decomposition(gens: list[int], target: int) -> list[int] | None:
     return coeffs
 
 
-def _two_generated_multiples(
-    ctx: MultipleContext, f_max: int | None = None
-) -> list[NumericalSemigroup]:
-    """Every two-generated d-multiple T = ⟨a,b⟩ of S with F(T) ≤ f_max
-    (all of them when f_max is None), ascending by (a, b); S ≠ ℕ.
+def _two_generated_multiples(ctx: MultipleContext, f_max: int) -> list[NumericalSemigroup]:
+    """Every two-generated d-multiple T = ⟨a,b⟩ of S with F(T) ≤ f_max,
+    ascending by (a, b); S ≠ ℕ.  A d·F(S) past the closure ceiling is
+    refused with :class:`CeilingExceeded` before any pair is tried.
 
-    There are finitely many.  d·m(S) ∈ T, so a ≤ d·m(S).  a ∤ d, as
-    otherwise T/d = ℕ, so a ∤ d·s for some generator s of S, and
-    d·s ∈ ⟨a,b⟩ then forces b ≤ d·max msg(S).  F(T) = ab − a − b
-    (Sylvester) is at least d·F(S), the largest scaled gap.  A pair that
-    passes these bounds is tested on integers alone: n ∈ ⟨a,b⟩ iff
+    F(T) + 1 = (a − 1)(b − 1) (Sylvester) is at least d·F(S) + 1, as
+    d·F(S) is a gap, and (a − 1)² ≤ F(T), as b > a.  a ≤ d·m(S), as
+    d·m(S) ∈ T.  a ∤ d, as otherwise T/d = ℕ, so a ∤ d·s for some
+    generator s of S, and d·s ∈ ⟨a,b⟩ then forces b ≤ d·max msg(S).  A
+    pair within these bounds is tested on integers alone: n ∈ ⟨a,b⟩ iff
     n ≥ b·(n·b⁻¹ mod a), and T/d = S iff T holds d·msg(S) and misses
     d·gaps(S).  Only the pairs that pass are built.
     """
     S, d, N = ctx.semigroup, ctx.d, ctx.scaled_frobenius
+    ctx.scaled_gap_mask  # refuses d·F(S) past the closure ceiling
     members = [d * s for s in S.msg]
     b_max = members[-1]
     out = []
-    for a in range(2, d * S.multiplicity + 1):
+    for a in range(2, min(d * S.multiplicity, isqrt(f_max) + 1) + 1):
         # (a − 1)(b − 1) − 1 within [N, f_max]
         b_lo = max(a + 1, -(-(N + 1) // (a - 1)) + 1)
-        b_hi = b_max if f_max is None else min(b_max, (f_max + 1) // (a - 1) + 1)
+        b_hi = min(b_max, (f_max + 1) // (a - 1) + 1)
         for b in range(b_lo, b_hi + 1):
             if gcd(a, b) != 1:
                 continue
@@ -218,8 +219,8 @@ def _two_generated_multiples(
 
 
 def root_cap(bounds: TruncationBounds) -> int:
-    """The cap on root discovery in the low-e search: ``bounds.max_nodes``,
-    or :data:`ROOT_CAP` when max_nodes is unset."""
+    """The cap on root discovery in the low-e search for e(S) ≥ 4:
+    ``bounds.max_nodes``, or :data:`ROOT_CAP` when max_nodes is unset."""
     return bounds.max_nodes if bounds.max_nodes is not None else ROOT_CAP
 
 
@@ -237,22 +238,24 @@ def bounded_low_e_multiple_search(
     appended to ``skipped`` and ``search-low-e`` writes no note.
     Otherwise d runs from 2, as the only 1-multiple is S itself.  Within
     one d the hit of least (genus, gap tuple) is returned, so the outcome
-    is deterministic.  Root discovery (the maximal d-multiples) is refused
-    when more than :func:`root_cap` multiples have Frobenius number
-    d·F(S); such a d is skipped and appended to ``skipped`` when a list is
-    given.  ``search-low-e`` passes one and names the skipped d and the cap
-    in a note on stderr, so that its ``none`` is not read as complete.  A
-    d·F(S) past the closure ceiling is not skipped: its
-    :class:`CeilingExceeded` propagates, as in ``max-multiples``.
+    is deterministic.  A d·F(S) past the closure ceiling propagates its
+    :class:`CeilingExceeded`, as in ``max-multiples``.
 
-    The fiber of each discovered root is walked within the bounds, except
-    for e(S) = 3, where a hit is two-generated.  A hit below a root has
-    F ≤ max_frobenius, and it lies in the fiber of its own saturation,
-    since the fibers partition the d-multiples.  So only the roots with
-    e < 3 and the saturations of the two-generated d-multiples with
-    F ≤ max_frobenius (finitely many, see :func:`_two_generated_multiples`)
-    are walked: every fiber that holds a hit, so the answer is that of
-    walking every root.
+    For e(S) ≥ 4 the fiber of each root found by root discovery (the
+    maximal d-multiples) is walked within the bounds.  Root discovery is
+    refused when more than :func:`root_cap` multiples have Frobenius number
+    N = d·F(S); such a d is skipped and appended to ``skipped`` when a list
+    is given.  ``search-low-e`` passes one and names the skipped d and the
+    cap in a note on stderr, so that its ``none`` is not read as complete.
+
+    For e(S) = 3 a hit is two-generated, so F = 2g − 1, and it lies in the
+    fiber of its own saturation.  A root has F = N and genus ≤ N, a node
+    at depth k genus ≤ N + k, and the first M preorder nodes have depth
+    < M, so a hit has F ≤ f = max(N, the least of ``max_frobenius``,
+    2·``max_genus`` − 1, 2·(N + ``max_depth``) − 1, 2·(N + ``max_nodes``) − 1
+    that are set).  So walking the saturations of the two-generated
+    d-multiples with F ≤ f (:func:`_two_generated_multiples`) gives the
+    answer of walking every root, with no root discovery and no d skipped.
     """
     if S.is_whole_n:
         raise WholeN("quotient rank analysis is undefined for the whole of ℕ")
@@ -262,36 +265,33 @@ def bounded_low_e_multiple_search(
     e = S.embedding_dimension
     if e <= 2:
         return None
-    cap = root_cap(bounds)
     for d in range(2, d_max + 1):
         ctx = MultipleContext(S, d)
-        try:
-            roots = max_multiples(ctx, node_cap=cap).maximals
-        except NodeCapExceeded:
-            # Root discovery blew the budget; this d stays unexplored,
-            # which the no-proof contract of a None result already covers.
-            if skipped is not None:
-                skipped.append(d)
-            continue
         if e == 3:
-            # A hit is two-generated: a root, or a node in the fiber of its
-            # own saturation.
-            roots = dict.fromkeys(
-                [R for R in roots if R.embedding_dimension < e]
-                + [
-                    saturate(ctx, T)
-                    for T in _two_generated_multiples(ctx, bounds.max_frobenius)
-                ]
-            )
-        hits = []
-        for root in roots:
-            tree = enumerate_fiber(ctx, root, bounds)
-            hits.extend(
-                t for t in tree.semigroups() if t.embedding_dimension < e
-            )
+            N = ctx.scaled_frobenius
+            genus_caps = ((0, bounds.max_genus), (N, bounds.max_depth), (N, bounds.max_nodes))
+            reach = [2 * (base + k) - 1 for base, k in genus_caps if k is not None]
+            if bounds.max_frobenius is not None:
+                reach.append(bounds.max_frobenius)
+            two_generated = _two_generated_multiples(ctx, max(N, min(reach)))
+            roots = dict.fromkeys(saturate(ctx, T) for T in two_generated)
+        else:
+            try:
+                roots = max_multiples(ctx, node_cap=root_cap(bounds)).maximals
+            except NodeCapExceeded:
+                # Root discovery blew the budget; this d stays unexplored,
+                # which the no-proof contract of a None result already covers.
+                if skipped is not None:
+                    skipped.append(d)
+                continue
+        hits = [
+            t
+            for root in roots
+            for t in enumerate_fiber(ctx, root, bounds).semigroups()
+            if t.embedding_dimension < e
+        ]
         if hits:
-            best = min(hits, key=lambda t: (t.genus, t.gaps))
-            return d, best
+            return d, min(hits, key=lambda t: (t.genus, t.gaps))
     return None
 
 
@@ -327,12 +327,12 @@ def rank_sweep(count: int, max_genus: int, seed: int, d_max: int = 3) -> list[di
 
     Each row records, for one random semigroup, the condition verdict, the
     subset obstruction, and the bounded low-embedding-dimension hunt (over
-    d ≤ d_max, fibers truncated at F ≤ d_max·F(S) + 6 and 2000 nodes, and
-    root discovery capped at 2000 multiples; for e(S) = 3 only the fibers
-    that can hold a two-generated multiple are walked).  The hunt's empty
-    cells are exact for e(S) = 2, where no d is searched, and prove nothing
-    beyond the bounds otherwise.  No verdict on the open converse is derived,
-    only evidence.
+    d ≤ d_max, fibers truncated at F ≤ d_max·F(S) + 6 and 2000 nodes; for
+    e(S) ≥ 4 root discovery is capped at 2000 multiples and a d past the
+    cap is skipped, for e(S) = 3 no d is).  The hunt's empty cells are exact
+    for e(S) = 2, where no d is searched, and prove nothing beyond the
+    bounds otherwise.  No verdict on the open converse is derived, only
+    evidence.
     """
     if count < 0:
         raise InvalidInput(f"--count must be a non-negative integer, got {count}")

@@ -5,11 +5,9 @@ import pytest
 pytest.register_assert_rewrite("sweeps")
 
 from numsgps.core import NumericalSemigroup, _adjoined, _from_gap_tuple, from_generators
-from numsgps.errors import NodeCapExceeded
 from numsgps.fibers import enumerate_fiber
 from numsgps.multiples import MultipleContext, addable_gaps, max_multiples
 from numsgps.oracle import all_with_frobenius, semigroups_by_genus
-from numsgps.rank import root_cap
 
 
 def sgp(*gens) -> NumericalSemigroup:
@@ -69,21 +67,15 @@ def reference_max_multiples(ctx: MultipleContext):
     return tuple(maximals)
 
 
-def reference_low_e_search(S, d_max, bounds, skipped=None):
+def reference_low_e_search(S, d_max, bounds):
     """Reference for rank.bounded_low_e_multiple_search with e(S) ≥ 3: the
-    same scan over d, walking the fiber of every maximal d-multiple whatever
-    e(S) is."""
+    same scan over d, walking the fiber of every maximal d-multiple from
+    root discovery without a cap, so no d is skipped."""
     for d in range(2, d_max + 1):
         ctx = MultipleContext(S, d)
-        try:
-            roots = max_multiples(ctx, node_cap=root_cap(bounds)).maximals
-        except NodeCapExceeded:
-            if skipped is not None:
-                skipped.append(d)
-            continue
         hits = [
             T
-            for root in roots
+            for root in max_multiples(ctx).maximals
             for T in enumerate_fiber(ctx, root, bounds).semigroups()
             if T.embedding_dimension < S.embedding_dimension
         ]

@@ -469,12 +469,19 @@ class TestExitCodes:
 
     def test_low_e_search_names_skipped_d(self, capsys):
         """A none after root discovery passed its cap for some d says so on
-        stderr; stdout and the exit code stay those of a plain none."""
-        argv = ("search-low-e", "--sgp", "4,5,7", "--max-frobenius", "24")
-        assert run(capsys, *argv, "--dmax", "3", "--max-nodes", "10") == (
+        stderr; stdout and the exit code stay those of a plain none.  Only
+        e(S) ≥ 4 runs root discovery."""
+        argv = ("search-low-e", "--sgp", "6,8,9,11", "--dmax", "3", "--max-frobenius", "45")
+        assert run(capsys, *argv, "--max-nodes", "10") == (
             0,
             "none\n",
             "note: d=2,3 not searched: root discovery passed 10 multiples (--max-nodes)\n",
+        )
+        # For e(S) = 3 the roots come from the two-generated multiples, so
+        # no d is skipped however small the cap.
+        argv = ("search-low-e", "--sgp", "4,5,7", "--max-frobenius", "24")
+        assert run(capsys, *argv, "--dmax", "3", "--max-nodes", "10") == (
+            0, "d=3 ⟨5,7⟩ e=2\n", ""
         )
         assert run(capsys, *argv, "--dmax", "2") == (0, "none\n", "")
         # For e(S) = 2 the none is exact and no d is searched, so none is

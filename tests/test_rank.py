@@ -8,10 +8,11 @@ from math import prod
 
 import pytest
 
+from numsgps import rank
 from numsgps.core import apery, from_generators
 from numsgps.errors import NotPairwiseCoprime, TooSmall, WholeN
 from numsgps.fibers import TruncationBounds
-from numsgps.multiples import MultipleContext, quotient
+from numsgps.multiples import MultipleContext, max_multiples, quotient
 from numsgps.oracle import EnumerationBudget, all_multiples_bounded
 from numsgps.rank import (
     ROOT_CAP,
@@ -229,41 +230,83 @@ class TestBoundedLowESearch:
         [
             (
                 lambda S: TruncationBounds(max_frobenius=4 * S.frobenius + 3, max_nodes=2000),
-                (8, 19),
+                10,
             ),
-            (lambda S: TruncationBounds(max_genus=2 * S.frobenius + 3), (10, 16)),
-            (lambda S: TruncationBounds(max_depth=3), (10, 16)),
-            (lambda S: TruncationBounds(max_nodes=300), (8, 21)),
+            (lambda S: TruncationBounds(max_genus=2 * S.frobenius + 3), 10),
+            (lambda S: TruncationBounds(max_depth=3), 11),
+            (lambda S: TruncationBounds(max_nodes=300), 11),
+            (lambda S: TruncationBounds(max_depth=0), 0),
+            (lambda S: TruncationBounds(max_nodes=1), 0),
         ],
-        ids=["max_frobenius+max_nodes", "max_genus", "max_depth", "max_nodes"],
+        ids=[
+            "max_frobenius+max_nodes",
+            "max_genus",
+            "max_depth",
+            "max_nodes",
+            "max_depth_0",
+            "max_nodes_1",
+        ],
     )
     def test_three_generated_matches_walking_every_root(
         self, census_by_frobenius, make_bounds, expected
     ):
-        """For e(S) = 3 the search walks only the fibers that can hold a
-        two-generated multiple; on every such S with F(S) ≤ 13 and d ≤ 4 it
-        gives the answer and the skipped d of walking every root.  The pinned
-        (hits, S with a skipped d) keep both outcomes covered."""
-        hits = skips = 0
+        """For e(S) = 3 the search takes its roots from the two-generated
+        d-multiples; on every such S with F(S) ≤ 13 and d ≤ 4 it gives the
+        answer of walking every root found by root discovery without a cap,
+        and skips no d.  The pinned hit count keeps hits and misses covered."""
+        hits = 0
         for f in range(1, 14):
             for S in census_by_frobenius(f):
                 if S.embedding_dimension != 3:
                     continue
                 bounds = make_bounds(S)
-                skipped, expected_skipped = [], []
+                skipped = []
                 got = bounded_low_e_multiple_search(S, 4, bounds, skipped)
-                assert got == reference_low_e_search(S, 4, bounds, expected_skipped), S
-                assert skipped == expected_skipped, S
+                assert got == reference_low_e_search(S, 4, bounds), S
+                assert skipped == [], S
                 hits += got is not None
-                skips += bool(skipped)
-        assert (hits, skips) == expected
+        assert hits == expected
+
+    def test_no_root_discovery_for_three_generated(self, census_by_frobenius, monkeypatch):
+        """On every S with e(S) = 3, F(S) ≤ 13 and d ≤ 5, the maximal
+        d-multiples with e < 3 are the two-generated d-multiples with
+        F = d·F(S): such a T is symmetric, so PF(T) = {d·F(S)} ⊆ d·gaps(S).
+        So the search needs no root discovery: with rank.max_multiples made
+        to raise, it still answers as the walk of every root and skips no d
+        under max_nodes=1.  d runs to 5 because no such root exists for
+        d ≤ 4 there; ⟨4,5,6⟩ and ⟨4,7,10⟩ have one at d = 5."""
+        three_generated = [
+            S for f in range(1, 14) for S in census_by_frobenius(f) if S.embedding_dimension == 3
+        ]
+        low_roots = 0
+        for S in three_generated:
+            for d in range(2, 6):
+                ctx = MultipleContext(S, d)
+                low = [R for R in max_multiples(ctx).maximals if R.embedding_dimension < 3]
+                assert sorted(low, key=lambda t: t.msg) == _two_generated_multiples(
+                    ctx, ctx.scaled_frobenius
+                ), (S, d)
+                low_roots += len(low)
+        assert (len(three_generated), low_roots) == (30, 2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("root discovery ran for e(S) = 3")
+
+        monkeypatch.setattr(rank, "max_multiples", refuse)
+        bounds = TruncationBounds(max_nodes=1)
+        hits = 0
+        for S in three_generated:
+            skipped = []
+            got = bounded_low_e_multiple_search(S, 5, bounds, skipped)
+            assert got == reference_low_e_search(S, 5, bounds), S
+            assert skipped == [], S
+            hits += got is not None
+        assert hits == 2
 
     def test_two_generated_multiples_match_oracle(self, small_semigroups):
-        """On every S with F(S) ≤ 9 and d ≤ 3, the enumeration gives the
-        oracle's two-generated d-multiples with F ≤ 3·F(S) + 3, whether it is
-        bounded there or unbounded and filtered; every one it gives unbounded
-        is a d-multiple."""
-        cases = found = unbounded_found = 0
+        """On every S with F(S) ≤ 9 and d ≤ 3, the enumeration bounded at
+        F ≤ 3·F(S) + 3 gives the oracle's two-generated d-multiples there."""
+        cases = found = 0
         for S in small_semigroups:
             if S.frobenius > 9:
                 continue
@@ -279,13 +322,9 @@ class TestBoundedLowESearch:
                     key=lambda t: t.msg,
                 )
                 assert _two_generated_multiples(ctx, f) == expected, (S, d)
-                unbounded = _two_generated_multiples(ctx)
-                assert [T for T in unbounded if T.frobenius <= f] == expected, (S, d)
-                assert all(quotient(T, d) == S for T in unbounded)
                 cases += 1
                 found += len(expected)
-                unbounded_found += len(unbounded)
-        assert (cases, found, unbounded_found) == (171, 30, 45)
+        assert (cases, found) == (171, 30)
 
     def test_two_generated_searches_nothing(self):
         """For e(S) = 2 None is exact (e = 1 only for ℕ, and ℕ/d = ℕ), so
