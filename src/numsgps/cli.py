@@ -7,14 +7,15 @@ parses every later argv with it too: in-process callers parse many argv,
 and a parse leaves the parser as it was.  A handler computes its result
 once and returns one zero-argument renderer per output.  A renderer
 returns text, a JSON payload (a dict, under ``"json"``) or an iterable of
-text chunks; the ``fiber-tree`` renderers yield chunks node by node, so
-its output, which grows with the cube of the tree depth as JSON, never
-has to fit in memory.  All search happens in the handler, so a refusal
-comes before the first byte.  :func:`main` alone picks the format, runs
-only the renderers it needs, encodes payloads with the standard
-library's ``json`` (:func:`canonical_json`) and streams the chunks: the
-``--dot``/``--csv`` side files first, then ``--out`` or stdout.  An
-unwritable path is invalid input.
+text chunks; the ``fiber-tree`` renderers yield chunks node by node from
+each fiber's flat preorder lists, so its output, which grows with the
+cube of the tree depth as JSON, never has to fit in memory.  All search
+happens in the handler, so a refusal comes before the first byte.
+:func:`main` alone picks the format, runs only the renderers it needs,
+encodes payloads with the standard library's ``json``
+(:func:`canonical_json`) and streams the chunks: the ``--dot``/``--csv``
+side files first, then ``--out`` or stdout.  An unwritable path is
+invalid input.
 
 Exit codes: 0 success, 2 invalid input, 3 budget or ceiling exceeded,
 4 internal invariant violation.  JSON is canonical (sorted keys, two-space
@@ -41,7 +42,8 @@ def canonical_json(payload) -> str:
     """The payload as sorted-key, two-space-indented JSON with a final
     newline.  The standard library encoder recurses once per nesting level,
     so deep payloads must not come through here: the fiber forest, the one
-    output that nests with the tree depth, is streamed by :func:`_trees_json`."""
+    output that nests with the tree depth, is written chunk by chunk from
+    its preorder lists by :func:`_trees_json`."""
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
@@ -135,29 +137,18 @@ def _cmd_max_multiples(args) -> dict:
     return _listing(multiples.max_multiples(ctx, args.max_nodes).maximals, "maximals", ctx)
 
 
-def _trees_text(trees):
-    """One line per node in preorder, indented by depth and tagged with the
-    generator removed to reach it; one chunk per line."""
-    for tree in trees:
-        for n in tree.nodes():
-            T, x = n.semigroup, n.removed_generator
-            tag = "" if x is None else "  " * n.depth + f"[x={x}] "
-            yield f"{tag}{T} F={T.frobenius} g={T.genus}\n"
-
-
 # bin(mask) reversed, as bytes, reads 1 at each set bit and 0 elsewhere once
 # translated; itertools.compress then picks the names of the gaps.
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _node_fields(node, names: list) -> str:
+def _node_fields(T: NumericalSemigroup, x: int | None, depth: int, names: list) -> str:
     """Everything of a fiber node's JSON object after its children: the
     fields at its indent and the closing brace.  A node at depth k sits at
     nesting level 2 + 2k.  ``names`` holds str(n) at index n; the gaps are
     picked from it by the bits of the gap mask, without building the gap
     tuple."""
-    T, x = node.semigroup, node.removed_generator
-    pad = "\n" + "  " * (2 + 2 * node.depth)
+    pad = "\n" + "  " * (2 + 2 * depth)
     p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
     flags = bin(T.gap_mask)[:1:-1].encode().translate(_BIT_FLAGS)
     if len(names) < len(flags):
@@ -165,7 +156,7 @@ def _node_fields(node, names: list) -> str:
     sep = "," + p3
     gaps = f"[{p3}{sep.join(compress(names, flags))}{p2}]" if T.gap_mask else "[]"
     return (
-        f'{p1}"depth": {node.depth},{p1}"removed_generator": {"null" if x is None else x},'
+        f'{p1}"depth": {depth},{p1}"removed_generator": {"null" if x is None else x},'
         f'{p1}"semigroup": {{{p2}"frobenius": {T.frobenius},{p2}"gaps": {gaps},'
         f'{p2}"genus": {T.genus},{p2}"msg": [{p3}{sep.join(map(str, T.msg))}{p2}]{p1}}}{pad}}}'
     )
@@ -173,39 +164,40 @@ def _node_fields(node, names: list) -> str:
 
 def _trees_json(ctx, trees):
     """canonical_json of the fiber-tree payload (the S/d head, then
-    ``trees``), byte for byte, in chunks written straight from the nodes.
+    ``trees``), byte for byte, in chunks written from the trees' preorder
+    lists.
 
-    A node is one chunk before its children and one after them; a childless
-    node is one chunk.  The chunk after the children is built when the node
-    comes off the stack, so the stack holds nodes, never the text of an
-    unfinished ancestor, and memory stays at the tree plus one chunk.
+    A node's ``"children"`` key sorts first, so its chunk opens that list.
+    The list stays open while the next node is deeper, as that node is its
+    first child; otherwise the node is closed, with its fields, and so is
+    each ancestor, found by parent index, whose depth is not less than the
+    next node's.  Memory stays at the trees plus one node's text.
     ``trees`` is not empty: every S other than ℕ has a maximal d-multiple.
     """
     head = canonical_json({**_head(ctx), "trees": []})
     yield head[: -len("[]\n}\n")] + "["
     names: list = []
-    todo: list = []  # (text before it, node) to open, or a node to close
-
-    def push(items, level):
-        """Queue the items of a JSON list at nesting level ``level``."""
-        pad = "\n" + "  " * level
-        todo.extend(("," + pad, item) for item in reversed(items[1:]))
-        todo.append((pad, items[0]))
-
-    push([tree.root for tree in trees], 2)
-    while todo:
-        entry = todo.pop()
-        if type(entry) is not tuple:  # a node whose children are written
-            yield "\n" + "  " * (3 + 2 * entry.depth) + "]," + _node_fields(entry, names)
-            continue
-        before, node = entry
-        opening = before + "{\n" + "  " * (3 + 2 * node.depth) + '"children": ['
-        if not node.children:
-            yield opening + "]," + _node_fields(node, names)
-            continue
-        yield opening
-        todo.append(node)
-        push(node.children, 4 + 2 * node.depth)
+    for t, tree in enumerate(trees):
+        semigroup, removed, depth, parent = (
+            tree.semigroup, tree.removed_generator, tree.depth, tree.parent
+        )
+        last = len(semigroup) - 1
+        for i, k in enumerate(depth):
+            first = depth[i - 1] < k if i else t == 0  # first of its list
+            after = depth[i + 1] if i < last else 0
+            opening = (
+                ("" if first else ",") + "\n" + "  " * (2 + 2 * k)
+                + "{\n" + "  " * (3 + 2 * k) + '"children": ['
+            )
+            if after > k:
+                yield opening
+                continue
+            yield opening + "]," + _node_fields(semigroup[i], removed[i], k, names)
+            j = parent[i]
+            while j >= 0 and depth[j] >= after:
+                indent = "\n" + "  " * (3 + 2 * depth[j])
+                yield indent + "]," + _node_fields(semigroup[j], removed[j], depth[j], names)
+                j = parent[j]
     yield "\n  ]\n}\n"
 
 
@@ -221,7 +213,13 @@ def _cmd_fiber_tree(args) -> dict:
     trees = [fibers.enumerate_fiber(ctx, root, bounds) for root in roots]
     return {
         "json": lambda: _trees_json(ctx, trees),
-        "text": lambda: _trees_text(trees),
+        # One line per node, indented by depth and tagged with the generator
+        # removed to reach it.
+        "text": lambda: (
+            ("  " * k + f"[x={x}] " if k else "") + f"{T} F={T.frobenius} g={T.genus}\n"
+            for tree in trees
+            for T, x, k in zip(tree.semigroup, tree.removed_generator, tree.depth)
+        ),
         "dot": lambda: fibers.fiber_tree_to_dot(*trees),
     }
 

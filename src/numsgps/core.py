@@ -13,13 +13,17 @@ nonzero members M up to F + m in ascending order, a member x is a
 generator iff bit x of D is clear, and each generator x adds M << x to D.
 
 Searches over semigroups move one element at a time, so two kernels derive
-the new ``msg`` from the old one instead of rebuilding it from the gaps:
+the new ``msg`` from the old one instead of rebuilding it from the gaps, by
+three facts:
 
 * adjoining a pseudo-Frobenius gap z with 2z ∈ T (:func:`_adjoined`):
   msg(T ∪ {z}) = {z} ∪ {a ∈ msg(T) : a < z or a − z ∉ T ∪ {z}};
 * removing a minimal generator x (:func:`_removed`): msg(T ∖ {x}) lies in
   (msg(T) ∖ {x}) ∪ {x + a : a ∈ msg(T)} ∪ {3x}, decided in ascending
-  order with the same sum accumulator.
+  order with the same sum accumulator;
+* removing a minimal generator x > F(T) other than m = m(T), the case of
+  most fiber-tree edges: msg(T ∖ {x}) = (msg(T) ∖ {x}) ∪ {x + m unless it
+  splits in T ∖ {x}}, as every other candidate splits through m.
 
 Pseudo-Frobenius numbers come from shifts of G: PF = G & ~⋃ₐ (G >> a) over
 a ∈ msg.  Every bounded coin problem (is n ∈ ⟨gens⟩?), from_generators
@@ -220,9 +224,25 @@ def _removed(T: NumericalSemigroup, x: int) -> NumericalSemigroup:
     candidates are (msg(T) ∖ {x}) ∪ {x + a : a ∈ msg(T)} ∪ {3x}; 3x is
     needed, e.g. ℕ ∖ {1} = ⟨2, 3⟩.  As a bitmask, with A the mask of
     msg(T), the candidates are (A ∖ {x}) | (A << x) | {3x}.
+
+    When x > F(T) and x ≠ m = m(T), every integer above x is in T ∖ {x},
+    so for a > m, x + a = m + (x + a − m) splits there, and so do 2x and 3x.
+    Only y = x + m is left, above every generator of T (they are at most
+    F(T) + m), and it is a generator unless y − a ∈ T ∖ {x} for some
+    a ∈ msg(T) ∖ {x}, which is then a bit test, as y − a < x.
     """
     G = T.gap_mask | 1 << x
-    A = sum(map((1).__lshift__, T.msg))
+    msg = T.msg
+    m = msg[0]
+    if x > T.gap_mask.bit_length() - 1 and x != m:
+        i = msg.index(x)
+        rest = msg[:i] + msg[i + 1 :]
+        y = x + m
+        for a in rest[1:]:
+            if not G >> (y - a) & 1:
+                return NumericalSemigroup(G, rest)
+        return NumericalSemigroup(G, rest + (y,))
+    A = sum(map((1).__lshift__, msg))
     return NumericalSemigroup(G, _generators_among(G, (A ^ 1 << x) | A << x | 1 << 3 * x))
 
 

@@ -5,6 +5,11 @@ it (the saturation map Θ) reaches a maximal d-multiple R.  The fiber of R is
 arranged as a rooted tree with root R, where the children of T are the
 T ∖ {x} whose θ-step leads straight back to T.  Fibers may be infinite, so
 enumeration always demands an explicit truncation bound.
+
+:func:`enumerate_fiber` is one walk that records a fiber as flat preorder
+lists (:class:`FiberTree`: semigroup, removed generator, depth and parent
+index per node), which the renderers and the low-e search read directly;
+the linked :class:`FiberNode` view is built only on request.
 """
 
 from __future__ import annotations
@@ -69,21 +74,32 @@ class FiberNode:
 
 @dataclass
 class FiberTree:
+    """A fiber as flat lists in depth-first preorder, children by ascending
+    removed generator: node i is ``semigroup[i]``, at depth ``depth[i]``,
+    reached from node ``parent[i]`` by removing ``removed_generator[i]``.
+    Node 0 is the root, with parent -1 and removed generator None."""
+
     context: MultipleContext
-    root: FiberNode
+    semigroup: list[NumericalSemigroup]
+    removed_generator: list[int | None]
+    depth: list[int]
+    parent: list[int]
 
     def nodes(self) -> list[FiberNode]:
-        """Depth-first preorder, children by ascending removed generator."""
-        out: list[FiberNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            stack.extend(reversed(node.children))
+        """The nodes as linked :class:`FiberNode` objects, in preorder; they
+        are built on each call, as nothing in the package needs them."""
+        out = list(map(FiberNode, self.semigroup, self.removed_generator, self.depth))
+        for node, p in zip(out[1:], self.parent[1:]):
+            out[p].children.append(node)
         return out
 
+    @property
+    def root(self) -> FiberNode:
+        return self.nodes()[0]
+
     def semigroups(self) -> list[NumericalSemigroup]:
-        return [n.semigroup for n in self.nodes()]
+        """The semigroups in preorder."""
+        return list(self.semigroup)
 
 
 def _require_multiple(ctx: MultipleContext, T: NumericalSemigroup):
@@ -194,7 +210,8 @@ def _child_pairs(ctx, T, x_max=None):
 def enumerate_fiber(
     ctx: MultipleContext, root: NumericalSemigroup, bounds: TruncationBounds
 ) -> FiberTree:
-    """Materialize the fiber tree of a maximal d-multiple, pruned at bounds.
+    """The fiber tree of a maximal d-multiple, pruned at bounds, as flat
+    preorder lists (:class:`FiberTree`).
 
     The root is always in the tree, whatever the bounds: they prune only its
     descendants, so max_nodes 0, max_depth 0, max_genus ≤ g(root) or
@@ -209,52 +226,54 @@ def enumerate_fiber(
     max_genus or past max_frobenius (only the root can be) gets no edges at
     all, and every other node gets only the x ≤ max_frobenius that the
     θ-step keeps, decided from its bits (see :func:`children`).  The walk
-    keeps one stack of edges (parent, x) and builds a child only when it
-    pops its edge to attach it, so every node built is in the tree; no θ
-    result is cached across nodes.
+    keeps one stack of edges (parent index, x) and builds a child with
+    :func:`~numsgps.core._removed` only when it pops its edge to append it,
+    so every node built is in the tree; no θ result is cached across nodes.
     """
     bounds.require_finite("fiber enumeration")
     _require_multiple(ctx, root)
     if addable_gaps(ctx, root):
         raise NotMaximal(f"{root} is not a maximal {ctx.d}-multiple of {ctx.semigroup}")
-    root_node = FiberNode(root, None, 0)
-    tree = FiberTree(ctx, root_node)
-
-    def edges(node: FiberNode) -> list[tuple[FiberNode, int]]:
-        """node's child edges, last first, so the stack pops them ascending."""
-        T = node.semigroup
-        if (
-            (bounds.max_depth is not None and node.depth >= bounds.max_depth)
-            or (bounds.max_genus is not None and T.genus >= bounds.max_genus)
-            or (bounds.max_frobenius is not None and T.frobenius > bounds.max_frobenius)
-        ):
-            return []
-        return [(node, x) for x in reversed(_child_pairs(ctx, T, bounds.max_frobenius))]
-
-    # An explicit stack keeps depth off the interpreter's recursion limit.
-    stack = edges(root_node)
-    count = 1
-    while stack and (bounds.max_nodes is None or count < bounds.max_nodes):
-        parent, x = stack.pop()
-        child = FiberNode(_removed(parent.semigroup, x), x, parent.depth + 1)
-        parent.children.append(child)
-        count += 1
-        stack += edges(child)
-    return tree
+    semigroup, removed, depth, parent = [root], [None], [0], [-1]
+    # A node at depth k has genus g(root) + k, so one depth limit holds both
+    # bounds: only a node at depth k < limit gets child edges.
+    limit = min(
+        float("inf") if bounds.max_depth is None else bounds.max_depth,
+        float("inf") if bounds.max_genus is None else bounds.max_genus - root.genus,
+    )
+    x_max = bounds.max_frobenius
+    if x_max is not None and root.frobenius > x_max:
+        limit = 0  # the children's F(T) ≤ x_max, as x ≤ x_max
+    max_nodes = float("inf") if bounds.max_nodes is None else bounds.max_nodes
+    # Child edges go on the stack last first, so it pops them ascending; an
+    # explicit stack keeps depth off the interpreter's recursion limit.
+    stack = [(0, x) for x in reversed(_child_pairs(ctx, root, x_max))] if limit > 0 else []
+    while stack and len(semigroup) < max_nodes:
+        p, x = stack.pop()
+        T = _removed(semigroup[p], x)
+        k = depth[p] + 1
+        if k < limit:
+            i = len(semigroup)
+            stack += [(i, x) for x in reversed(_child_pairs(ctx, T, x_max))]
+        semigroup.append(T)
+        removed.append(x)
+        depth.append(k)
+        parent.append(p)
+    return FiberTree(ctx, semigroup, removed, depth, parent)
 
 
 def fiber_tree_to_dot(*trees: FiberTree):
     """DOT rendering of one or more fiber trees as one digraph, one line per
     chunk: node label '⟨msg⟩ F=.. g=..', edge label = removed generator, each
-    tree's node lines before its edge lines."""
+    tree's node lines before its edge lines, the edges grouped by parent in
+    preorder."""
     yield "digraph fiber {\n"
     for tree in trees:
-        nodes = tree.nodes()
-        name = {id(n): str(n.semigroup) for n in nodes}  # each formatted once
-        for n in nodes:
-            T = n.semigroup
-            yield f'  "{name[id(n)]}" [label="{name[id(n)]} F={T.frobenius} g={T.genus}"];\n'
-        for n in nodes:
-            for c in n.children:
-                yield f'  "{name[id(n)]}" -> "{name[id(c)]}" [label="{c.removed_generator}"];\n'
+        name = list(map(str, tree.semigroup))  # each formatted once
+        for n, T in zip(name, tree.semigroup):
+            yield f'  "{n}" [label="{n} F={T.frobenius} g={T.genus}"];\n'
+        # A stable sort by parent keeps each node's children in preorder.
+        for i in sorted(range(1, len(name)), key=tree.parent.__getitem__):
+            p = tree.parent[i]
+            yield f'  "{name[p]}" -> "{name[i]}" [label="{tree.removed_generator[i]}"];\n'
     yield "}\n"

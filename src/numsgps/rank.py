@@ -230,23 +230,26 @@ def bounded_low_e_multiple_search(
     bounds: TruncationBounds,
     skipped: list[int] | None = None,
 ) -> tuple[int, NumericalSemigroup] | None:
-    """First multiple T of S within bounds with e(T) < e(S), scanning d ascending.
+    """First multiple T of S with e(T) < e(S) in the bounded fiber walks,
+    scanning d ascending; a fiber's root is examined whatever the bounds.
 
-    A hit certifies quotient rank < e(S); None proves nothing beyond the
-    bounds, except when e(S) = 2.  Then None is exact: a multiple with
-    e = 1 would be ℕ, and ℕ/d = ℕ ≠ S, so no d is searched, nothing is
-    appended to ``skipped`` and ``search-low-e`` writes no note.
-    Otherwise d runs from 2, as the only 1-multiple is S itself.  Within
-    one d the hit of least (genus, gap tuple) is returned, so the outcome
-    is deterministic.  A d·F(S) past the closure ceiling propagates its
-    :class:`CeilingExceeded`, as in ``max-multiples``.
+    A hit, a root past the bounds included, certifies quotient rank < e(S);
+    None proves nothing beyond the bounds, except when e(S) = 2.  Then None
+    is exact: a multiple with e = 1 would be ℕ, and ℕ/d = ℕ ≠ S, so no d is
+    searched, nothing is appended to ``skipped`` and ``search-low-e``
+    writes no note.  Otherwise d runs from 2, as the only 1-multiple is S
+    itself.  Within one d the hit of least (genus, gap tuple) is returned,
+    so the outcome is deterministic.  A d·F(S) past the closure ceiling
+    propagates its :class:`CeilingExceeded`, as in ``max-multiples``.
 
     For e(S) ≥ 4 the fiber of each root found by root discovery (the
-    maximal d-multiples) is walked within the bounds.  Root discovery is
-    refused when more than :func:`root_cap` multiples have Frobenius number
-    N = d·F(S); such a d is skipped and appended to ``skipped`` when a list
-    is given.  ``search-low-e`` passes one and names the skipped d and the
-    cap in a note on stderr, so that its ``none`` is not read as complete.
+    maximal d-multiples) is walked, its root whatever the bounds and its
+    other nodes within them, reading the preorder list of semigroups from
+    :func:`enumerate_fiber`.  Root discovery is refused when more than
+    :func:`root_cap` multiples have Frobenius number N = d·F(S); such a d
+    is skipped and appended to ``skipped`` when a list is given.
+    ``search-low-e`` passes one and names the skipped d and the cap in a
+    note on stderr, so that its ``none`` is not read as complete.
 
     For e(S) = 3 a hit is two-generated, so F = 2g − 1, and it lies in the
     fiber of its own saturation.  A root has F = N and genus ≤ N, a node

@@ -4,8 +4,14 @@ import pytest
 # left to the interpreter, which strips them under python -O.
 pytest.register_assert_rewrite("sweeps")
 
-from numsgps.core import NumericalSemigroup, _adjoined, _from_gap_tuple, from_generators
-from numsgps.fibers import enumerate_fiber
+from numsgps.core import (
+    NumericalSemigroup,
+    _adjoined,
+    _from_gap_tuple,
+    _removed,
+    from_generators,
+)
+from numsgps.fibers import FiberNode, _child_pairs, enumerate_fiber
 from numsgps.multiples import MultipleContext, addable_gaps, max_multiples
 from numsgps.oracle import all_with_frobenius, semigroups_by_genus
 
@@ -82,6 +88,34 @@ def reference_low_e_search(S, d_max, bounds):
         if hits:
             return d, min(hits, key=lambda t: (t.genus, t.gaps))
     return None
+
+
+def reference_fiber_walk(ctx: MultipleContext, root: NumericalSemigroup, bounds) -> FiberNode:
+    """Reference for enumerate_fiber: the nested walk it replaced.  It pops
+    edges (parent node, x) off one stack, last first, builds each child when
+    it attaches it to its parent's FiberNode, and stops at the same
+    max_nodes count.  Returns the root node."""
+    root_node = FiberNode(root, None, 0)
+
+    def edges(node):
+        T = node.semigroup
+        if (
+            (bounds.max_depth is not None and node.depth >= bounds.max_depth)
+            or (bounds.max_genus is not None and T.genus >= bounds.max_genus)
+            or (bounds.max_frobenius is not None and T.frobenius > bounds.max_frobenius)
+        ):
+            return []
+        return [(node, x) for x in reversed(_child_pairs(ctx, T, bounds.max_frobenius))]
+
+    stack = edges(root_node)
+    count = 1
+    while stack and (bounds.max_nodes is None or count < bounds.max_nodes):
+        parent, x = stack.pop()
+        child = FiberNode(_removed(parent.semigroup, x), x, parent.depth + 1)
+        parent.children.append(child)
+        count += 1
+        stack += edges(child)
+    return root_node
 
 
 def fiber_node_to_json_dict(node) -> dict:

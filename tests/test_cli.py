@@ -18,7 +18,7 @@ from numsgps import cli, fibers, multiples
 from numsgps.cli import canonical_json, main, parse_semigroup
 from numsgps.oracle import all_with_frobenius
 
-from conftest import fiber_node_to_json_dict, sgp
+from conftest import fiber_node_to_json_dict, reference_fiber_walk, sgp
 
 
 # One or more JSON outputs of every subcommand that has a JSON format.
@@ -247,8 +247,9 @@ class TestFiberTree:
 
 
 def fiber_json_reference(sgp_arg, d, root, bounds) -> str:
-    """The fiber-tree JSON built as nested dicts and dumped by the standard
-    library, to hold the streamed output against."""
+    """The fiber-tree JSON built as nested dicts from the nested reference
+    walk and dumped by the standard library, to hold the streamed output
+    against."""
     ctx = multiples.MultipleContext(parse_semigroup(sgp_arg), d)
     if root is None:
         roots = sorted(multiples.max_multiples(ctx).maximals, key=lambda s: s.msg)
@@ -258,7 +259,7 @@ def fiber_json_reference(sgp_arg, d, root, bounds) -> str:
         "S": ctx.semigroup.to_json_dict(),
         "d": d,
         "trees": [
-            fiber_node_to_json_dict(fibers.enumerate_fiber(ctx, r, bounds).root) for r in roots
+            fiber_node_to_json_dict(reference_fiber_walk(ctx, r, bounds)) for r in roots
         ],
     }
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
@@ -286,6 +287,11 @@ class TestFiberJson:
         # An explicit root, and ℕ as a root (its gap list is empty).
         yield "2,3", 11, "5,7,8,9", "--max-genus", 8
         yield "1", 2, "1", "--max-nodes", 5
+        # Node caps that cut a deep fiber between siblings, and a forest of
+        # 8 roots with every tree cut.
+        for cap in (1, 2, 7):
+            yield "3,4,5", 3, None, "--max-nodes", cap
+        yield "2,3", 13, None, "--max-nodes", 90
 
     def test_matches_reference(self, capsys):
         forests = 0
@@ -488,6 +494,13 @@ class TestExitCodes:
         # skipped at the cap.
         argv = ("search-low-e", "--sgp", "3,5", "--dmax", "3", "--max-frobenius", "24")
         assert run(capsys, *argv, "--max-nodes", "2") == (0, "none\n", "")
+
+    def test_low_e_search_root_past_the_bounds_is_a_hit(self, capsys):
+        """A fiber's root is examined whatever the bounds: ⟨4,13⟩ is a
+        5-multiple of ⟨4,5,6⟩ with e = 2, so it certifies the answer though
+        its Frobenius number, 35, is past --max-frobenius."""
+        argv = ("search-low-e", "--sgp", "4,5,6", "--dmax", "5", "--max-frobenius", "10")
+        assert run(capsys, *argv) == (0, "d=5 ⟨4,13⟩ e=2\n", "")
 
     def test_low_e_search_refuses_the_closure_ceiling(self, capsys):
         """d·F(S) past the closure ceiling is refused with exit 3, as in

@@ -12,7 +12,9 @@ from numsgps.core import (
     WHOLE_N,
     _adjoined,
     _closure,
+    _from_gap_mask,
     _from_gap_tuple,
+    _generators_among,
     _minimal_generators,
     _removed,
     adjoin,
@@ -39,7 +41,8 @@ from numsgps.errors import (
     NotNumerical,
     WholeN,
 )
-from numsgps.multiples import MultipleContext, is_d_multiple
+from numsgps.fibers import TruncationBounds, enumerate_fiber
+from numsgps.multiples import MultipleContext, is_d_multiple, max_multiples
 from numsgps.oracle import is_irreducible_bruteforce, semigroups_by_genus
 
 from conftest import coin_dp, sgp
@@ -283,6 +286,42 @@ class TestIncrementalKernels:
         # ℕ ∖ {1} = ⟨2, 3⟩: 3 = 3x is neither a generator of ℕ nor x + a.
         assert _removed(WHOLE_N, 1) == sgp(2, 3)
         assert _removed(WHOLE_N, 1).msg == (2, 3)
+
+    def test_removed_both_branches_on_fiber_edges(self, monkeypatch):
+        """Every fiber edge removes x from T, with x < F(T) = d·F(S) at
+        depth 1 and x > F(T) below it; with x = m(T) > F(T) the one-candidate
+        branch does not apply.  Both branches must run and agree with a
+        rebuild of the gap mask."""
+        accumulated = 0
+
+        def counted(gap_mask, candidates):
+            nonlocal accumulated
+            accumulated += 1
+            return _generators_among(gap_mask, candidates)
+
+        edges = [(WHOLE_N, 1), (sgp(2, 3), 2)]
+        for gens, d, bounds in (
+            ((2, 3), 11, TruncationBounds(max_genus=12)),
+            ((3, 4, 5), 3, TruncationBounds(max_nodes=500)),
+        ):
+            ctx = MultipleContext(sgp(*gens), d)
+            for R in max_multiples(ctx).maximals:
+                tree = enumerate_fiber(ctx, R, bounds)
+                edges += [
+                    (tree.semigroup[p], x)
+                    for p, x in zip(tree.parent[1:], tree.removed_generator[1:])
+                ]
+        above = sum(x > T.frobenius and x != T.multiplicity for T, x in edges)
+        monkeypatch.setattr("numsgps.core._generators_among", counted)
+        removed = [_removed(T, x) for T, x in edges]
+        # The accumulator ran exactly for the other edges, the depth-1
+        # edges with x < F(T) among them, and not only for the two x = m(T).
+        assert accumulated == len(edges) - above
+        assert above > 0 and accumulated > 2
+        monkeypatch.undo()
+        for (T, x), U in zip(edges, removed):
+            assert U == _from_gap_mask(T.gap_mask | 1 << x), (T, x)
+        assert removed[:2] == [sgp(2, 3), sgp(3, 4, 5)]
 
     def test_adjoined_matches_rebuild(self, genus_tree_12):
         checked = 0

@@ -27,7 +27,7 @@ from numsgps.oracle import (
     theta_bruteforce,
 )
 
-from conftest import sgp
+from conftest import reference_fiber_walk, sgp
 
 
 def ctx_of(gens, d):
@@ -402,6 +402,47 @@ class TestEnumerateFiber:
         )
         assert (len(maximals), got) == (roots, nodes)
         assert builds == nodes - roots
+
+    @pytest.mark.parametrize(
+        "gens, d, bound",
+        [
+            ((2, 3), 11, {"max_genus": 12}),
+            ((2, 3), 7, {"max_frobenius": 24}),
+            ((3, 4, 5), 3, {"max_depth": 4}),
+            ((4, 5, 6), 3, {"max_frobenius": 27, "max_genus": 16}),
+            ((3, 4, 5), 3, {"max_nodes": 1}),
+            ((3, 4, 5), 3, {"max_nodes": 2}),
+            ((3, 4, 5), 3, {"max_nodes": 7}),
+            ((3, 4, 5), 3, {"max_nodes": 2000}),
+            ((2, 3), 13, {"max_nodes": 90}),
+        ],
+    )
+    def test_flat_walk_matches_nested_walk(self, gens, d, bound):
+        """The flat preorder lists hold the (depth, x, T) preorder of the
+        nested walk they replaced, on each bound kind and on max_nodes cuts
+        between siblings and, in a forest, at every root; each parent index
+        points at the node the child is built from."""
+        ctx = ctx_of(gens, d)
+        bounds = TruncationBounds(**bound)
+        for R in max_multiples(ctx).maximals:
+            tree = enumerate_fiber(ctx, R, bounds)
+            reference = reference_fiber_walk(ctx, R, bounds)
+            nested, stack = [], [reference]
+            while stack:
+                nested.append(stack.pop())
+                stack.extend(reversed(nested[-1].children))
+            expected = [(n.depth, n.removed_generator, n.semigroup) for n in nested]
+            assert list(zip(tree.depth, tree.removed_generator, tree.semigroup)) == expected
+            assert tree.semigroups() == [T for _, _, T in expected]
+            # The FiberNode view links the same children.
+            assert [(n.semigroup, len(n.children)) for n in tree.nodes()] == [
+                (n.semigroup, len(n.children)) for n in nested
+            ]
+            assert tree.parent[0] == -1
+            for i in range(1, len(tree.parent)):
+                p = tree.parent[i]
+                assert tree.depth[p] == tree.depth[i] - 1
+                assert _removed(tree.semigroup[p], tree.removed_generator[i]) == tree.semigroup[i]
 
     def test_dot_output_is_stable(self):
         ctx = ctx_of((2, 3), 11)
