@@ -9,7 +9,10 @@ once and returns one zero-argument renderer per output.  A renderer
 returns text, a JSON payload (a dict, under ``"json"``) or an iterable of
 text chunks; the ``fiber-tree`` renderers yield chunks node by node from
 each fiber's flat preorder lists, so its output, which grows with the
-cube of the tree depth as JSON, never has to fit in memory.  All search
+cube of the tree depth as JSON, never has to fit in memory.  They format
+each integer once per output, into a table of names read by index, and
+build each depth's indents once; those tables grow with the largest
+integer printed and with the square of the tree depth.  All search
 happens in the handler, so a refusal comes before the first byte.
 :func:`main` alone picks the format, runs only the renderers it needs,
 encodes payloads with the standard library's ``json``
@@ -142,23 +145,67 @@ def _cmd_max_multiples(args) -> dict:
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _node_fields(T: NumericalSemigroup, x: int | None, depth: int, names: list) -> str:
+def _name_through(names: list, top: int) -> None:
+    """Extend ``names``, the table with str(n) at index n, through top.
+
+    The fiber renderers grow it through max(F(T), max msg(T)) for each node
+    T (max msg is below F for ⟨3,4⟩), which names everything T prints: its
+    gaps, genus and depth are at most F(T), as the genus grows by one per
+    level, and its removed generator is one of its gaps.  Only the root ℕ
+    has F = -1, which its renderer names itself."""
+    names.extend(map(str, range(len(names), top + 1)))
+
+
+def _trees_text(trees):
+    """One line per node, indented by depth and tagged with the generator
+    removed to reach it, each integer read from one table of names.  The
+    indent and tag of depth k are built once; a forest of depth K keeps
+    about K² bytes of them."""
+    names: list = []
+    tags: list = [""]  # per depth k ≥ 1: the indent and "[x="
+    for tree in trees:
+        for T, x, k in zip(tree.semigroup, tree.removed_generator, tree.depth):
+            G, msg = T.gap_mask, T.msg
+            F = G.bit_length() - 1
+            if F >= len(names) or msg[-1] >= len(names):
+                _name_through(names, max(F, msg[-1]))
+            if k == len(tags):  # preorder descends one level at a time
+                tags.append("  " * k + "[x=")
+            tag = f"{tags[k]}{names[x]}] " if k else ""
+            F = names[F] if G else "-1"  # ℕ has F = -1
+            gens = ",".join(map(names.__getitem__, msg))
+            yield f"{tag}⟨{gens}⟩ F={F} g={names[G.bit_count()]}\n"
+
+
+def _json_level(k: int) -> tuple[str, ...]:
+    """The newline-indents of a fiber node at depth k, at nesting level
+    2 + 2k, and of its next three levels, with the separator of the
+    deepest."""
+    pad = "\n" + "  " * (2 + 2 * k)
+    p3 = pad + "      "
+    return pad, pad + "  ", pad + "    ", p3, "," + p3
+
+
+def _node_fields(T: NumericalSemigroup, x: int | None, k: int, names: list, level) -> str:
     """Everything of a fiber node's JSON object after its children: the
-    fields at its indent and the closing brace.  A node at depth k sits at
-    nesting level 2 + 2k.  ``names`` holds str(n) at index n; the gaps are
-    picked from it by the bits of the gap mask, without building the gap
-    tuple."""
-    pad = "\n" + "  " * (2 + 2 * depth)
-    p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
-    flags = bin(T.gap_mask)[:1:-1].encode().translate(_BIT_FLAGS)
-    if len(names) < len(flags):
-        names.extend(map(str, range(len(names), len(flags))))
-    sep = "," + p3
-    gaps = f"[{p3}{sep.join(compress(names, flags))}{p2}]" if T.gap_mask else "[]"
+    fields at its indent and the closing brace.  ``level`` is
+    ``_json_level(k)``; the gaps are picked from ``names`` by the bits of
+    the gap mask, without building the gap tuple."""
+    pad, p1, p2, p3, sep = level
+    G, msg = T.gap_mask, T.msg
+    F = G.bit_length() - 1
+    if F >= len(names) or msg[-1] >= len(names):
+        _name_through(names, max(F, msg[-1]))
+    if G:
+        flags = bin(G)[:1:-1].encode().translate(_BIT_FLAGS)
+        F, gaps = names[F], f"[{p3}{sep.join(compress(names, flags))}{p2}]"
+    else:
+        F, gaps = "-1", "[]"  # ℕ
     return (
-        f'{p1}"depth": {depth},{p1}"removed_generator": {"null" if x is None else x},'
-        f'{p1}"semigroup": {{{p2}"frobenius": {T.frobenius},{p2}"gaps": {gaps},'
-        f'{p2}"genus": {T.genus},{p2}"msg": [{p3}{sep.join(map(str, T.msg))}{p2}]{p1}}}{pad}}}'
+        f'{p1}"depth": {names[k]},{p1}"removed_generator": {"null" if x is None else names[x]},'
+        f'{p1}"semigroup": {{{p2}"frobenius": {F},{p2}"gaps": {gaps},{p2}"genus": '
+        f'{names[G.bit_count()]},{p2}"msg": [{p3}{sep.join(map(names.__getitem__, msg))}'
+        f"{p2}]{p1}}}{pad}}}"
     )
 
 
@@ -171,32 +218,40 @@ def _trees_json(ctx, trees):
     The list stays open while the next node is deeper, as that node is its
     first child; otherwise the node is closed, with its fields, and so is
     each ancestor, found by parent index, whose depth is not less than the
-    next node's.  Memory stays at the trees plus one node's text.
-    ``trees`` is not empty: every S other than ℕ has a maximal d-multiple.
+    next node's.  Each integer is formatted once per output, into a table
+    of names (:func:`_name_through`), and the indents of each depth
+    (:func:`_json_level`) are built once; at depth k they hold about 20k
+    characters, so a forest of depth K keeps about 10K² bytes of them
+    (2.5 MB at K = 500).  Memory stays at the trees, those tables and one
+    node's text.  ``trees`` is not empty: every S other than ℕ has a
+    maximal d-multiple.
     """
     head = canonical_json({**_head(ctx), "trees": []})
     yield head[: -len("[]\n}\n")] + "["
     names: list = []
+    levels: list = []
     for t, tree in enumerate(trees):
         semigroup, removed, depth, parent = (
             tree.semigroup, tree.removed_generator, tree.depth, tree.parent
         )
         last = len(semigroup) - 1
         for i, k in enumerate(depth):
+            if k == len(levels):  # preorder descends one level at a time
+                levels.append(_json_level(k))
+            level = levels[k]
             first = depth[i - 1] < k if i else t == 0  # first of its list
             after = depth[i + 1] if i < last else 0
-            opening = (
-                ("" if first else ",") + "\n" + "  " * (2 + 2 * k)
-                + "{\n" + "  " * (3 + 2 * k) + '"children": ['
-            )
+            opening = f'{"" if first else ","}{level[0]}{{{level[1]}"children": ['
             if after > k:
                 yield opening
                 continue
-            yield opening + "]," + _node_fields(semigroup[i], removed[i], k, names)
+            yield opening + "]," + _node_fields(semigroup[i], removed[i], k, names, level)
             j = parent[i]
             while j >= 0 and depth[j] >= after:
-                indent = "\n" + "  " * (3 + 2 * depth[j])
-                yield indent + "]," + _node_fields(semigroup[j], removed[j], depth[j], names)
+                k = depth[j]
+                yield levels[k][1] + "]," + _node_fields(
+                    semigroup[j], removed[j], k, names, levels[k]
+                )
                 j = parent[j]
     yield "\n  ]\n}\n"
 
@@ -213,13 +268,7 @@ def _cmd_fiber_tree(args) -> dict:
     trees = [fibers.enumerate_fiber(ctx, root, bounds) for root in roots]
     return {
         "json": lambda: _trees_json(ctx, trees),
-        # One line per node, indented by depth and tagged with the generator
-        # removed to reach it.
-        "text": lambda: (
-            ("  " * k + f"[x={x}] " if k else "") + f"{T} F={T.frobenius} g={T.genus}\n"
-            for tree in trees
-            for T, x, k in zip(tree.semigroup, tree.removed_generator, tree.depth)
-        ),
+        "text": lambda: _trees_text(trees),
         "dot": lambda: fibers.fiber_tree_to_dot(*trees),
     }
 

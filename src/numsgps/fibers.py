@@ -9,7 +9,14 @@ enumeration always demands an explicit truncation bound.
 :func:`enumerate_fiber` is one walk that records a fiber as flat preorder
 lists (:class:`FiberTree`: semigroup, removed generator, depth and parent
 index per node), which the renderers and the low-e search read directly;
-the linked :class:`FiberNode` view is built only on request.
+the linked :class:`FiberNode` view is built only on request.  Most nodes
+cost the walk one kernel call, the removal that builds them: as in the
+tree of numerical semigroups (Fromentin & Hivert, Math. Comp. 85, 2016),
+a child T = P ∖ {x} with x > F(P) and x ≠ m(P) takes its child edges
+from P's: the later ones, plus x + m(P) when that is a new generator.  Only
+the root and a child with x < F(P) or x = m(P) decide theirs from bits, in
+:func:`_child_pairs`: about one node in ten of the benchmark's ``fiber``
+workload.
 """
 
 from __future__ import annotations
@@ -170,7 +177,9 @@ def children(ctx: MultipleContext, T: NumericalSemigroup) -> tuple[FiberNode, ..
 
 def _child_pairs(ctx, T, x_max=None):
     # The ascending removed generators x of T's children, decided from bits;
-    # nothing is built here.  (The name stays: perfbench/tracer.py wraps
+    # nothing is built here.  enumerate_fiber calls it only at a root and at
+    # a child T = P ∖ {x} with x < F(P) or x = m(P); every other child
+    # inherits its edges from P.  (The name stays: perfbench/tracer.py wraps
     # this function by it.)  Each candidate T' = T ∖ {x} is again a
     # d-multiple, since x ∉ d·S, and F(T') = max(F, x) with F = F(T).
     # When F(T') ≠ d·F(S), θ(T') = F(T'), so T' is kept iff x > F.  If
@@ -225,10 +234,20 @@ def enumerate_fiber(
     max(F(T), x), both known before it is built.  So a node at max_depth, at
     max_genus or past max_frobenius (only the root can be) gets no edges at
     all, and every other node gets only the x ≤ max_frobenius that the
-    θ-step keeps, decided from its bits (see :func:`children`).  The walk
-    keeps one stack of edges (parent index, x) and builds a child with
-    :func:`~numsgps.core._removed` only when it pops its edge to append it,
-    so every node built is in the tree; no θ result is cached across nodes.
+    θ-step keeps.  The walk keeps one stack of nodes with the child edges
+    they have left, and builds a child with :func:`~numsgps.core._removed`
+    only when it pops its edge to append it, so every node built is in the
+    tree and that removal is the one kernel call of most nodes.
+
+    A child T = P ∖ {x} with x > F(P) and x ≠ m = m(P) has
+    F(T) = x > F(P) ≥ d·F(S), so its edges are its generators in
+    (x, max_frobenius] outside d·S, that is, not divisible by d.  Those of P
+    are P's later edges, and the one new generator T can have is x + m
+    (:func:`~numsgps.core._removed` adds it), so T takes its edges from P
+    without a look at its bits.  The root and a child with x < F(P) (so
+    F(T) = d·F(S)) or x = m(P) (an ordinary P, which gains more generators)
+    get theirs from :func:`_child_pairs`, as :func:`children` does.  No θ
+    result is cached across nodes.
     """
     bounds.require_finite("fiber enumeration")
     _require_multiple(ctx, root)
@@ -244,17 +263,37 @@ def enumerate_fiber(
     x_max = bounds.max_frobenius
     if x_max is not None and root.frobenius > x_max:
         limit = 0  # the children's F(T) ≤ x_max, as x ≤ x_max
+    y_max = float("inf") if x_max is None else x_max
     max_nodes = float("inf") if bounds.max_nodes is None else bounds.max_nodes
-    # Child edges go on the stack last first, so it pops them ascending; an
-    # explicit stack keeps depth off the interpreter's recursion limit.
-    stack = [(0, x) for x in reversed(_child_pairs(ctx, root, x_max))] if limit > 0 else []
+    d = ctx.d
+    # An entry (p, edges) holds node p's child edges not yet taken, in
+    # descending order, so popping them takes them ascending; an entry
+    # leaves the stack with its last edge.  The explicit stack keeps depth
+    # off the interpreter's recursion limit.
+    edges = _child_pairs(ctx, root, x_max)[::-1] if limit > 0 else []
+    stack = [(0, edges)] if edges else []
     while stack and len(semigroup) < max_nodes:
-        p, x = stack.pop()
-        T = _removed(semigroup[p], x)
+        p, edges = stack[-1]
+        x = edges.pop()
+        if not edges:
+            stack.pop()
+        P = semigroup[p]
+        T = _removed(P, x)
         k = depth[p] + 1
         if k < limit:
-            i = len(semigroup)
-            stack += [(i, x) for x in reversed(_child_pairs(ctx, T, x_max))]
+            m = P.msg[0]
+            if x > P.gap_mask.bit_length() - 1 and x != m:
+                # P's later edges, plus x + m if it is a new generator of
+                # T within x_max and off d·S.
+                y = x + m
+                if len(T.msg) == len(P.msg) and y % d and y <= y_max:
+                    own = [y, *edges]
+                else:
+                    own = edges[:]
+            else:
+                own = _child_pairs(ctx, T, x_max)[::-1]
+            if own:
+                stack.append((len(semigroup), own))
         semigroup.append(T)
         removed.append(x)
         depth.append(k)

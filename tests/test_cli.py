@@ -184,6 +184,28 @@ class TestFiberTree:
         )
         assert (code, out) == (0, "⟨4,5,7⟩ F=6 g=4\n")
 
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("json", "5be28995d11fe6252c6d213a3c0d226c5513b5155145fac3c32d856ef0b10203"),
+            ("dot", "87935ccc411f1eded28a303979cffbd70e734f73402a162941e308a714d2e609"),
+        ],
+    )
+    def test_whole_n_root(self, capsys, fmt, digest):
+        # ℕ is a maximal d-multiple of ℕ with F = -1, the one node whose
+        # Frobenius number is not an index into a table of names.
+        argv = ["fiber-tree", "--sgp", "1", "--d", "2", "--root", "1", "--max-nodes", "3"]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (
+            0, "⟨1⟩ F=-1 g=0\n  [x=1] ⟨2,3⟩ F=1 g=1\n    [x=3] ⟨2,5⟩ F=3 g=2\n"
+        )
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        if fmt == "json":
+            assert len(out.encode()) == 1070
+            assert json.loads(out)["trees"][0]["semigroup"]["frobenius"] == -1
+
     def test_missing_bounds(self, capsys):
         code, _, err = run(capsys, "fiber-tree", "--sgp", "3,4", "--d", "5", "--root", "6,9,11")
         assert code == 2

@@ -2,6 +2,7 @@
 against definition-level brute force."""
 
 import itertools
+from math import inf
 
 import pytest
 
@@ -415,17 +416,44 @@ class TestEnumerateFiber:
             ((3, 4, 5), 3, {"max_nodes": 7}),
             ((3, 4, 5), 3, {"max_nodes": 2000}),
             ((2, 3), 13, {"max_nodes": 90}),
+            # x = m(P) > F(P): ⟨3,4,5⟩ ∖ {3} is the ordinary ⟨4,5,6,7⟩.
+            ((2, 3), 2, {"max_genus": 7}),
+            # Some x + m lie in d·S, and the cap falls among siblings.
+            ((4, 6, 13, 15), 3, {"max_frobenius": 39, "max_nodes": 2000}),
+            # Some x + m are generators above max_frobenius.
+            ((3, 4, 5), 2, {"max_frobenius": 9}),
+            # The root ℕ, with F = -1 and x = m(ℕ) = 1.
+            ((1,), 2, {"max_nodes": 3}),
+            ((1,), 3, {"max_genus": 6}),
         ],
     )
-    def test_flat_walk_matches_nested_walk(self, gens, d, bound):
+    def test_flat_walk_matches_nested_walk(self, monkeypatch, gens, d, bound):
         """The flat preorder lists hold the (depth, x, T) preorder of the
         nested walk they replaced, on each bound kind and on max_nodes cuts
         between siblings and, in a forest, at every root; each parent index
-        points at the node the child is built from."""
+        points at the node the child is built from.
+
+        The reference calls _child_pairs at every node.  The walk calls it
+        only at a node that gets child edges and is a root or a child
+        T = P ∖ {x} with x < F(P) or x = m(P); every other node inherits its
+        edges from its parent's later siblings.  Each case past two nodes
+        runs both branches."""
+        probed = []
+
+        def counted(ctx, T, x_max=None):
+            probed.append(T)
+            return _child_pairs(ctx, T, x_max)
+
+        monkeypatch.setattr("numsgps.fibers._child_pairs", counted)
         ctx = ctx_of(gens, d)
         bounds = TruncationBounds(**bound)
-        for R in max_multiples(ctx).maximals:
+        roots = [WHOLE_N] if gens == (1,) else max_multiples(ctx).maximals
+        branches = {"probed": 0, "inherited": 0}
+        nodes = 0
+        for R in roots:
+            probed.clear()
             tree = enumerate_fiber(ctx, R, bounds)
+            nodes += len(tree.parent)
             reference = reference_fiber_walk(ctx, R, bounds)
             nested, stack = [], [reference]
             while stack:
@@ -443,6 +471,24 @@ class TestEnumerateFiber:
                 p = tree.parent[i]
                 assert tree.depth[p] == tree.depth[i] - 1
                 assert _removed(tree.semigroup[p], tree.removed_generator[i]) == tree.semigroup[i]
+            # A node gets child edges below the depth and genus bounds, and
+            # none under a root past max_frobenius.
+            limit = min(bound.get("max_depth", inf), bound.get("max_genus", inf) - R.genus)
+            if R.frobenius > bound.get("max_frobenius", inf):
+                limit = 0
+            calls = [R] if limit > 0 else []
+            for i in range(1, len(tree.parent)):
+                if tree.depth[i] >= limit:
+                    continue
+                P, x = tree.semigroup[tree.parent[i]], tree.removed_generator[i]
+                if x < P.frobenius or x == P.multiplicity:
+                    calls.append(tree.semigroup[i])
+                    branches["probed"] += 1
+                else:
+                    branches["inherited"] += 1
+            assert probed == calls
+        if nodes > 2:
+            assert branches["probed"] and branches["inherited"]
 
     def test_dot_output_is_stable(self):
         ctx = ctx_of((2, 3), 11)
