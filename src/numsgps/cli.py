@@ -6,19 +6,22 @@ handler, formats, options), and :func:`build_parser` loops over it.
 parses every later argv with it too: in-process callers parse many argv,
 and a parse leaves the parser as it was.  A handler computes its result
 once and returns one zero-argument renderer per output.  A renderer
-returns text, a JSON payload (a dict, under ``"json"``) or an iterable of
-text chunks; the ``fiber-tree`` renderers yield chunks node by node from
-each fiber's flat preorder lists, so its output, which grows with the
-cube of the tree depth as JSON, never has to fit in memory.  They format
-each integer once per output, into a table of names read by index, and
-build each depth's indents once; those tables grow with the largest
-integer printed and with the square of the tree depth.  All search
-happens in the handler, so a refusal comes before the first byte.
-:func:`main` alone picks the format, runs only the renderers it needs,
-encodes payloads with the standard library's ``json``
-(:func:`canonical_json`) and streams the chunks: the ``--dot``/``--csv``
-side files first, then ``--out`` or stdout.  An unwritable path is
-invalid input.
+returns text, a small JSON payload (a dict, under ``"json"``) or an
+iterable of text chunks; the ``fiber-tree`` renderers yield chunks node by
+node from each fiber's flat preorder lists, so its output, which grows
+with the cube of the tree depth as JSON, never has to fit in memory.  The
+JSON of a semigroup listing (``max-multiples`` and the oracle census and
+bounded multiples) is streamed too, one semigroup per chunk.  Both write
+a semigroup's JSON object through one template,
+:func:`_semigroup_json`, and format each integer once per output, into a
+table of names read by index; the fiber renderers also build each
+depth's indents once.  Those tables grow with the largest integer
+printed and with the square of the tree depth.  All search happens in
+the handler, so a refusal comes before the first byte.  :func:`main`
+alone picks the format, runs only the renderers it needs, encodes small
+payloads with the standard library's ``json`` (:func:`canonical_json`)
+and streams the chunks: the ``--dot``/``--csv`` side files first, then
+``--out`` or stdout.  An unwritable path is invalid input.
 
 Exit codes: 0 success, 2 invalid input, 3 budget or ceiling exceeded,
 4 internal invariant violation.  JSON is canonical (sorted keys, two-space
@@ -43,10 +46,12 @@ from .errors import InvalidInput, NumsgpsError
 
 def canonical_json(payload) -> str:
     """The payload as sorted-key, two-space-indented JSON with a final
-    newline.  The standard library encoder recurses once per nesting level,
-    so deep payloads must not come through here: the fiber forest, the one
-    output that nests with the tree depth, is written chunk by chunk from
-    its preorder lists by :func:`_trees_json`."""
+    newline.  With ``indent`` the standard library encoder is its pure
+    Python one, which recurses once per nesting level, so only small
+    payloads come through here: the fiber forest is written chunk by chunk
+    from its preorder lists by :func:`_trees_json`, and a semigroup
+    listing one semigroup at a time by :func:`_listing`; each takes only
+    its head from here."""
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
@@ -79,13 +84,30 @@ def _join(values) -> str:
 
 def _listing(semigroups, key: str, ctx=None, **fields) -> dict:
     """Renderers of a semigroup list sorted by msg: one per line as text,
-    under ``key`` (after the S/d head when ctx is given) as JSON."""
+    under ``key`` (after the S/d head when ctx is given) as JSON.
+
+    The JSON is canonical_json of that payload, byte for byte, in chunks:
+    the head, which is the payload with an empty list cut before its
+    ``[]`` (``key`` sorts after every other key), then one
+    :func:`_semigroup_json` per semigroup, then the close.  An empty list
+    is the head as it is."""
     ordered = sorted(semigroups, key=lambda s: s.msg)
 
-    def payload():
-        return {**(_head(ctx) if ctx else {}), **fields, key: [t.to_json_dict() for t in ordered]}
+    def json_chunks():
+        head = canonical_json({**(_head(ctx) if ctx else {}), **fields, key: []})
+        if not ordered:
+            yield head
+            return
+        start, _, end = head.rpartition("[]")
+        names: list = []
+        indents = _json_indents(2)
+        opening = start + "["
+        for T in ordered:
+            yield opening + indents[0] + _semigroup_json(T, names, indents)
+            opening = ","
+        yield "\n  ]" + end
 
-    return {"json": payload, "text": lambda: "".join(f"{t}\n" for t in ordered)}
+    return {"json": json_chunks, "text": lambda: "".join(f"{t}\n" for t in ordered)}
 
 
 def _bounds(args) -> fibers.TruncationBounds:
@@ -148,11 +170,12 @@ _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 def _name_through(names: list, top: int) -> None:
     """Extend ``names``, the table with str(n) at index n, through top.
 
-    The fiber renderers grow it through max(F(T), max msg(T)) for each node
-    T (max msg is below F for ⟨3,4⟩), which names everything T prints: its
-    gaps, genus and depth are at most F(T), as the genus grows by one per
-    level, and its removed generator is one of its gaps.  Only the root ℕ
-    has F = -1, which its renderer names itself."""
+    The renderers grow it through max(F(T), max msg(T)) for each
+    semigroup T they print (max msg is below F for ⟨3,4⟩), which names
+    everything T prints: its gaps and genus are at most F(T), and so is a
+    fiber node's depth, as the genus grows by one per level, and its
+    removed generator is one of its gaps.  Only ℕ has F = -1, which its
+    renderer names itself."""
     names.extend(map(str, range(len(names), top + 1)))
 
 
@@ -177,35 +200,55 @@ def _trees_text(trees):
             yield f"{tag}⟨{gens}⟩ F={F} g={names[G.bit_count()]}\n"
 
 
+def _json_indents(n: int) -> tuple[str, ...]:
+    """The newline-indents of a JSON object whose braces sit at nesting
+    level n, of its fields and of their list elements, with the separator
+    of those elements."""
+    pad = "\n" + "  " * n
+    elements = pad + "    "
+    return pad, pad + "  ", elements, "," + elements
+
+
 def _json_level(k: int) -> tuple[str, ...]:
-    """The newline-indents of a fiber node at depth k, at nesting level
-    2 + 2k, and of its next three levels, with the separator of the
-    deepest."""
-    pad = "\n" + "  " * (2 + 2 * k)
-    p3 = pad + "      "
-    return pad, pad + "  ", pad + "    ", p3, "," + p3
+    """The newline-indent of a fiber node at depth k, at nesting level
+    2 + 2k, then the :func:`_json_indents` of its fields' level, which is
+    its ``"semigroup"`` object's."""
+    return ("\n" + "  " * (2 + 2 * k), *_json_indents(3 + 2 * k))
 
 
-def _node_fields(T: NumericalSemigroup, x: int | None, k: int, names: list, level) -> str:
-    """Everything of a fiber node's JSON object after its children: the
-    fields at its indent and the closing brace.  ``level`` is
-    ``_json_level(k)``; the gaps are picked from ``names`` by the bits of
-    the gap mask, without building the gap tuple."""
-    pad, p1, p2, p3, sep = level
+def _semigroup_json(T: NumericalSemigroup, names: list, indents) -> str:
+    """T's canonical JSON object (the fields of ``to_json_dict``), from its
+    opening brace to its closing one, at ``indents`` (:func:`_json_indents`
+    of the braces' level).  Every integer is read from ``names``, grown
+    here as needed; the gaps are picked by the bits of the gap mask,
+    without building the gap tuple."""
+    close, field, element, sep = indents
     G, msg = T.gap_mask, T.msg
     F = G.bit_length() - 1
     if F >= len(names) or msg[-1] >= len(names):
         _name_through(names, max(F, msg[-1]))
     if G:
         flags = bin(G)[:1:-1].encode().translate(_BIT_FLAGS)
-        F, gaps = names[F], f"[{p3}{sep.join(compress(names, flags))}{p2}]"
+        F, gaps = names[F], f"[{element}{sep.join(compress(names, flags))}{field}]"
     else:
         F, gaps = "-1", "[]"  # ℕ
     return (
-        f'{p1}"depth": {names[k]},{p1}"removed_generator": {"null" if x is None else names[x]},'
-        f'{p1}"semigroup": {{{p2}"frobenius": {F},{p2}"gaps": {gaps},{p2}"genus": '
-        f'{names[G.bit_count()]},{p2}"msg": [{p3}{sep.join(map(names.__getitem__, msg))}'
-        f"{p2}]{p1}}}{pad}}}"
+        f'{{{field}"frobenius": {F},{field}"gaps": {gaps},{field}"genus": '
+        f'{names[G.bit_count()]},{field}"msg": [{element}{sep.join(map(names.__getitem__, msg))}'
+        f"{field}]{close}}}"
+    )
+
+
+def _node_fields(T: NumericalSemigroup, x: int | None, k: int, names: list, level) -> str:
+    """Everything of a fiber node's JSON object after its children: the
+    fields at its indent and the closing brace.  ``level`` is
+    ``_json_level(k)``; the ``"semigroup"`` object is
+    :func:`_semigroup_json`'s, which also names every integer printed."""
+    semigroup = _semigroup_json(T, names, level[1:])
+    pad, fields = level[0], level[1]
+    return (
+        f'{fields}"depth": {names[k]},{fields}"removed_generator": '
+        f'{"null" if x is None else names[x]},{fields}"semigroup": {semigroup}{pad}}}'
     )
 
 

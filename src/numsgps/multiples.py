@@ -188,24 +188,36 @@ def _gap_masks(ctx: MultipleContext, space):
     A leaf is maximal iff M blocks every position it excluded, that is M
     meets its W_p.  Only free positions in W_p can come to block p, so a
     branch is cut once it has decided the last of them with p still
-    unblocked.
+    unblocked.  An include can block an exclusion only when the grown M
+    meets the union U of the W_p still unblocked, so the exclusions and
+    their deadline are rebuilt only then.
     """
     N, B = ctx.scaled_frobenius, ctx.scaled_gap_mask
     steps, positions, blockers = space
     # The last free position in each W_p, or -1.
     last = [(W & ~steps).bit_length() - 1 for W in blockers]
-    stack = [(0, steps & ~B, (), N)]  # (next index, M, unblocked exclusions, deadline)
+    # (next index, M, unblocked exclusions, deadline, U)
+    stack = [(0, steps & ~B, (), N, 0)]
     while stack:
-        i, M, excluded, deadline = stack.pop()
+        i, M, excluded, deadline, union = stack.pop()
         for i in range(i, len(positions)):
             p = positions[i]
             if deadline < p:
                 break
             if not (M >> p & 1 or M & blockers[i]):
-                stack.append((i + 1, M, (*excluded, i), min(deadline, last[i])))
+                stack.append(
+                    (i + 1, M, (*excluded, i), min(deadline, last[i]), union | blockers[i])
+                )
                 M = _closure((p,), N, M)
-                excluded = tuple(j for j in excluded if not M & blockers[j])
-                deadline = min((last[j] for j in excluded), default=N)
+                if M & union:
+                    kept, deadline, union = [], N, 0
+                    for j in excluded:
+                        W = blockers[j]
+                        if not M & W:
+                            kept.append(j)
+                            deadline = min(deadline, last[j])
+                            union |= W
+                    excluded = kept
         if deadline == N:
             yield (2 << N) - 1 & ~M
 
@@ -216,8 +228,9 @@ def max_multiples(ctx: MultipleContext, node_cap: int | None = None) -> MaxMulti
     A depth-first search over the free positions p < d·F(S), d ∤ p, in
     ascending order, on closed member masks (see :func:`_search_space`).
     It cuts a branch once a position it excluded can no longer be blocked,
-    and builds a semigroup only for the leaves it keeps.  The maximals are
-    sorted by (genus, gap tuple).
+    and builds a semigroup only for the leaves it keeps.  Each kept gap
+    mask becomes its gap tuple once; the maximals are sorted by
+    (genus, gap tuple) on those tuples and built from them.
 
     There can be very many d-multiples with Frobenius number d·F(S);
     callers that only need a best-effort answer may pass ``node_cap`` and
@@ -241,9 +254,8 @@ def max_multiples(ctx: MultipleContext, node_cap: int | None = None) -> MaxMulti
         raise NodeCapExceeded(
             f"more than {node_cap} multiples with Frobenius {ctx.scaled_frobenius}"
         )
-    maximals = [_from_gap_tuple(_bits(G)) for G in _gap_masks(ctx, space)]
-    maximals.sort(key=lambda t: (t.genus, t.gaps))
-    return MaxMultiplesResult(ctx, tuple(maximals))
+    gap_sets = sorted(map(_bits, _gap_masks(ctx, space)), key=lambda g: (len(g), g))
+    return MaxMultiplesResult(ctx, tuple(map(_from_gap_tuple, gap_sets)))
 
 
 def irreducibility_transfer(ctx: MultipleContext) -> tuple[bool, bool]:

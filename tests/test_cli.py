@@ -16,7 +16,7 @@ import pytest
 import numsgps
 from numsgps import cli, fibers, multiples
 from numsgps.cli import canonical_json, main, parse_semigroup
-from numsgps.oracle import all_with_frobenius
+from numsgps.oracle import EnumerationBudget, all_multiples_bounded, all_with_frobenius
 
 from conftest import fiber_node_to_json_dict, reference_fiber_walk, sgp
 
@@ -364,6 +364,82 @@ class TestFiberJson:
             183_210_923,
             "dcc4f1afeecc87601ae5c4957949c65cdb0e7bfa75b3f9dfb4c4084275f71a1b",
         )
+
+
+def listing_json_reference(payload, key, semigroups) -> str:
+    """A listing's JSON as the nested payload, its semigroups sorted by msg
+    and turned into dicts, dumped by the standard library."""
+    ordered = sorted(semigroups, key=lambda s: s.msg)
+    payload = {**payload, key: [T.to_json_dict() for T in ordered]}
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+class TestListingJson:
+    """max-multiples and the oracle listings stream their JSON one
+    semigroup at a time; it must match the standard library's rendering of
+    the nested payload byte for byte."""
+
+    def test_max_multiples(self, capsys, genus_tree_12):
+        cases = 0
+        for S in genus_tree_12:
+            if not 1 <= S.genus <= 4:
+                continue
+            for d in (1, 2, 3):
+                sgp_arg = ",".join(map(str, S.msg))
+                argv = ["max-multiples", "--sgp", sgp_arg, "--d", str(d), "--format", "json"]
+                ctx = multiples.MultipleContext(S, d)
+                expected = listing_json_reference(
+                    {"S": S.to_json_dict(), "d": d}, "maximals",
+                    multiples.max_multiples(ctx).maximals,
+                )
+                assert run(capsys, *argv) == (0, expected, ""), argv
+                cases += 1
+        assert cases == 3 * 14
+
+    def test_census(self, capsys):
+        for f in range(1, 13):
+            found = all_with_frobenius(f)
+            expected = listing_json_reference(
+                {"f": f, "count": len(found)}, "semigroups", found
+            )
+            argv = ["oracle", "frobenius-census", "--f", str(f), "--format", "json"]
+            assert run(capsys, *argv) == (0, expected, ""), argv
+
+    @pytest.mark.parametrize(
+        "sgp_arg, d, f, count",
+        [
+            ("1", 2, 3, 3),  # ℕ, ⟨2,3⟩, ⟨2,5⟩: ℕ has F = -1 and no gaps
+            ("3,5", 2, 5, 0),  # no multiple with F ≤ 5: an empty list
+            ("3,4,5", 2, 9, 12),
+        ],
+    )
+    def test_multiples_bounded(self, capsys, tmp_path, sgp_arg, d, f, count):
+        argv = [
+            "oracle", "multiples-bounded", "--sgp", sgp_arg, "--d", str(d),
+            "--max-frobenius", str(f), "--format", "json",
+        ]
+        code, out, err = run(capsys, *argv)
+        ctx = multiples.MultipleContext(parse_semigroup(sgp_arg), d)
+        found = all_multiples_bounded(ctx, EnumerationBudget(f, f, 100_000))
+        assert len(found) == count
+        expected = listing_json_reference(
+            {"S": ctx.semigroup.to_json_dict(), "d": d, "max_frobenius": f}, "multiples", found
+        )
+        assert (code, out, err) == (0, expected, "")
+        target = tmp_path / "listing.json"
+        assert run(capsys, "--out", str(target), *argv) == (0, "", "")
+        assert target.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize("gens", [(1,), (3, 4), (5, 7, 9)])
+    def test_semigroup_template(self, gens):
+        # ⟨3,4⟩ has its largest generator below F = 5, so the names table
+        # must reach F; ℕ has F = -1 and no gaps.
+        T = sgp(*gens)
+        for indents in (cli._json_indents(2), cli._json_level(0)[1:], cli._json_level(7)[1:]):
+            names: list = []
+            text = cli._semigroup_json(T, names, indents)
+            assert json.loads(text) == T.to_json_dict()
+            assert text.startswith("{" + indents[1]) and text.endswith(indents[0] + "}")
 
 
 class TestExitCodes:
