@@ -392,15 +392,7 @@ def _cmd_unique_betti(args) -> dict:
 
 def _cmd_search_low_e(args) -> dict:
     S = parse_semigroup(args.sgp)
-    skipped: list[int] = []
-    bounds = _bounds(args)
-    d, T = rank.bounded_low_e_multiple_search(S, args.dmax, bounds, skipped) or (None, None)
-    if skipped:
-        print(
-            f"note: d={','.join(map(str, skipped))} not searched: root discovery "
-            f"passed {rank.root_cap(bounds)} multiples (--max-nodes)",
-            file=sys.stderr,
-        )
+    d, T = rank.bounded_low_e_multiple_search(S, args.dmax, _bounds(args)) or (None, None)
     return {
         "json": lambda: {
             "semigroup": S.to_json_dict(),

@@ -90,8 +90,8 @@ class CeilingExceeded(LimitExceeded):
 
 
 class NodeCapExceeded(CeilingExceeded):
-    """More multiples than a caller's ``node_cap`` exist; the only ceiling
-    the low-e search forgives, as it skips that d."""
+    """More multiples than a caller's ``node_cap`` exist
+    (``max-multiples --max-nodes``)."""
 
 
 class Overflow(LimitExceeded):

@@ -6,13 +6,17 @@ The quotient rank of S is min e(T) over all multiples T of S; it is full
 when it equals e(S).  If the sum of all minimal generators but a_i lies in
 Ap(S, a_i) for every i, the rank is full; the converse is open, so a false
 verdict proves nothing and the bounded search below never claims one.
-Its None proves nothing beyond its bounds, except for two-generated S:
-the only semigroup with e = 1 is ℕ, and ℕ/d = ℕ, so for e(S) = 2 None is
-exact, no d is searched and ``search-low-e`` writes no stderr note.  For
-e(S) = 3 a hit is two-generated, and the two-generated d-multiples are few
-and known in closed form (F(⟨a,b⟩) = ab − a − b, Sylvester), so the hunt
-takes the fibers that can hold one from them, runs no root discovery and
-skips no d; only for e(S) ≥ 4 can a d be skipped at the root cap.
+Its None is exact within its bounds, and for two-generated S outright:
+the only semigroup with e = 1 is ℕ, and ℕ/d = ℕ, so for e(S) = 2 no d is
+searched.  Otherwise a hit lies in
+the fiber of its own saturation and the bounds cap its Frobenius number,
+so the hunt walks only the fibers of the saturations of the d-multiples of
+smaller embedding dimension under that cap.  For e(S) = 3 those are
+two-generated and known in closed form (F(⟨a,b⟩) = ab − a − b,
+Sylvester); for e(S) ≥ 4 a depth-first search over their generator tuples
+finds them, pruned by the Apéry sets (Rosales & García-Sánchez, Numerical
+Semigroups, Springer 2009, ch. 1).  No root discovery runs and no d is
+skipped.
 """
 
 from __future__ import annotations
@@ -21,22 +25,22 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, product
-from math import gcd, isqrt, prod
+from math import comb, gcd, isqrt, prod
 
-from .core import NumericalSemigroup, _closure, from_generators
+from .core import CLOSURE_CEILING, NumericalSemigroup, _closure, from_generators
 from .errors import (
+    CeilingExceeded,
     InternalInvariantError,
     InvalidInput,
-    NodeCapExceeded,
     NotPairwiseCoprime,
     TooSmall,
     WholeN,
 )
 from .fibers import TruncationBounds, enumerate_fiber, saturate
-from .multiples import MultipleContext, max_multiples
-
-# The low-e search's cap on root discovery when no --max-nodes is given.
-ROOT_CAP = 4000
+from .multiples import MultipleContext
+# Unused here; perfbench/selftest.py checks that its tracer reaches
+# max_multiples through this namespace.
+from .multiples import max_multiples  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -218,47 +222,100 @@ def _two_generated_multiples(ctx: MultipleContext, f_max: int) -> list[Numerical
     return out
 
 
-def root_cap(bounds: TruncationBounds) -> int:
-    """The cap on root discovery in the low-e search for e(S) ≥ 4:
-    ``bounds.max_nodes``, or :data:`ROOT_CAP` when max_nodes is unset."""
-    return bounds.max_nodes if bounds.max_nodes is not None else ROOT_CAP
+def _low_e_multiples(ctx: MultipleContext, f: int, k_max: int) -> list[NumericalSemigroup]:
+    """Every d-multiple T of S with 2 ≤ e(T) ≤ k_max and F(T) ≤ f, for
+    S ≠ ℕ, d ≥ 2 and f ≥ d·F(S).  A d·F(S) past the closure ceiling, and
+    then an f + d·m(S) past it, is refused with :class:`CeilingExceeded`
+    before any tuple is tried.
+
+    A depth-first search over the minimal generating tuples a₁ < … < a_k,
+    k ≤ k_max, on member masks closed up to f + d·m(S).  a₁ ≤ d·m(S), as
+    d·m(S) ∈ T.  T holds d·msg(S) and, as F(T) ≤ f, (f, f + a₁]; such an
+    element n is a sum of generators ≤ n, so while the prefix misses one,
+    the next generator is a non-member no larger than the least such n.
+    A branch whose closure meets d·gaps(S) is cut.  A tuple whose closure
+    holds them all generates a d-multiple with F ≤ f: it holds d·S, misses
+    d·gaps(S) and a₁ consecutive integers.  It is recorded and extended by
+    its gaps, the non-members up to F(T).
+
+    Ap(T, a₁) has a₁ elements, each at most F(T) + a₁ ≤ L = f + a₁ and a
+    sum of the other generators, so there are at least a₁ combinations of
+    a₂, …, a_k and of the r generators still allowed (each above a_k) of
+    value ≤ L.  There are at most ∏ᵢ≥₂ (⌊L/aᵢ⌋ + 1) · C(⌊L/(a_k + 1)⌋ + r, r),
+    so a branch where that count is below a₁ is cut.  The count never grows
+    with a_k, nor for a₁ alone (where L grows with a₁) with a₁, so each loop
+    over candidates stops at the first cut.
+    """
+    S, d = ctx.semigroup, ctx.d
+    gap_mask = ctx.scaled_gap_mask  # refuses d·F(S) past the closure ceiling
+    m = d * S.multiplicity
+    top = f + m
+    if top > CLOSURE_CEILING:
+        raise CeilingExceeded(
+            f"the low-e search's Frobenius reach plus d·m(S), {f} + {m}, passes {CLOSURE_CEILING}"
+        )
+    scaled_msg = sum(1 << d * s for s in S.msg)
+    below = (2 << f) - 1
+    out = []
+    for a1 in range(2, m + 1):
+        L = f + a1
+        if comb(L // (a1 + 1) + k_max - 1, k_max - 1) < a1:
+            break
+        M = _closure((a1,), top)
+        if M & gap_mask:
+            continue
+        required = scaled_msg | (1 << L + 1) - (1 << f + 1)
+        # (generators, closed member mask, ∏ᵢ≥₂ (⌊L/aᵢ⌋ + 1))
+        stack = [((a1,), M, 1)]
+        while stack:
+            gens, M, count = stack.pop()
+            missing = required & ~M
+            if not missing:
+                out.append(NumericalSemigroup(below & ~M, gens))
+            # The least missing element, or else F(T).
+            upper = ((missing & -missing) or below & ~M).bit_length() - 1
+            r = k_max - len(gens) - 1  # generators allowed after the next
+            if r < 0:
+                continue
+            for b in range(gens[-1] + 1, upper + 1):
+                if M >> b & 1:
+                    continue
+                grown = count * (L // b + 1)
+                if grown * comb(L // (b + 1) + r, r) < a1:
+                    break
+                Mb = _closure((b,), top, M)
+                if not Mb & gap_mask:
+                    stack.append(((*gens, b), Mb, grown))
+    return out
 
 
 def bounded_low_e_multiple_search(
-    S: NumericalSemigroup,
-    d_max: int,
-    bounds: TruncationBounds,
-    skipped: list[int] | None = None,
+    S: NumericalSemigroup, d_max: int, bounds: TruncationBounds
 ) -> tuple[int, NumericalSemigroup] | None:
     """First multiple T of S with e(T) < e(S) in the bounded fiber walks,
     scanning d ascending; a fiber's root is examined whatever the bounds.
 
     A hit, a root past the bounds included, certifies quotient rank < e(S);
-    None proves nothing beyond the bounds, except when e(S) = 2.  Then None
-    is exact: a multiple with e = 1 would be ℕ, and ℕ/d = ℕ ≠ S, so no d is
-    searched, nothing is appended to ``skipped`` and ``search-low-e``
-    writes no note.  Otherwise d runs from 2, as the only 1-multiple is S
-    itself.  Within one d the hit of least (genus, gap tuple) is returned,
-    so the outcome is deterministic.  A d·F(S) past the closure ceiling
-    propagates its :class:`CeilingExceeded`, as in ``max-multiples``.
+    None is exact within the bounds: no d ≤ d_max has a hit in the bounded
+    walk of any fiber.  For e(S) = 2 it is exact outright: a multiple with
+    e = 1 would be ℕ, and ℕ/d = ℕ ≠ S, so no d is searched.  Otherwise d
+    runs from 2, as the only 1-multiple is S itself.  Within one d the hit
+    of least (genus, gap tuple) is returned, so the outcome is
+    deterministic.  A d·F(S) past the closure ceiling propagates its
+    :class:`CeilingExceeded`, as in ``max-multiples``.
 
-    For e(S) ≥ 4 the fiber of each root found by root discovery (the
-    maximal d-multiples) is walked, its root whatever the bounds and its
-    other nodes within them, reading the preorder list of semigroups from
-    :func:`enumerate_fiber`.  Root discovery is refused when more than
-    :func:`root_cap` multiples have Frobenius number N = d·F(S); such a d
-    is skipped and appended to ``skipped`` when a list is given.
-    ``search-low-e`` passes one and names the skipped d and the cap in a
-    note on stderr, so that its ``none`` is not read as complete.
-
-    For e(S) = 3 a hit is two-generated, so F = 2g − 1, and it lies in the
-    fiber of its own saturation.  A root has F = N and genus ≤ N, a node
-    at depth k genus ≤ N + k, and the first M preorder nodes have depth
-    < M, so a hit has F ≤ f = max(N, the least of ``max_frobenius``,
-    2·``max_genus`` − 1, 2·(N + ``max_depth``) − 1, 2·(N + ``max_nodes``) − 1
-    that are set).  So walking the saturations of the two-generated
-    d-multiples with F ≤ f (:func:`_two_generated_multiples`) gives the
+    A hit lies in the fiber of its own saturation.  A root has F = N =
+    d·F(S) and genus ≤ N, a node at depth k genus ≤ N + k, the first M
+    preorder nodes have depth < M, and F ≤ 2g − 1 for every semigroup, so
+    every node of the bounded walks has F ≤ f = max(N, the least of
+    ``max_frobenius``, 2·``max_genus`` − 1, 2·(N + ``max_depth``) − 1 and
+    2·(N + ``max_nodes``) − 1 that are set).  So walking, with :func:`enumerate_fiber`, the
+    saturations of the d-multiples with e < e(S) and F ≤ f gives the
     answer of walking every root, with no root discovery and no d skipped.
+    For e(S) = 3 those multiples are two-generated
+    (:func:`_two_generated_multiples`); for e(S) ≥ 4 they come from
+    :func:`_low_e_multiples`, which refuses f + d·m(S) past the closure
+    ceiling.
     """
     if S.is_whole_n:
         raise WholeN("quotient rank analysis is undefined for the whole of ℕ")
@@ -270,23 +327,17 @@ def bounded_low_e_multiple_search(
         return None
     for d in range(2, d_max + 1):
         ctx = MultipleContext(S, d)
+        N = ctx.scaled_frobenius
+        genus_caps = ((0, bounds.max_genus), (N, bounds.max_depth), (N, bounds.max_nodes))
+        reach = [2 * (base + k) - 1 for base, k in genus_caps if k is not None]
+        if bounds.max_frobenius is not None:
+            reach.append(bounds.max_frobenius)
+        f = max(N, min(reach))
         if e == 3:
-            N = ctx.scaled_frobenius
-            genus_caps = ((0, bounds.max_genus), (N, bounds.max_depth), (N, bounds.max_nodes))
-            reach = [2 * (base + k) - 1 for base, k in genus_caps if k is not None]
-            if bounds.max_frobenius is not None:
-                reach.append(bounds.max_frobenius)
-            two_generated = _two_generated_multiples(ctx, max(N, min(reach)))
-            roots = dict.fromkeys(saturate(ctx, T) for T in two_generated)
+            low = _two_generated_multiples(ctx, f)
         else:
-            try:
-                roots = max_multiples(ctx, node_cap=root_cap(bounds)).maximals
-            except NodeCapExceeded:
-                # Root discovery blew the budget; this d stays unexplored,
-                # which the no-proof contract of a None result already covers.
-                if skipped is not None:
-                    skipped.append(d)
-                continue
+            low = _low_e_multiples(ctx, f, e - 1)
+        roots = dict.fromkeys(saturate(ctx, T) for T in low)
         hits = [
             t
             for root in roots
@@ -330,11 +381,10 @@ def rank_sweep(count: int, max_genus: int, seed: int, d_max: int = 3) -> list[di
 
     Each row records, for one random semigroup, the condition verdict, the
     subset obstruction, and the bounded low-embedding-dimension hunt (over
-    d ≤ d_max, fibers truncated at F ≤ d_max·F(S) + 6 and 2000 nodes; for
-    e(S) ≥ 4 root discovery is capped at 2000 multiples and a d past the
-    cap is skipped, for e(S) = 3 no d is).  The hunt's empty cells are exact
-    for e(S) = 2, where no d is searched, and prove nothing beyond the
-    bounds otherwise.  No verdict on the open converse is derived, only
+    d ≤ d_max, fibers truncated at F ≤ d_max·F(S) + 6 and 2000 nodes).  The
+    hunt's empty cells are exact for e(S) = 2, where no d is searched, and
+    otherwise say that no d ≤ d_max has a hit within those bounds, proving
+    nothing beyond them.  No verdict on the open converse is derived, only
     evidence.
     """
     if count < 0:

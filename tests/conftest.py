@@ -76,7 +76,7 @@ def reference_max_multiples(ctx: MultipleContext):
 def reference_low_e_search(S, d_max, bounds):
     """Reference for rank.bounded_low_e_multiple_search with e(S) ≥ 3: the
     same scan over d, walking the fiber of every maximal d-multiple from
-    root discovery without a cap, so no d is skipped."""
+    root discovery."""
     for d in range(2, d_max + 1):
         ctx = MultipleContext(S, d)
         hits = [

@@ -571,27 +571,31 @@ class TestExitCodes:
         for flag in ("--max-frobenius", "--max-genus", "--max-depth", "--max-nodes"):
             assert flag in err
 
-    def test_low_e_search_names_skipped_d(self, capsys):
-        """A none after root discovery passed its cap for some d says so on
-        stderr; stdout and the exit code stay those of a plain none.  Only
-        e(S) ≥ 4 runs root discovery."""
+    def test_low_e_search_skips_no_d(self, capsys):
+        """A none is exact within the bounds for every e(S) and writes
+        nothing to stderr, however small --max-nodes is: ⟨6,8,9,11⟩ has no
+        multiple of smaller e in the walks bounded by it for d = 2, 3."""
         argv = ("search-low-e", "--sgp", "6,8,9,11", "--dmax", "3", "--max-frobenius", "45")
-        assert run(capsys, *argv, "--max-nodes", "10") == (
-            0,
-            "none\n",
-            "note: d=2,3 not searched: root discovery passed 10 multiples (--max-nodes)\n",
-        )
-        # For e(S) = 3 the roots come from the two-generated multiples, so
-        # no d is skipped however small the cap.
+        assert run(capsys, *argv, "--max-nodes", "10") == (0, "none\n", "")
+        # For e(S) = 3 the roots come from the two-generated multiples.
         argv = ("search-low-e", "--sgp", "4,5,7", "--max-frobenius", "24")
         assert run(capsys, *argv, "--dmax", "3", "--max-nodes", "10") == (
             0, "d=3 ⟨5,7⟩ e=2\n", ""
         )
         assert run(capsys, *argv, "--dmax", "2") == (0, "none\n", "")
-        # For e(S) = 2 the none is exact and no d is searched, so none is
-        # skipped at the cap.
+        # For e(S) = 2 the none is exact and no d is searched.
         argv = ("search-low-e", "--sgp", "3,5", "--dmax", "3", "--max-frobenius", "24")
         assert run(capsys, *argv, "--max-nodes", "2") == (0, "none\n", "")
+
+    def test_low_e_search_finds_8_18_19(self, capsys):
+        """⟨8,18,19⟩ is a 3-multiple of ⟨6,8,9,19⟩ with e = 3 and F = 49.
+        It was missed when every d with more than 4,000 multiples of
+        Frobenius number d·F(S) went unsearched, and d = 3 has more."""
+        argv = ("search-low-e", "--sgp", "6,8,9,19")
+        assert run(capsys, *argv, "--dmax", "12", "--max-frobenius", "60") == (
+            0, "d=3 ⟨8,18,19⟩ e=3\n", ""
+        )
+        assert run(capsys, *argv, "--dmax", "20", "--max-frobenius", "30") == (0, "none\n", "")
 
     def test_low_e_search_root_past_the_bounds_is_a_hit(self, capsys):
         """A fiber's root is examined whatever the bounds: ⟨4,13⟩ is a
@@ -602,7 +606,9 @@ class TestExitCodes:
 
     def test_low_e_search_refuses_the_closure_ceiling(self, capsys):
         """d·F(S) past the closure ceiling is refused with exit 3, as in
-        max-multiples, not skipped as if root discovery passed its cap."""
+        max-multiples.  For e(S) ≥ 4 so is a Frobenius reach f with
+        f + d·m(S) past it, as the search closes masks that long; the
+        two-generated closed form of e(S) = 3 needs no such masks."""
         code, out, err = run(
             capsys, "search-low-e", "--sgp", "1100,1101,1102", "--dmax", "3",
             "--max-frobenius", "10",
@@ -610,6 +616,14 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "1048576" in err
+        argv = ("search-low-e", "--dmax", "2", "--max-frobenius", "1048576")
+        assert run(capsys, *argv, "--sgp", "4,5,6,7") == (
+            3,
+            "",
+            "error: the low-e search's Frobenius reach plus d·m(S), 1048576 + 8, "
+            "passes 1048576\n",
+        )
+        assert run(capsys, *argv, "--sgp", "4,5,7") == (0, "none\n", "")
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -13,18 +13,17 @@ from numsgps.core import apery, from_generators
 from numsgps.errors import NotPairwiseCoprime, TooSmall, WholeN
 from numsgps.fibers import TruncationBounds
 from numsgps.multiples import MultipleContext, max_multiples, quotient
-from numsgps.oracle import EnumerationBudget, all_multiples_bounded
+from numsgps.oracle import EnumerationBudget, all_multiples_bounded, semigroups_by_genus
 from numsgps.rank import (
-    ROOT_CAP,
     UniqueBettiSpec,
     _coin_decomposition,
+    _low_e_multiples,
     _two_generated_multiples,
     bounded_low_e_multiple_search,
     full_rank_condition,
     j_subset_obstruction,
     rank_sweep,
     random_semigroup,
-    root_cap,
     unique_betti,
     unique_betti_apery,
 )
@@ -197,7 +196,7 @@ class TestBoundedLowESearch:
         """On every S with F(S) ≤ 9, with d_max 3 and F ≤ 3·F(S) + k for
         k ∈ {0, 3}, the search gives the oracle's answer: the first d with a
         multiple of smaller e and that d's least (genus, gaps) one, or None.
-        No d is skipped, so each None is complete within the bounds."""
+        Each None is complete within the bounds."""
         cases = hits = two_generated = 0
         for S in small_semigroups:
             if S.frobenius > 9:
@@ -216,10 +215,8 @@ class TestBoundedLowESearch:
                     if low:
                         expected = d, min(low, key=lambda t: (t.genus, t.gaps))
                         break
-                skipped = []
                 bounds = TruncationBounds(max_frobenius=f)
-                assert bounded_low_e_multiple_search(S, 3, bounds, skipped) == expected, (S, k)
-                assert skipped == []
+                assert bounded_low_e_multiple_search(S, 3, bounds) == expected, (S, k)
                 cases += 1
                 hits += expected is not None
                 two_generated += S.embedding_dimension == 2
@@ -252,18 +249,16 @@ class TestBoundedLowESearch:
     ):
         """For e(S) = 3 the search takes its roots from the two-generated
         d-multiples; on every such S with F(S) ≤ 13 and d ≤ 4 it gives the
-        answer of walking every root found by root discovery without a cap,
-        and skips no d.  The pinned hit count keeps hits and misses covered."""
+        answer of walking every root found by root discovery.  The pinned
+        hit count keeps hits and misses covered."""
         hits = 0
         for f in range(1, 14):
             for S in census_by_frobenius(f):
                 if S.embedding_dimension != 3:
                     continue
                 bounds = make_bounds(S)
-                skipped = []
-                got = bounded_low_e_multiple_search(S, 4, bounds, skipped)
+                got = bounded_low_e_multiple_search(S, 4, bounds)
                 assert got == reference_low_e_search(S, 4, bounds), S
-                assert skipped == [], S
                 hits += got is not None
         assert hits == expected
 
@@ -272,8 +267,8 @@ class TestBoundedLowESearch:
         d-multiples with e < 3 are the two-generated d-multiples with
         F = d·F(S): such a T is symmetric, so PF(T) = {d·F(S)} ⊆ d·gaps(S).
         So the search needs no root discovery: with rank.max_multiples made
-        to raise, it still answers as the walk of every root and skips no d
-        under max_nodes=1.  d runs to 5 because no such root exists for
+        to raise, it still answers as the walk of every root under
+        max_nodes=1.  d runs to 5 because no such root exists for
         d ≤ 4 there; ⟨4,5,6⟩ and ⟨4,7,10⟩ have one at d = 5."""
         three_generated = [
             S for f in range(1, 14) for S in census_by_frobenius(f) if S.embedding_dimension == 3
@@ -296,10 +291,8 @@ class TestBoundedLowESearch:
         bounds = TruncationBounds(max_nodes=1)
         hits = 0
         for S in three_generated:
-            skipped = []
-            got = bounded_low_e_multiple_search(S, 5, bounds, skipped)
+            got = bounded_low_e_multiple_search(S, 5, bounds)
             assert got == reference_low_e_search(S, 5, bounds), S
-            assert skipped == [], S
             hits += got is not None
         assert hits == 2
 
@@ -326,19 +319,72 @@ class TestBoundedLowESearch:
                 found += len(expected)
         assert (cases, found) == (171, 30)
 
+    def test_low_e_multiples_match_oracle(self, small_semigroups):
+        """On every S with e(S) ≥ 4, F(S) ≤ 9 and d ∈ {2, 3}, the generator
+        tuple search bounded at F ≤ 3·F(S) + 3 gives the oracle's d-multiples
+        with e < e(S) there, and with at most two generators the closed
+        form's two-generated ones."""
+        cases = found = 0
+        for S in small_semigroups:
+            e = S.embedding_dimension
+            if S.frobenius > 9 or e < 4:
+                continue
+            f = 3 * S.frobenius + 3
+            for d in (2, 3):
+                ctx = MultipleContext(S, d)
+                expected = sorted(
+                    (
+                        T
+                        for T in all_multiples_bounded(ctx, EnumerationBudget(f, f, 10**6))
+                        if T.embedding_dimension < e
+                    ),
+                    key=lambda t: t.msg,
+                )
+                got = sorted(_low_e_multiples(ctx, f, e - 1), key=lambda t: t.msg)
+                assert got == expected, (S, d)
+                two_generated = sorted(_low_e_multiples(ctx, f, 2), key=lambda t: t.msg)
+                assert two_generated == _two_generated_multiples(ctx, f), (S, d)
+                cases += 1
+                found += len(expected)
+        assert (cases, found) == (76, 2499)
+
+    @pytest.mark.parametrize(
+        "make_bounds, expected",
+        [
+            (
+                lambda S: TruncationBounds(max_frobenius=3 * S.frobenius + 6, max_nodes=2000),
+                91,
+            ),
+            (lambda S: TruncationBounds(max_genus=2 * S.frobenius), 92),
+            (lambda S: TruncationBounds(max_depth=3), 92),
+            (lambda S: TruncationBounds(max_nodes=100), 93),
+            (lambda S: TruncationBounds(max_depth=0), 26),
+        ],
+        ids=["sweep", "max_genus", "max_depth", "max_nodes", "max_depth_0"],
+    )
+    def test_four_or_more_generated_matches_walking_every_root(self, make_bounds, expected):
+        """For e(S) ≥ 4 the search takes its roots from the d-multiples with
+        e < e(S) under the Frobenius reach; on every such S with genus ≤ 8
+        (108 of them) and d ≤ 3 it gives the answer of walking every root
+        found by root discovery.  The first bounds are the sweep's.  The
+        pinned hit count keeps hits and misses covered."""
+        hits = 0
+        for S in semigroups_by_genus(8):
+            if S.embedding_dimension < 4:
+                continue
+            bounds = make_bounds(S)
+            got = bounded_low_e_multiple_search(S, 3, bounds)
+            assert got == reference_low_e_search(S, 3, bounds), S
+            hits += got is not None
+        assert hits == expected
+
     def test_two_generated_searches_nothing(self):
         """For e(S) = 2 None is exact (e = 1 only for ℕ, and ℕ/d = ℕ), so
-        no d is searched: none is skipped at the cap, however large d_max."""
-        skipped = []
+        no d is searched, however large d_max."""
         bounds = TruncationBounds(max_frobenius=24, max_nodes=2)
         start = time.perf_counter()
-        assert bounded_low_e_multiple_search(sgp(3, 5), 10**6, bounds, skipped) is None
-        assert skipped == []
+        assert bounded_low_e_multiple_search(sgp(3, 5), 10**6, bounds) is None
         assert time.perf_counter() - start < 5
-
-    def test_root_cap(self):
-        assert root_cap(TruncationBounds(max_frobenius=20)) == ROOT_CAP
-        assert root_cap(TruncationBounds(max_frobenius=20, max_nodes=7)) == 7
 
     def test_bounds_required(self):
         from numsgps.errors import BoundsMissing
