@@ -89,11 +89,6 @@ class CeilingExceeded(LimitExceeded):
     pass
 
 
-class NodeCapExceeded(CeilingExceeded):
-    """More multiples than a caller's ``node_cap`` exist
-    (``max-multiples --max-nodes``)."""
-
-
 class Overflow(LimitExceeded):
     """A computed value left the supported 64-bit integer range."""
 

@@ -1,7 +1,9 @@
 """The saturation map on d-multiples and its fibers, arranged as rooted trees.
 
 θ(T) is the largest gap whose adjunction keeps T a d-multiple of S; iterating
-it (the saturation map Θ) reaches a maximal d-multiple R.  The fiber of R is
+it (the saturation map Θ) reaches a maximal d-multiple R.  Above
+N = d·F(S), θ(T) is F(T), so :func:`saturate` takes those steps as one
+build of T ∪ (N, ∞) and adjoins addable gaps only below N.  The fiber of R is
 arranged as a rooted tree with root R, where the children of T are the
 T ∖ {x} whose θ-step leads straight back to T.  Fibers may be infinite, so
 enumeration always demands an explicit truncation bound.
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from operator import or_
 
-from .core import NumericalSemigroup, _adjoined, _bits, _removed
+from .core import NumericalSemigroup, _adjoined, _bits, _from_gap_mask, _removed
 # Unused here; perfbench/selftest.py checks that its tracer reaches the
 # builder through every namespace that bound it, this one included.
 from .core import _from_gap_tuple  # noqa: F401
@@ -84,9 +86,9 @@ class FiberTree:
     """A fiber as flat lists in depth-first preorder, children by ascending
     removed generator: node i is ``semigroup[i]``, at depth ``depth[i]``,
     reached from node ``parent[i]`` by removing ``removed_generator[i]``.
-    Node 0 is the root, with parent -1 and removed generator None."""
+    Node 0 is the root, with parent -1 and removed generator None.  The
+    lists are all it holds; the caller keeps the (S, d) context."""
 
-    context: MultipleContext
     semigroup: list[NumericalSemigroup]
     removed_generator: list[int | None]
     depth: list[int]
@@ -100,14 +102,6 @@ class FiberTree:
             out[p].children.append(node)
         return out
 
-    @property
-    def root(self) -> FiberNode:
-        return self.nodes()[0]
-
-    def semigroups(self) -> list[NumericalSemigroup]:
-        """The semigroups in preorder."""
-        return list(self.semigroup)
-
 
 def _require_multiple(ctx: MultipleContext, T: NumericalSemigroup):
     if not is_d_multiple(ctx, T):
@@ -118,17 +112,11 @@ def theta(ctx: MultipleContext, T: NumericalSemigroup) -> int | None:
     """θ(T): the largest gap z with T ∪ {z} still a d-multiple, else None.
 
     None exactly when T is a maximal d-multiple.  Raises
-    :class:`NotAMultiple` unless T is a d-multiple of S.
+    :class:`NotAMultiple` unless T is a d-multiple of S.  When
+    F(T) ≠ d·F(S), d ∤ F(T) (:func:`divisibility_check`), so θ(T) = F(T)
+    without any pseudo-Frobenius computation.
     """
     _require_multiple(ctx, T)
-    return _theta(ctx, T)
-
-
-def _theta(ctx: MultipleContext, T: NumericalSemigroup) -> int | None:
-    """θ(T), unchecked: T must be a d-multiple of S.  When F(T) ≠ d·F(S),
-    d ∤ F(T) (:func:`divisibility_check`), so θ(T) = F(T) without any
-    pseudo-Frobenius computation.  It serves :func:`theta` and
-    :func:`saturate`; fiber children are decided without it."""
     if T.is_whole_n:
         return None
     if T.frobenius != ctx.scaled_frobenius:
@@ -138,10 +126,18 @@ def _theta(ctx: MultipleContext, T: NumericalSemigroup) -> int | None:
 
 
 def saturate(ctx: MultipleContext, T: NumericalSemigroup) -> NumericalSemigroup:
-    """The maximal d-multiple reached by repeatedly adjoining θ."""
+    """The maximal d-multiple Θ(T) reached by repeatedly adjoining θ.
+
+    While F(T) > N = d·F(S), θ(T) = F(T), so those steps end at
+    T ∪ (N, ∞), which is built at once (ℕ when S = ℕ, where N = −d).
+    From there F(T) = N, and θ(T) is the largest addable gap.
+    """
     _require_multiple(ctx, T)
-    while (z := _theta(ctx, T)) is not None:
-        T = _adjoined(T, z)
+    N = ctx.scaled_frobenius
+    if T.frobenius > N:
+        T = _from_gap_mask(T.gap_mask & (1 << max(N + 1, 0)) - 1)
+    while addable := addable_gaps(ctx, T):
+        T = _adjoined(T, max(addable))
     return T
 
 
@@ -298,7 +294,7 @@ def enumerate_fiber(
         removed.append(x)
         depth.append(k)
         parent.append(p)
-    return FiberTree(ctx, semigroup, removed, depth, parent)
+    return FiberTree(semigroup, removed, depth, parent)
 
 
 def fiber_tree_to_dot(*trees: FiberTree):

@@ -33,7 +33,6 @@ from .errors import (
     CeilingExceeded,
     InternalInvariantError,
     InvalidInput,
-    NodeCapExceeded,
     WholeN,
 )
 
@@ -80,7 +79,6 @@ class MultipleContext:
 
 @dataclass(frozen=True)
 class MaxMultiplesResult:
-    context: MultipleContext
     maximals: tuple[NumericalSemigroup, ...]
 
 
@@ -234,13 +232,11 @@ def max_multiples(ctx: MultipleContext, node_cap: int | None = None) -> MaxMulti
 
     There can be very many d-multiples with Frobenius number d·F(S);
     callers that only need a best-effort answer may pass ``node_cap`` and
-    catch :class:`NodeCapExceeded`, raised when more than ``node_cap`` of
-    them exist.  They are counted, and never built, by the same search
-    without the cut, which stops once it passes the cap (see
-    :func:`_count_passes`).  NodeCapExceeded is a :class:`CeilingExceeded`
-    kept apart from the closure ceiling on d·F(S), which is raised
-    whatever the cap.  A negative ``node_cap`` is refused with
-    :class:`InvalidInput`.
+    catch :class:`CeilingExceeded`, raised when more than ``node_cap`` of
+    them exist, as it is for a d·F(S) past the closure ceiling whatever the
+    cap.  They are counted, and never built, by the same search without the
+    cut, which stops once it passes the cap (see :func:`_count_passes`).  A
+    negative ``node_cap`` is refused with :class:`InvalidInput`.
     """
     if node_cap is not None and node_cap < 0:
         raise InvalidInput(f"--max-nodes must be a non-negative integer, got {node_cap}")
@@ -248,14 +244,14 @@ def max_multiples(ctx: MultipleContext, node_cap: int | None = None) -> MaxMulti
     if S.is_whole_n:
         raise WholeN("maximal multiples are undefined for the whole of ℕ")
     if ctx.d == 1:
-        return MaxMultiplesResult(ctx, (S,))
+        return MaxMultiplesResult((S,))
     space = _search_space(ctx)
     if node_cap is not None and _count_passes(ctx, space, node_cap):
-        raise NodeCapExceeded(
+        raise CeilingExceeded(
             f"more than {node_cap} multiples with Frobenius {ctx.scaled_frobenius}"
         )
     gap_sets = sorted(map(_bits, _gap_masks(ctx, space)), key=lambda g: (len(g), g))
-    return MaxMultiplesResult(ctx, tuple(map(_from_gap_tuple, gap_sets)))
+    return MaxMultiplesResult(tuple(map(_from_gap_tuple, gap_sets)))
 
 
 def irreducibility_transfer(ctx: MultipleContext) -> tuple[bool, bool]:

@@ -15,8 +15,7 @@ smaller embedding dimension under that cap.  For e(S) = 3 those are
 two-generated and known in closed form (F(⟨a,b⟩) = ab − a − b,
 Sylvester); for e(S) ≥ 4 a depth-first search over their generator tuples
 finds them, pruned by the Apéry sets (Rosales & García-Sánchez, Numerical
-Semigroups, Springer 2009, ch. 1).  No root discovery runs and no d is
-skipped.
+Semigroups, Springer 2009, ch. 1).
 """
 
 from __future__ import annotations
@@ -305,14 +304,15 @@ def bounded_low_e_multiple_search(
     :class:`CeilingExceeded`, as in ``max-multiples``.
 
     A hit lies in the fiber of its own saturation.  A root has F = N =
-    d·F(S) and genus ≤ N, a node at depth k genus ≤ N + k, the first M
-    preorder nodes have depth < M, and F ≤ 2g − 1 for every semigroup, so
-    every node of the bounded walks has F ≤ f = max(N, the least of
-    ``max_frobenius``, 2·``max_genus`` − 1, 2·(N + ``max_depth``) − 1 and
-    2·(N + ``max_nodes``) − 1 that are set).  So walking, with :func:`enumerate_fiber`, the
-    saturations of the d-multiples with e < e(S) and F ≤ f gives the
-    answer of walking every root, with no root discovery and no d skipped.
-    For e(S) = 3 those multiples are two-generated
+    d·F(S) and holds d·S ∪ (N, ∞), so its genus is at most that set's,
+    g₀ = N − F(S) + g(S); a node at depth k has genus ≤ g₀ + k, the first
+    M preorder nodes have depth < M, and F ≤ 2g − 1 for every semigroup,
+    so every node of the bounded walks has F ≤ f = max(N, the least of
+    ``max_frobenius``, 2·``max_genus`` − 1, 2·(g₀ + ``max_depth``) − 1
+    and 2·(g₀ + ``max_nodes``) − 1 that are set).  So walking, with
+    :func:`enumerate_fiber`, the saturations of the d-multiples with
+    e < e(S) and F ≤ f gives the answer of walking every root.  For
+    e(S) = 3 those multiples are two-generated
     (:func:`_two_generated_multiples`); for e(S) ≥ 4 they come from
     :func:`_low_e_multiples`, which refuses f + d·m(S) past the closure
     ceiling.
@@ -328,7 +328,8 @@ def bounded_low_e_multiple_search(
     for d in range(2, d_max + 1):
         ctx = MultipleContext(S, d)
         N = ctx.scaled_frobenius
-        genus_caps = ((0, bounds.max_genus), (N, bounds.max_depth), (N, bounds.max_nodes))
+        g0 = N - S.frobenius + S.genus
+        genus_caps = ((0, bounds.max_genus), (g0, bounds.max_depth), (g0, bounds.max_nodes))
         reach = [2 * (base + k) - 1 for base, k in genus_caps if k is not None]
         if bounds.max_frobenius is not None:
             reach.append(bounds.max_frobenius)
@@ -341,7 +342,7 @@ def bounded_low_e_multiple_search(
         hits = [
             t
             for root in roots
-            for t in enumerate_fiber(ctx, root, bounds).semigroups()
+            for t in enumerate_fiber(ctx, root, bounds).semigroup
             if t.embedding_dimension < e
         ]
         if hits:

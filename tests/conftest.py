@@ -82,7 +82,7 @@ def reference_low_e_search(S, d_max, bounds):
         hits = [
             T
             for root in max_multiples(ctx).maximals
-            for T in enumerate_fiber(ctx, root, bounds).semigroups()
+            for T in enumerate_fiber(ctx, root, bounds).semigroup
             if T.embedding_dimension < S.embedding_dimension
         ]
         if hits:

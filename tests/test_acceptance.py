@@ -171,7 +171,7 @@ def test_criterion_4_fiber_partition(census_by_frobenius):
                     bounds = TruncationBounds(max_frobenius=fmax)
                     seen = {}
                     for root in max_multiples(ctx).maximals:
-                        for T in enumerate_fiber(ctx, root, bounds).semigroups():
+                        for T in enumerate_fiber(ctx, root, bounds).semigroup:
                             assert T not in seen, "fibers overlap"
                             seen[T] = root
                     budget = EnumerationBudget(fmax, fmax, 500000)

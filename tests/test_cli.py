@@ -505,7 +505,9 @@ class TestExitCodes:
         assert time.perf_counter() - start < 5
         # ⟨3,5,7⟩, d = 3 has exactly 20 multiples with Frobenius 12.
         argv = ("max-multiples", "--sgp", "3,5,7", "--d", "3")
-        assert run(capsys, *argv, "--max-nodes", "19")[:2] == (3, "")
+        assert run(capsys, *argv, "--max-nodes", "19") == (
+            3, "", "error: more than 19 multiples with Frobenius 12\n"
+        )
         assert run(capsys, *argv, "--max-nodes", "20") == run(capsys, *argv)
 
     def test_max_multiples_uncapped_finishes(self, capsys):

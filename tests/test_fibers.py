@@ -6,12 +6,11 @@ from math import inf
 
 import pytest
 
-from numsgps.core import WHOLE_N, _removed
+from numsgps.core import WHOLE_N, _removed, adjoin
 from numsgps.errors import BoundsMissing, InvalidInput, NotAMultiple, NotMaximal
 from numsgps.fibers import (
     TruncationBounds,
     _child_pairs,
-    _theta,
     children,
     divisibility_check,
     enumerate_fiber,
@@ -99,6 +98,9 @@ class TestSaturate:
         assert saturate(ctx, sgp(6, 9, 11)) == sgp(6, 9, 11)
 
     def test_lands_in_maximals(self, small_semigroups):
+        """Θ(T) is a maximal multiple above T, and the one that adjoining θ
+        until it is None reaches, also from F(T) > d·F(S)."""
+        above = 0
         for S in small_semigroups:
             if S.frobenius > 5:
                 continue
@@ -110,6 +112,11 @@ class TestSaturate:
                     R = saturate(ctx, T)
                     assert R in maximals
                     assert T <= R
+                    above += T.frobenius > ctx.scaled_frobenius
+                    while (z := theta(ctx, T)) is not None:
+                        T = adjoin(T, z)
+                    assert R == T
+        assert above
 
 
 class TestChildren:
@@ -172,7 +179,7 @@ class TestChildren:
                     }
                     assert got == set(children_bruteforce(ctx, T))
 
-    def test_mask_verdict_matches_theta(self):
+    def test_child_verdict_matches_theta_step(self):
         """_child_pairs decides each child from T's bits before building it;
         at every node of the truncated fibers of every S with genus ≤ 4 it
         keeps exactly the x ∉ d·S with θ(T ∖ {x}) = x, and a Frobenius
@@ -183,12 +190,12 @@ class TestChildren:
                 ctx = MultipleContext(S, d)
                 bounds = TruncationBounds(max_frobenius=d * S.frobenius + 6, max_nodes=200)
                 for R in max_multiples(ctx).maximals:
-                    for T in enumerate_fiber(ctx, R, bounds).semigroups():
+                    for T in enumerate_fiber(ctx, R, bounds).semigroup:
                         nodes += 1
                         kept = [
                             x for x in T.msg
                             if not ctx.in_scaled_semigroup(x)
-                            and _theta(ctx, _removed(T, x)) == x
+                            and theta(ctx, _removed(T, x)) == x
                         ]
                         assert _child_pairs(ctx, T) == kept
                         x_max = T.msg[len(T.msg) // 2]
@@ -238,7 +245,7 @@ class TestEnumerateFiber:
     def test_singleton_fiber(self):
         ctx = ctx_of((3, 4), 5)
         tree = enumerate_fiber(ctx, sgp(6, 9, 11), TruncationBounds(max_genus=30))
-        assert tree.semigroups() == [sgp(6, 9, 11)]
+        assert tree.semigroup == [sgp(6, 9, 11)]
 
     def test_contains_chain_down_to_578(self):
         ctx = ctx_of((2, 3), 11)
@@ -246,7 +253,7 @@ class TestEnumerateFiber:
         assert root == sgp(5, 7, 8, 9)
         bound = sgp(5, 7, 8).genus
         tree = enumerate_fiber(ctx, root, TruncationBounds(max_genus=bound))
-        got = set(tree.semigroups())
+        got = set(tree.semigroup)
         assert {sgp(5, 7, 8, 9), sgp(5, 7, 9, 13), sgp(5, 7, 8)} <= got
 
     @pytest.mark.parametrize(
@@ -258,7 +265,7 @@ class TestEnumerateFiber:
         # The bounds prune only below the root, which is always kept.
         ctx = ctx_of((2, 3), 11)
         tree = enumerate_fiber(ctx, sgp(5, 7, 8, 9), TruncationBounds(**{bound: value}))
-        assert tree.semigroups() == [sgp(5, 7, 8, 9)]
+        assert tree.semigroup == [sgp(5, 7, 8, 9)]
 
     def test_bounds_required(self):
         ctx = ctx_of((3, 4), 5)
@@ -287,7 +294,7 @@ class TestEnumerateFiber:
                 ctx = MultipleContext(S, d)
                 for R in max_multiples(ctx).maximals:
                     bounds = TruncationBounds(max_frobenius=d * S.frobenius + 4)
-                    for T in enumerate_fiber(ctx, R, bounds).semigroups():
+                    for T in enumerate_fiber(ctx, R, bounds).semigroup:
                         assert saturate(ctx, T) == R
 
     def test_partition_of_bounded_multiples(self, small_semigroups):
@@ -301,7 +308,7 @@ class TestEnumerateFiber:
                 bounds = TruncationBounds(max_frobenius=fmax)
                 seen: dict = {}
                 for R in max_multiples(ctx).maximals:
-                    for T in enumerate_fiber(ctx, R, bounds).semigroups():
+                    for T in enumerate_fiber(ctx, R, bounds).semigroup:
                         assert T not in seen, "fibers must be disjoint"
                         seen[T] = R
                 budget = EnumerationBudget(fmax, fmax, 8000)
@@ -320,7 +327,7 @@ class TestEnumerateFiber:
                 roots = max_multiples(ctx).maximals
                 gmax = max(R.genus for R in roots) + 2
                 bounds = TruncationBounds(max_genus=gmax)
-                seen = [T for R in roots for T in enumerate_fiber(ctx, R, bounds).semigroups()]
+                seen = [T for R in roots for T in enumerate_fiber(ctx, R, bounds).semigroup]
                 assert len(seen) == len(set(seen)), "fibers must be disjoint"
                 budget = EnumerationBudget(2 * gmax - 1, gmax, 100_000)
                 assert set(seen) == set(all_multiples_bounded(ctx, budget))
@@ -461,7 +468,7 @@ class TestEnumerateFiber:
                 stack.extend(reversed(nested[-1].children))
             expected = [(n.depth, n.removed_generator, n.semigroup) for n in nested]
             assert list(zip(tree.depth, tree.removed_generator, tree.semigroup)) == expected
-            assert tree.semigroups() == [T for _, _, T in expected]
+            assert tree.semigroup == [T for _, _, T in expected]
             # The FiberNode view links the same children.
             assert [(n.semigroup, len(n.children)) for n in tree.nodes()] == [
                 (n.semigroup, len(n.children)) for n in nested
