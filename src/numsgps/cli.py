@@ -1,20 +1,21 @@
 """Command-line surface: stable text/JSON/DOT output for every subsystem.
 
-Each subcommand is one row of the table in :func:`_commands` (path, help,
+Each subcommand is one row of the table :data:`_COMMANDS` (path, help,
 handler, formats, options), and :func:`build_parser` loops over it.
 :func:`main` builds that parser once per process, on its first call, and
 parses every later argv with it too: in-process callers parse many argv,
 and a parse leaves the parser as it was.  A handler computes its result
 once and returns one zero-argument renderer per output.  A renderer
 returns text, a small JSON payload (a dict, under ``"json"``) or an
-iterable of text chunks; the ``fiber-tree`` renderers yield chunks node by
-node from each fiber's flat preorder lists, so its output, which grows
-with the cube of the tree depth as JSON, never has to fit in memory.  The
-JSON of a semigroup listing (``max-multiples`` and the oracle census and
-bounded multiples) is streamed too, one semigroup per chunk.  Both write
-a semigroup's JSON object through one template,
-:func:`_semigroup_json`, and format each integer once per output, into a
-table of names read by index; the fiber renderers also build each
+iterable of text chunks; the three ``fiber-tree`` renderers (text, JSON
+and DOT) yield chunks node by node or line by line from each fiber's flat
+preorder lists, so its output, which grows with the cube of the tree
+depth as JSON, never has to fit in memory.  The JSON of a semigroup
+listing (``max-multiples`` and the oracle census and bounded multiples)
+is streamed too, one semigroup per chunk.  Both JSON streams write a
+semigroup's JSON object through one template, :func:`_semigroup_json`,
+and they and the fiber text format each integer once per output, into a
+table of names read by index; the fiber text and JSON also build each
 depth's indents once.  Those tables grow with the largest integer
 printed and with the square of the tree depth.  All search happens in
 the handler, so a refusal comes before the first byte.  :func:`main`
@@ -40,7 +41,7 @@ import sys
 from itertools import compress
 
 from . import core, ed1, fibers, monoids, multiples, oracle, rank
-from .core import NumericalSemigroup
+from .core import _BIT_FLAGS, NumericalSemigroup
 from .errors import InvalidInput, NumsgpsError
 
 
@@ -162,11 +163,6 @@ def _cmd_max_multiples(args) -> dict:
     return _listing(multiples.max_multiples(ctx, args.max_nodes).maximals, "maximals", ctx)
 
 
-# bin(mask) reversed, as bytes, reads 1 at each set bit and 0 elsewhere once
-# translated; itertools.compress then picks the names of the gaps.
-_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
 def _name_through(names: list, top: int) -> None:
     """Extend ``names``, the table with str(n) at index n, through top.
 
@@ -269,8 +265,8 @@ def _trees_json(ctx, trees):
     node's text.  ``trees`` is not empty: every S other than ℕ has a
     maximal d-multiple.
     """
-    head = canonical_json({**_head(ctx), "trees": []})
-    yield head[: -len("[]\n}\n")] + "["
+    start, _, end = canonical_json({**_head(ctx), "trees": []}).rpartition("[]")
+    yield start + "["
     names: list = []
     levels: list = []
     for t, tree in enumerate(trees):
@@ -296,7 +292,24 @@ def _trees_json(ctx, trees):
                     semigroup[j], removed[j], k, names, levels[k]
                 )
                 j = parent[j]
-    yield "\n  ]\n}\n"
+    yield "\n  ]" + end
+
+
+def _trees_dot(trees):
+    """DOT rendering of the fiber trees as one digraph, one line per
+    chunk: node label '⟨msg⟩ F=.. g=..', edge label = removed generator, each
+    tree's node lines before its edge lines, the edges grouped by parent in
+    preorder."""
+    yield "digraph fiber {\n"
+    for tree in trees:
+        name = list(map(str, tree.semigroup))  # each formatted once
+        for n, T in zip(name, tree.semigroup):
+            yield f'  "{n}" [label="{n} F={T.frobenius} g={T.genus}"];\n'
+        # A stable sort by parent keeps each node's children in preorder.
+        for i in sorted(range(1, len(name)), key=tree.parent.__getitem__):
+            p = tree.parent[i]
+            yield f'  "{name[p]}" -> "{name[i]}" [label="{tree.removed_generator[i]}"];\n'
+    yield "}\n"
 
 
 def _cmd_fiber_tree(args) -> dict:
@@ -312,7 +325,7 @@ def _cmd_fiber_tree(args) -> dict:
     return {
         "json": lambda: _trees_json(ctx, trees),
         "text": lambda: _trees_text(trees),
-        "dot": lambda: fibers.fiber_tree_to_dot(*trees),
+        "dot": lambda: _trees_dot(trees),
     }
 
 
@@ -443,42 +456,41 @@ _BOUNDS = tuple((f"--max-{b}", {"type": int}) for b in ("frobenius", "genus", "d
 _TEXT_JSON = ("text", "json")
 
 
-def _commands():
-    """The command table in --help order: (path, help, handler, formats,
-    *options) per subcommand, where a row without a handler is a group.
-    :func:`main` reads it once per process, when it first builds its
-    parser, since in-process callers parse many argv with that parser."""
-    return (
-        ("info", "invariants of one semigroup", _cmd_info, _TEXT_JSON, _SGP),
-        ("quotient", "compute T/d", _cmd_quotient, _TEXT_JSON, _SGP, _D),
-        ("is-multiple", "test whether a candidate is a d-multiple of S", _cmd_is_multiple,
-         _TEXT_JSON, _SGP, _D, ("--candidate", _REQUIRED)),
-        ("max-multiples", "all inclusion-maximal d-multiples of S", _cmd_max_multiples,
-         _TEXT_JSON, _SGP, _D, ("--max-nodes", {"type": int})),
-        ("fiber-tree", "enumerate a saturation fiber as a rooted tree", _cmd_fiber_tree,
-         ("text", "json", "dot"), _SGP, _D,
-         ("--root", {"default": "auto", "help": "'auto' or a generator list"}),
-         ("--dot", {"help": "also write DOT to this path"}), *_BOUNDS),
-        ("md-monoid", "the monoid ⟨X⟩ + d·S and its minimal system", _cmd_md_monoid,
-         _TEXT_JSON, _SGP, _D, ("--x", {"default": "", "help": "comma list, may be empty"})),
-        ("ed1", "closed forms for ⟨x⟩ + d·S", _cmd_ed1, _TEXT_JSON, _SGP, _D,
-         ("--x", _REQUIRED_INT)),
-        ("full-rank", "Apéry sufficient condition for full quotient rank", _cmd_full_rank,
-         _TEXT_JSON, _SGP),
-        ("unique-betti", "semigroup from pairwise-coprime factors", _cmd_unique_betti,
-         _TEXT_JSON, ("--c", _REQUIRED)),
-        ("search-low-e", "bounded hunt for a multiple of smaller e", _cmd_search_low_e,
-         _TEXT_JSON, _SGP, ("--dmax", _REQUIRED_INT), *_BOUNDS),
-        ("rank-sweep", "seeded CSV experiment on random semigroups", _cmd_rank_sweep, (),
-         ("--count", _REQUIRED_INT), ("--max-genus", _REQUIRED_INT), ("--seed", _REQUIRED_INT),
-         ("--dmax", {"type": int, "default": 3}), ("--csv", {})),
-        ("oracle", "brute-force enumerators (test fixtures)", None, ()),
-        ("oracle frobenius-census", "all semigroups with Frobenius number f",
-         _cmd_oracle_census, _TEXT_JSON, ("--f", _REQUIRED_INT)),
-        ("oracle multiples-bounded", "all d-multiples up to a Frobenius bound",
-         _cmd_oracle_multiples, _TEXT_JSON, _SGP, _D, ("--max-frobenius", _REQUIRED_INT),
-         ("--max-genus", {"type": int}), ("--limit", {"type": int, "default": 100000})),
-    )
+# The command table in --help order: (path, help, handler, formats,
+# *options) per subcommand, where a row without a handler is a group.
+# :func:`main` reads it once per process, when it first builds its parser,
+# since in-process callers parse many argv with that parser.
+_COMMANDS = (
+    ("info", "invariants of one semigroup", _cmd_info, _TEXT_JSON, _SGP),
+    ("quotient", "compute T/d", _cmd_quotient, _TEXT_JSON, _SGP, _D),
+    ("is-multiple", "test whether a candidate is a d-multiple of S", _cmd_is_multiple,
+     _TEXT_JSON, _SGP, _D, ("--candidate", _REQUIRED)),
+    ("max-multiples", "all inclusion-maximal d-multiples of S", _cmd_max_multiples,
+     _TEXT_JSON, _SGP, _D, ("--max-nodes", {"type": int})),
+    ("fiber-tree", "enumerate a saturation fiber as a rooted tree", _cmd_fiber_tree,
+     ("text", "json", "dot"), _SGP, _D,
+     ("--root", {"default": "auto", "help": "'auto' or a generator list"}),
+     ("--dot", {"help": "also write DOT to this path"}), *_BOUNDS),
+    ("md-monoid", "the monoid ⟨X⟩ + d·S and its minimal system", _cmd_md_monoid,
+     _TEXT_JSON, _SGP, _D, ("--x", {"default": "", "help": "comma list, may be empty"})),
+    ("ed1", "closed forms for ⟨x⟩ + d·S", _cmd_ed1, _TEXT_JSON, _SGP, _D,
+     ("--x", _REQUIRED_INT)),
+    ("full-rank", "Apéry sufficient condition for full quotient rank", _cmd_full_rank,
+     _TEXT_JSON, _SGP),
+    ("unique-betti", "semigroup from pairwise-coprime factors", _cmd_unique_betti,
+     _TEXT_JSON, ("--c", _REQUIRED)),
+    ("search-low-e", "bounded hunt for a multiple of smaller e", _cmd_search_low_e,
+     _TEXT_JSON, _SGP, ("--dmax", _REQUIRED_INT), *_BOUNDS),
+    ("rank-sweep", "seeded CSV experiment on random semigroups", _cmd_rank_sweep, (),
+     ("--count", _REQUIRED_INT), ("--max-genus", _REQUIRED_INT), ("--seed", _REQUIRED_INT),
+     ("--dmax", {"type": int, "default": 3}), ("--csv", {})),
+    ("oracle", "brute-force enumerators (test fixtures)", None, ()),
+    ("oracle frobenius-census", "all semigroups with Frobenius number f",
+     _cmd_oracle_census, _TEXT_JSON, ("--f", _REQUIRED_INT)),
+    ("oracle multiples-bounded", "all d-multiples up to a Frobenius bound",
+     _cmd_oracle_multiples, _TEXT_JSON, _SGP, _D, ("--max-frobenius", _REQUIRED_INT),
+     ("--max-genus", {"type": int}), ("--limit", {"type": int, "default": 100000})),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -490,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--out", default=None, help="write output to a file instead of stdout")
     groups = {"": parser.add_subparsers(dest="command", required=True)}
-    for path, help_text, run, formats, *options in _commands():
+    for path, help_text, run, formats, *options in _COMMANDS:
         group, _, name = path.rpartition(" ")
         p = groups[group].add_parser(name, help=help_text)
         if run is None:

@@ -39,6 +39,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import compress, count
 from math import gcd
 from typing import Iterable
 
@@ -70,14 +71,17 @@ def checked(value: int) -> int:
     return value
 
 
+# bin(mask) reversed, as bytes, reads 1 at each set bit and 0 elsewhere once
+# translated; itertools.compress then picks the positions, or the names, of
+# the set bits.
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _bits(mask: int) -> tuple[int, ...]:
-    """Positions of the set bits of a nonnegative mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    """Positions of the set bits of a nonnegative mask, ascending, read in
+    one pass over its binary digits (a loop clearing the lowest set bit
+    would copy the mask once per set bit)."""
+    return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)))
 
 
 @dataclass(frozen=True)

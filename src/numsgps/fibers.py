@@ -10,9 +10,10 @@ enumeration always demands an explicit truncation bound.
 
 :func:`enumerate_fiber` is one walk that records a fiber as flat preorder
 lists (:class:`FiberTree`: semigroup, removed generator, depth and parent
-index per node), which the renderers and the low-e search read directly;
-the linked :class:`FiberNode` view is built only on request.  Most nodes
-cost the walk one kernel call, the removal that builds them: as in the
+index per node), which the low-e search and the text, JSON and DOT
+renderers of :mod:`numsgps.cli` read directly; the linked
+:class:`FiberNode` view is built only on request.  Most nodes cost the
+walk one kernel call, the removal that builds them: as in the
 tree of numerical semigroups (Fromentin & Hivert, Math. Comp. 85, 2016),
 a child T = P ∖ {x} with x > F(P) and x ≠ m(P) takes its child edges
 from P's: the later ones, plus x + m(P) when that is a new generator.  Only
@@ -296,19 +297,3 @@ def enumerate_fiber(
         parent.append(p)
     return FiberTree(semigroup, removed, depth, parent)
 
-
-def fiber_tree_to_dot(*trees: FiberTree):
-    """DOT rendering of one or more fiber trees as one digraph, one line per
-    chunk: node label '⟨msg⟩ F=.. g=..', edge label = removed generator, each
-    tree's node lines before its edge lines, the edges grouped by parent in
-    preorder."""
-    yield "digraph fiber {\n"
-    for tree in trees:
-        name = list(map(str, tree.semigroup))  # each formatted once
-        for n, T in zip(name, tree.semigroup):
-            yield f'  "{n}" [label="{n} F={T.frobenius} g={T.genus}"];\n'
-        # A stable sort by parent keeps each node's children in preorder.
-        for i in sorted(range(1, len(name)), key=tree.parent.__getitem__):
-            p = tree.parent[i]
-            yield f'  "{name[p]}" -> "{name[i]}" [label="{tree.removed_generator[i]}"];\n'
-    yield "}\n"

@@ -58,7 +58,6 @@ class MdMonoid:
     semigroup with M = scale·reduced; the pair gives O(1) membership.
     """
 
-    context: MultipleContext
     x_set: tuple[int, ...]
     minimal_system: tuple[int, ...]
     is_semigroup: bool
@@ -95,7 +94,6 @@ def build_monoid(ctx: MultipleContext, xs: Iterable[int]) -> MdMonoid:
     scaled_msg = {d * a for a in S.msg}
     minimal_system = tuple(a for a in msg_m if a not in scaled_msg)
     return MdMonoid(
-        context=ctx,
         x_set=x_tuple,
         minimal_system=minimal_system,
         is_semigroup=scale == 1,

@@ -57,13 +57,11 @@ class MultipleContext:
     def scaled_gap_mask(self) -> int:
         """Bitmask of d·gaps(S), refused with :class:`CeilingExceeded` when
         d·F(S) passes :data:`~numsgps.core.CLOSURE_CEILING`.  Everything that
-        loops or closes up to d·F(S) reads it first."""
+        loops or closes up to d·F(S) reads it first.  It is the gap mask of
+        S with d − 1 zero digits put between its binary digits."""
         if self.scaled_frobenius > CLOSURE_CEILING:
             raise CeilingExceeded(f"d·F(S) = {self.scaled_frobenius} passes {CLOSURE_CEILING}")
-        mask = 0
-        for h in self.scaled_gaps:
-            mask |= 1 << h
-        return mask
+        return int(("0" * (self.d - 1)).join(bin(self.semigroup.gap_mask)[2:]), 2)
 
     @property
     def scaled_frobenius(self) -> int:
@@ -226,7 +224,8 @@ def max_multiples(ctx: MultipleContext, node_cap: int | None = None) -> MaxMulti
     A depth-first search over the free positions p < d·F(S), d ∤ p, in
     ascending order, on closed member masks (see :func:`_search_space`).
     It cuts a branch once a position it excluded can no longer be blocked,
-    and builds a semigroup only for the leaves it keeps.  Each kept gap
+    and builds a semigroup only for the leaves it keeps.  For d = 1 there
+    is no free position, and the same search yields S alone.  Each kept gap
     mask becomes its gap tuple once; the maximals are sorted by
     (genus, gap tuple) on those tuples and built from them.
 
@@ -235,16 +234,14 @@ def max_multiples(ctx: MultipleContext, node_cap: int | None = None) -> MaxMulti
     catch :class:`CeilingExceeded`, raised when more than ``node_cap`` of
     them exist, as it is for a d·F(S) past the closure ceiling whatever the
     cap.  They are counted, and never built, by the same search without the
-    cut, which stops once it passes the cap (see :func:`_count_passes`).  A
-    negative ``node_cap`` is refused with :class:`InvalidInput`.
+    cut, which stops once it passes the cap (see :func:`_count_passes`), so
+    a cap of 0 raises for every d, d = 1 included.  A negative ``node_cap``
+    is refused with :class:`InvalidInput`.
     """
     if node_cap is not None and node_cap < 0:
         raise InvalidInput(f"--max-nodes must be a non-negative integer, got {node_cap}")
-    S = ctx.semigroup
-    if S.is_whole_n:
+    if ctx.semigroup.is_whole_n:
         raise WholeN("maximal multiples are undefined for the whole of ℕ")
-    if ctx.d == 1:
-        return MaxMultiplesResult((S,))
     space = _search_space(ctx)
     if node_cap is not None and _count_passes(ctx, space, node_cap):
         raise CeilingExceeded(

@@ -46,7 +46,6 @@ from .multiples import max_multiples  # noqa: F401
 class ApexWitness:
     """One Apéry membership check: does sum_{j != i} a_j lie in Ap(S, a_i)?"""
 
-    index: int
     generator: int
     partner_sum: int
     in_apery: bool
@@ -54,7 +53,6 @@ class ApexWitness:
 
 @dataclass(frozen=True)
 class RankReport:
-    semigroup: NumericalSemigroup
     condition_holds: bool
     witnesses: tuple[ApexWitness, ...]
     multiplicity_bound_ok: bool
@@ -70,13 +68,13 @@ def full_rank_condition(S: NumericalSemigroup) -> RankReport:
         raise WholeN("quotient rank analysis is undefined for the whole of ℕ")
     total = sum(S.msg)
     witnesses = []
-    for i, a in enumerate(S.msg):
+    for a in S.msg:
         w = total - a
         in_apery = S.contains(w) and not S.contains(w - a)
-        witnesses.append(ApexWitness(i, a, w, in_apery))
+        witnesses.append(ApexWitness(a, w, in_apery))
     holds = all(w.in_apery for w in witnesses)
     bound_ok = not holds or S.multiplicity >= 2 ** (S.embedding_dimension - 1)
-    return RankReport(S, holds, tuple(witnesses), bound_ok)
+    return RankReport(holds, tuple(witnesses), bound_ok)
 
 
 @dataclass(frozen=True)

@@ -178,6 +178,26 @@ class TestFiberTree:
         assert '"⟨5,7,8,9⟩" -> "⟨5,7,8⟩" [label="9"]' in out
         assert out.splitlines()[0] == "digraph fiber {"
 
+    def test_dot_output_is_stable(self):
+        ctx = multiples.MultipleContext(sgp(2, 3), 11)
+        bounds = fibers.TruncationBounds(max_genus=7)
+        roots = (sgp(5, 7, 8, 9), sgp(4, 5))
+        trees = [fibers.enumerate_fiber(ctx, root, bounds) for root in roots]
+        dot = "".join(cli._trees_dot(trees))
+        assert dot == (
+            "digraph fiber {\n"
+            '  "⟨5,7,8,9⟩" [label="⟨5,7,8,9⟩ F=11 g=6"];\n'
+            '  "⟨5,8,9,12⟩" [label="⟨5,8,9,12⟩ F=11 g=7"];\n'
+            '  "⟨5,7,9,13⟩" [label="⟨5,7,9,13⟩ F=11 g=7"];\n'
+            '  "⟨5,7,8⟩" [label="⟨5,7,8⟩ F=11 g=7"];\n'
+            '  "⟨5,7,8,9⟩" -> "⟨5,8,9,12⟩" [label="7"];\n'
+            '  "⟨5,7,8,9⟩" -> "⟨5,7,9,13⟩" [label="8"];\n'
+            '  "⟨5,7,8,9⟩" -> "⟨5,7,8⟩" [label="9"];\n'
+            '  "⟨4,5⟩" [label="⟨4,5⟩ F=11 g=6"];\n'
+            "}\n"
+        )
+        assert dot == "".join(cli._trees_dot(trees))
+
     def test_auto_root(self, capsys):
         code, out, _ = run(
             capsys, "fiber-tree", "--sgp", "3,4,5", "--d", "3", "--max-nodes", "1"
@@ -509,6 +529,13 @@ class TestExitCodes:
             3, "", "error: more than 19 multiples with Frobenius 12\n"
         )
         assert run(capsys, *argv, "--max-nodes", "20") == run(capsys, *argv)
+        # d = 1 runs the same search, and its one multiple S passes cap 0.
+        argv = ("max-multiples", "--sgp", "3,4,5", "--d", "1")
+        assert run(capsys, *argv, "--max-nodes", "0") == (
+            3, "", "error: more than 0 multiples with Frobenius 2\n"
+        )
+        uncapped = run(capsys, *argv)
+        assert run(capsys, *argv, "--max-nodes", "1") == uncapped == (0, "⟨3,4,5⟩\n", "")
 
     def test_max_multiples_uncapped_finishes(self, capsys):
         # ⟨2,3⟩ with d = 60 did not finish in 4 minutes when every multiple

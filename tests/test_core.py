@@ -353,6 +353,12 @@ class TestMaskRepresentation:
         for S in genus_tree_12:
             assert S.gap_mask == sum(1 << h for h in S.gaps), S
 
+    def test_scaled_mask_is_the_scaled_gap_set(self, genus_tree_12):
+        for S in genus_tree_12[:27]:  # every S of genus <= 5
+            for d in range(1, 6):
+                ctx = MultipleContext(S, d)
+                assert ctx.scaled_gap_mask == sum(1 << h for h in ctx.scaled_gaps), (S, d)
+
     def test_invariants_match_gap_tuple(self, genus_tree_12):
         for S in genus_tree_12:
             gaps = S.gaps

@@ -14,7 +14,6 @@ from numsgps.fibers import (
     children,
     divisibility_check,
     enumerate_fiber,
-    fiber_tree_to_dot,
     saturate,
     theta,
 )
@@ -496,25 +495,6 @@ class TestEnumerateFiber:
             assert probed == calls
         if nodes > 2:
             assert branches["probed"] and branches["inherited"]
-
-    def test_dot_output_is_stable(self):
-        ctx = ctx_of((2, 3), 11)
-        bounds = TruncationBounds(max_genus=7)
-        trees = [enumerate_fiber(ctx, root, bounds) for root in (sgp(5, 7, 8, 9), sgp(4, 5))]
-        dot = "".join(fiber_tree_to_dot(*trees))
-        assert dot == (
-            "digraph fiber {\n"
-            '  "⟨5,7,8,9⟩" [label="⟨5,7,8,9⟩ F=11 g=6"];\n'
-            '  "⟨5,8,9,12⟩" [label="⟨5,8,9,12⟩ F=11 g=7"];\n'
-            '  "⟨5,7,9,13⟩" [label="⟨5,7,9,13⟩ F=11 g=7"];\n'
-            '  "⟨5,7,8⟩" [label="⟨5,7,8⟩ F=11 g=7"];\n'
-            '  "⟨5,7,8,9⟩" -> "⟨5,8,9,12⟩" [label="7"];\n'
-            '  "⟨5,7,8,9⟩" -> "⟨5,7,9,13⟩" [label="8"];\n'
-            '  "⟨5,7,8,9⟩" -> "⟨5,7,8⟩" [label="9"];\n'
-            '  "⟨4,5⟩" [label="⟨4,5⟩ F=11 g=6"];\n'
-            "}\n"
-        )
-        assert dot == "".join(fiber_tree_to_dot(*trees))
 
 
 class TestWholeNContext:

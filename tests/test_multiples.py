@@ -2,10 +2,11 @@
 cross-checked against exhaustive oracle enumeration."""
 
 import random
+import time
 
 import pytest
 
-from numsgps.core import WHOLE_N, from_gaps, intersect, is_irreducible
+from numsgps.core import WHOLE_N, from_gaps, from_generators, intersect, is_irreducible
 from numsgps.errors import CeilingExceeded, NotNumerical, WholeN
 from numsgps.multiples import (
     MultipleContext,
@@ -88,6 +89,15 @@ class TestMaxMultiples:
         S = sgp(3, 5, 7)
         assert max_multiples(MultipleContext(S, 1)).maximals == (S,)
 
+    def test_d_one_of_a_large_genus_finishes(self):
+        # d = 1 runs the general search, which reads S's 499,500 gaps and
+        # its scaled gap mask; listing the gaps one cleared bit at a time
+        # took 19 s here.
+        S = from_generators([1000, 1001])
+        start = time.perf_counter()
+        assert max_multiples(MultipleContext(S, 1)).maximals == (S,)
+        assert time.perf_counter() - start < 10
+
     def test_357_d3(self):
         got = set(max_multiples(MultipleContext(sgp(3, 5, 7), 3)).maximals)
         assert got == {sgp(5, 8, 9, 11), sgp(7, 8, 9, 10, 11, 13)}
@@ -137,7 +147,7 @@ class TestMaxMultiples:
         for S in small_semigroups:
             if S.frobenius > 7:
                 continue
-            for d in range(2, 5):
+            for d in range(1, 5):
                 ctx = MultipleContext(S, d)
                 f = d * S.frobenius
                 budget = EnumerationBudget(f, f, 100_000)
