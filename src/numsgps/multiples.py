@@ -58,9 +58,12 @@ class MultipleContext:
         """Bitmask of d·gaps(S), refused with :class:`CeilingExceeded` when
         d·F(S) passes :data:`~numsgps.core.CLOSURE_CEILING`.  Everything that
         loops or closes up to d·F(S) reads it first.  It is the gap mask of
-        S with d − 1 zero digits put between its binary digits."""
+        S with d − 1 zero digits put between its binary digits; for S = ℕ,
+        where d·F(S) = −d bounds no d, it is 0 without that separator."""
         if self.scaled_frobenius > CLOSURE_CEILING:
             raise CeilingExceeded(f"d·F(S) = {self.scaled_frobenius} passes {CLOSURE_CEILING}")
+        if self.semigroup.is_whole_n:
+            return 0
         return int(("0" * (self.d - 1)).join(bin(self.semigroup.gap_mask)[2:]), 2)
 
     @property

@@ -17,7 +17,7 @@ from numsgps.fibers import (
     saturate,
     theta,
 )
-from numsgps.multiples import MultipleContext, is_d_multiple, max_multiples, quotient
+from numsgps.multiples import MultipleContext, addable_gaps, is_d_multiple, max_multiples, quotient
 from numsgps.oracle import (
     EnumerationBudget,
     all_multiples_bounded,
@@ -505,3 +505,13 @@ class TestWholeNContext:
         assert is_d_multiple(ctx, T)
         assert children(ctx, T) == ()
         assert saturate(ctx, T) == WHOLE_N
+
+    def test_d_past_the_closure_ceiling(self):
+        # d·F(ℕ) = −d bounds no d, so the scaled gap mask must not be built
+        # from d itself.
+        ctx = MultipleContext(WHOLE_N, 10**12)
+        assert ctx.scaled_gap_mask == 0
+        tree = enumerate_fiber(ctx, WHOLE_N, TruncationBounds(max_nodes=3))
+        assert [str(n.semigroup) for n in tree.nodes()] == ["⟨1⟩", "⟨2,3⟩", "⟨3,4,5⟩"]
+        assert addable_gaps(ctx, sgp(2, 3)) == (1,)
+        assert saturate(ctx, sgp(2, 3)) == WHOLE_N

@@ -2,7 +2,6 @@
 cross-checked against exhaustive oracle enumeration."""
 
 import random
-import time
 
 import pytest
 
@@ -89,14 +88,13 @@ class TestMaxMultiples:
         S = sgp(3, 5, 7)
         assert max_multiples(MultipleContext(S, 1)).maximals == (S,)
 
-    def test_d_one_of_a_large_genus_finishes(self):
-        # d = 1 runs the general search, which reads S's 499,500 gaps and
-        # its scaled gap mask; listing the gaps one cleared bit at a time
-        # took 19 s here.
+    def test_d_one_of_a_large_genus(self):
+        # d = 1 runs the general search, which reads all 499,500 gaps of S
+        # and its scaled gap mask.  CI bounds the time of the same case.
         S = from_generators([1000, 1001])
-        start = time.perf_counter()
-        assert max_multiples(MultipleContext(S, 1)).maximals == (S,)
-        assert time.perf_counter() - start < 10
+        (T,) = max_multiples(MultipleContext(S, 1)).maximals
+        assert T == S
+        assert len(T.gaps) == T.genus == 499_500
 
     def test_357_d3(self):
         got = set(max_multiples(MultipleContext(sgp(3, 5, 7), 3)).maximals)
