@@ -314,6 +314,7 @@ def _trees_dot(trees):
 
 def _cmd_fiber_tree(args) -> dict:
     bounds = _bounds(args)  # refuses a negative bound before root discovery
+    bounds.require_finite("fiber enumeration")  # and a missing one
     ctx = _context(args)
     if args.root == "auto":
         roots = sorted(multiples.max_multiples(ctx).maximals, key=lambda s: s.msg)

@@ -196,11 +196,15 @@ def _from_gap_mask(gap_mask: int) -> NumericalSemigroup:
 
 
 def _from_gap_tuple(gaps: Iterable[int]) -> NumericalSemigroup:
-    """Build the value from an already-validated closed gap set."""
-    mask = 0
+    """Build the value from an already-validated closed gap set, in any
+    order.  The mask is read from one string of binary digits, as setting
+    one bit per gap would copy the growing mask once per gap."""
+    gaps = sorted(gaps, reverse=True)
+    top = gaps[0] if gaps else 0
+    digits = bytearray(b"0") * (top + 1)
     for h in gaps:
-        mask |= 1 << h
-    return _from_gap_mask(mask)
+        digits[top - h] = 49  # "1"
+    return _from_gap_mask(int(digits, 2))
 
 
 def _adjoined(T: NumericalSemigroup, z: int) -> NumericalSemigroup:

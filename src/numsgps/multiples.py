@@ -50,10 +50,6 @@ class MultipleContext:
         checked(self.d * max(self.semigroup.frobenius, 1))
 
     @cached_property
-    def scaled_gaps(self) -> tuple[int, ...]:
-        return tuple(self.d * h for h in self.semigroup.gaps)
-
-    @cached_property
     def scaled_gap_mask(self) -> int:
         """Bitmask of d·gaps(S), refused with :class:`CeilingExceeded` when
         d·F(S) passes :data:`~numsgps.core.CLOSURE_CEILING`.  Everything that

@@ -154,7 +154,7 @@ def all_multiples_bounded(
     """
     fmax = budget.max_frobenius
     forced = 0
-    for h in ctx.scaled_gaps:
+    for h in (ctx.d * g for g in ctx.semigroup.gaps):
         if h > fmax:
             return ()
         forced |= 1 << h

@@ -11,11 +11,10 @@ the only semigroup with e = 1 is ℕ, and ℕ/d = ℕ, so for e(S) = 2 no d is
 searched.  Otherwise a hit lies in
 the fiber of its own saturation and the bounds cap its Frobenius number,
 so the hunt walks only the fibers of the saturations of the d-multiples of
-smaller embedding dimension under that cap.  For e(S) = 3 those are
-two-generated and known in closed form (F(⟨a,b⟩) = ab − a − b,
-Sylvester); for e(S) ≥ 4 a depth-first search over their generator tuples
-finds them, pruned by the Apéry sets (Rosales & García-Sánchez, Numerical
-Semigroups, Springer 2009, ch. 1).
+smaller embedding dimension under that cap.  One depth-first search over
+their generator tuples finds them for every e(S), pruned by the Apéry sets
+and by Sylvester's bound F(⟨a,b⟩) = ab − a − b (Rosales & García-Sánchez,
+Numerical Semigroups, Springer 2009, ch. 1-2).
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, product
-from math import comb, gcd, isqrt, prod
+from math import comb, gcd, prod
 
 from .core import CLOSURE_CEILING, NumericalSemigroup, _closure, from_generators
 from .errors import (
@@ -186,44 +185,11 @@ def _coin_decomposition(gens: list[int], target: int) -> list[int] | None:
     return coeffs
 
 
-def _two_generated_multiples(ctx: MultipleContext, f_max: int) -> list[NumericalSemigroup]:
-    """Every two-generated d-multiple T = ⟨a,b⟩ of S with F(T) ≤ f_max,
-    ascending by (a, b); S ≠ ℕ.  A d·F(S) past the closure ceiling is
-    refused with :class:`CeilingExceeded` before any pair is tried.
-
-    F(T) + 1 = (a − 1)(b − 1) (Sylvester) is at least d·F(S) + 1, as
-    d·F(S) is a gap, and (a − 1)² ≤ F(T), as b > a.  a ≤ d·m(S), as
-    d·m(S) ∈ T.  a ∤ d, as otherwise T/d = ℕ, so a ∤ d·s for some
-    generator s of S, and d·s ∈ ⟨a,b⟩ then forces b ≤ d·max msg(S).  A
-    pair within these bounds is tested on integers alone: n ∈ ⟨a,b⟩ iff
-    n ≥ b·(n·b⁻¹ mod a), and T/d = S iff T holds d·msg(S) and misses
-    d·gaps(S).  Only the pairs that pass are built.
-    """
-    S, d, N = ctx.semigroup, ctx.d, ctx.scaled_frobenius
-    ctx.scaled_gap_mask  # refuses d·F(S) past the closure ceiling
-    members = [d * s for s in S.msg]
-    b_max = members[-1]
-    out = []
-    for a in range(2, min(d * S.multiplicity, isqrt(f_max) + 1) + 1):
-        # (a − 1)(b − 1) − 1 within [N, f_max]
-        b_lo = max(a + 1, -(-(N + 1) // (a - 1)) + 1)
-        b_hi = min(b_max, (f_max + 1) // (a - 1) + 1)
-        for b in range(b_lo, b_hi + 1):
-            if gcd(a, b) != 1:
-                continue
-            inv = pow(b, -1, a)
-            if all(n >= b * (n * inv % a) for n in members) and not any(
-                n >= b * (n * inv % a) for n in ctx.scaled_gaps
-            ):
-                out.append(from_generators((a, b)))
-    return out
-
-
 def _low_e_multiples(ctx: MultipleContext, f: int, k_max: int) -> list[NumericalSemigroup]:
     """Every d-multiple T of S with 2 ≤ e(T) ≤ k_max and F(T) ≤ f, for
-    S ≠ ℕ, d ≥ 2 and f ≥ d·F(S).  A d·F(S) past the closure ceiling, and
-    then an f + d·m(S) past it, is refused with :class:`CeilingExceeded`
-    before any tuple is tried.
+    S ≠ ℕ, d ≥ 1 and f ≥ N = d·F(S).  A d·F(S) past the closure ceiling,
+    and then an f + d·m(S) past it, is refused with
+    :class:`CeilingExceeded` before any tuple is tried.
 
     A depth-first search over the minimal generating tuples a₁ < … < a_k,
     k ≤ k_max, on member masks closed up to f + d·m(S).  a₁ ≤ d·m(S), as
@@ -242,10 +208,22 @@ def _low_e_multiples(ctx: MultipleContext, f: int, k_max: int) -> list[Numerical
     so a branch where that count is below a₁ is cut.  The count never grows
     with a_k, nor for a₁ alone (where L grows with a₁) with a₁, so each loop
     over candidates stops at the first cut.
+
+    Two more cuts skip a candidate b without a closure.  For b coprime to
+    a₁, every n ≥ (a₁ − 1)(b − 1) lies in ⟨a₁, b⟩ (Sylvester), so
+    (a₁ − 1)(b − 1) ≤ N would put the gap N of d·S in T.  And the last
+    generator allowed must bring the gcd of the tuple to 1.  With a₁ alone
+    that gcd is a₁, so one of the two cuts holds for every b up to
+    ⌊N/(a₁ − 1)⌋ + 1.  For k_max = 2, T = ⟨a₁, b⟩ with b ≤ d·max msg(S):
+    a₁ ∤ d, as T/d ≠ ℕ, so a₁ ∤ d·s for some s ∈ msg(S), and d·s ∈ T.  So
+    F(T) = (a₁ − 1)(b − 1) − 1 < (d·m(S) − 1)(d·max msg(S) − 1), and f is
+    clamped below that first.
     """
-    S, d = ctx.semigroup, ctx.d
+    S, d, N = ctx.semigroup, ctx.d, ctx.scaled_frobenius
     gap_mask = ctx.scaled_gap_mask  # refuses d·F(S) past the closure ceiling
     m = d * S.multiplicity
+    if k_max == 2:
+        f = min(f, (m - 1) * (d * S.msg[-1] - 1) - 1)
     top = f + m
     if top > CLOSURE_CEILING:
         raise CeilingExceeded(
@@ -261,6 +239,7 @@ def _low_e_multiples(ctx: MultipleContext, f: int, k_max: int) -> list[Numerical
         M = _closure((a1,), top)
         if M & gap_mask:
             continue
+        b_sylvester = N // (a1 - 1) + 1  # the largest b with (a₁ − 1)(b − 1) ≤ N
         required = scaled_msg | (1 << L + 1) - (1 << f + 1)
         # (generators, closed member mask, ∏ᵢ≥₂ (⌊L/aᵢ⌋ + 1))
         stack = [((a1,), M, 1)]
@@ -274,12 +253,18 @@ def _low_e_multiples(ctx: MultipleContext, f: int, k_max: int) -> list[Numerical
             r = k_max - len(gens) - 1  # generators allowed after the next
             if r < 0:
                 continue
-            for b in range(gens[-1] + 1, upper + 1):
+            g = reduce(gcd, gens)
+            lo = gens[-1] + 1
+            if r == 0 and g == a1:  # every b ≤ b_sylvester meets a cut below
+                lo = max(lo, b_sylvester + 1)
+            for b in range(lo, upper + 1):
                 if M >> b & 1:
                     continue
                 grown = count * (L // b + 1)
                 if grown * comb(L // (b + 1) + r, r) < a1:
                     break
+                if (b <= b_sylvester and gcd(a1, b) == 1) or (r == 0 and gcd(g, b) > 1):
+                    continue
                 Mb = _closure((b,), top, M)
                 if not Mb & gap_mask:
                     stack.append(((*gens, b), Mb, grown))
@@ -309,11 +294,10 @@ def bounded_low_e_multiple_search(
     ``max_frobenius``, 2·``max_genus`` − 1, 2·(g₀ + ``max_depth``) − 1
     and 2·(g₀ + ``max_nodes``) − 1 that are set).  So walking, with
     :func:`enumerate_fiber`, the saturations of the d-multiples with
-    e < e(S) and F ≤ f gives the answer of walking every root.  For
-    e(S) = 3 those multiples are two-generated
-    (:func:`_two_generated_multiples`); for e(S) ≥ 4 they come from
-    :func:`_low_e_multiples`, which refuses f + d·m(S) past the closure
-    ceiling.
+    e < e(S) and F ≤ f gives the answer of walking every root.  Those
+    multiples come from :func:`_low_e_multiples` for every e(S) ≥ 3, which
+    refuses f + d·m(S) past the closure ceiling, f clamped for e(S) = 3 to
+    the reach of two generators.
     """
     if S.is_whole_n:
         raise WholeN("quotient rank analysis is undefined for the whole of ℕ")
@@ -332,11 +316,7 @@ def bounded_low_e_multiple_search(
         if bounds.max_frobenius is not None:
             reach.append(bounds.max_frobenius)
         f = max(N, min(reach))
-        if e == 3:
-            low = _two_generated_multiples(ctx, f)
-        else:
-            low = _low_e_multiples(ctx, f, e - 1)
-        roots = dict.fromkeys(saturate(ctx, T) for T in low)
+        roots = dict.fromkeys(saturate(ctx, T) for T in _low_e_multiples(ctx, f, e - 1))
         hits = [
             t
             for root in roots

@@ -131,7 +131,7 @@ def monoid_equivalence_battery(small_semigroups, samples=300) -> int:
         except NotMdSet:
             pass
         cond3 = monoid is not None and not any(
-            monoid.contains(p) for p in ctx.scaled_gaps
+            monoid.contains(ctx.d * h) for h in ctx.semigroup.gaps
         )
         cond1 = any(all(T.contains(x) for x in xs) for T in pool)
         assert cond1 == cond2 == cond3

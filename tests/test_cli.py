@@ -600,6 +600,20 @@ class TestExitCodes:
         for flag in ("--max-frobenius", "--max-genus", "--max-depth", "--max-nodes"):
             assert flag in err
 
+    def test_fiber_tree_names_its_bounds_before_root_discovery(self, capsys, monkeypatch):
+        """With no bound, fiber-tree refuses before max_multiples runs (it
+        took 2.6 s on ⟨2,3⟩ at d = 90 before refusing)."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("root discovery ran without a bound")
+
+        monkeypatch.setattr(multiples, "max_multiples", refuse)
+        code, out, err = run(capsys, "fiber-tree", "--sgp", "2,3", "--d", "90")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: fiber enumeration requires at least one bound")
+        for flag in ("--max-frobenius", "--max-genus", "--max-depth", "--max-nodes"):
+            assert flag in err
+
     def test_low_e_search_skips_no_d(self, capsys):
         """A none is exact within the bounds for every e(S) and writes
         nothing to stderr, however small --max-nodes is: ⟨6,8,9,11⟩ has no
@@ -635,9 +649,10 @@ class TestExitCodes:
 
     def test_low_e_search_refuses_the_closure_ceiling(self, capsys):
         """d·F(S) past the closure ceiling is refused with exit 3, as in
-        max-multiples.  For e(S) ≥ 4 so is a Frobenius reach f with
-        f + d·m(S) past it, as the search closes masks that long; the
-        two-generated closed form of e(S) = 3 needs no such masks."""
+        max-multiples.  So is a Frobenius reach f with f + d·m(S) past it,
+        as the search closes masks that long.  For e(S) = 3, f is first
+        clamped to the reach of two generators, below
+        (d·m(S) − 1)(d·max msg(S) − 1), so a huge bound still answers."""
         code, out, err = run(
             capsys, "search-low-e", "--sgp", "1100,1101,1102", "--dmax", "3",
             "--max-frobenius", "10",
@@ -653,6 +668,15 @@ class TestExitCodes:
             "passes 1048576\n",
         )
         assert run(capsys, *argv, "--sgp", "4,5,7") == (0, "none\n", "")
+        argv = ("search-low-e", "--sgp", "4,6,7", "--dmax", "5", "--max-genus", "1000000")
+        assert run(capsys, *argv) == (0, "none\n", "")
+        argv = ("search-low-e", "--sgp", "600,601,602", "--dmax", "2")
+        assert run(capsys, *argv, "--max-frobenius", "2000000") == (
+            3,
+            "",
+            "error: the low-e search's Frobenius reach plus d·m(S), 1442396 + 1200, "
+            "passes 1048576\n",
+        )
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

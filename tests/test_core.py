@@ -2,6 +2,7 @@
 generator surgery, and the gcd-reduction Frobenius formula."""
 
 import random
+import time
 from itertools import combinations
 from math import gcd
 from functools import reduce
@@ -357,7 +358,7 @@ class TestMaskRepresentation:
         for S in genus_tree_12[:27]:  # every S of genus <= 5
             for d in range(1, 6):
                 ctx = MultipleContext(S, d)
-                assert ctx.scaled_gap_mask == sum(1 << h for h in ctx.scaled_gaps), (S, d)
+                assert ctx.scaled_gap_mask == sum(1 << d * h for h in S.gaps), (S, d)
 
     def test_invariants_match_gap_tuple(self, genus_tree_12):
         for S in genus_tree_12:
@@ -403,6 +404,20 @@ class TestMaskRepresentation:
                     assert is_d_multiple(ctx, T) == quotient_is_s, (S, d, T)
                     positives += quotient_is_s
         assert positives > len(genus_tree_12)
+
+    def test_gap_tuple_build_takes_any_order_in_linear_time(self, genus_tree_12):
+        """The gaps may come unsorted and from a generator.  Setting one bit
+        per gap copied the growing mask once per gap: the 2^20 gaps of
+        ⟨2, 2^21 + 1⟩ took seconds, where one pass takes a fraction."""
+        rng = random.Random(20)
+        for S in genus_tree_12[:200]:
+            gaps = list(S.gaps)
+            rng.shuffle(gaps)
+            assert _from_gap_tuple(h for h in gaps) == S, S
+        start = time.perf_counter()
+        S = _from_gap_tuple(range(2**21 - 1, 0, -2))
+        assert time.perf_counter() - start < 2
+        assert (S.msg, S.genus) == ((2, 2**21 + 1), 2**20)
 
     def test_gap_round_trip_keeps_value_and_hash(self, genus_tree_12):
         for S in genus_tree_12:

@@ -89,7 +89,7 @@ class TestIsMdSet:
             except NotMdSet:
                 pass
             cond3 = monoid is not None and not any(
-                monoid.contains(p) for p in ctx.scaled_gaps
+                monoid.contains(ctx.d * h) for h in ctx.semigroup.gaps
             )
 
             cond1 = any(all(T.contains(x) for x in xs) for T in pool)

@@ -18,7 +18,6 @@ from numsgps.rank import (
     UniqueBettiSpec,
     _coin_decomposition,
     _low_e_multiples,
-    _two_generated_multiples,
     bounded_low_e_multiple_search,
     full_rank_condition,
     j_subset_obstruction,
@@ -278,8 +277,8 @@ class TestBoundedLowESearch:
             for d in range(2, 6):
                 ctx = MultipleContext(S, d)
                 low = [R for R in max_multiples(ctx).maximals if R.embedding_dimension < 3]
-                assert sorted(low, key=lambda t: t.msg) == _two_generated_multiples(
-                    ctx, ctx.scaled_frobenius
+                assert sorted(low, key=lambda t: t.msg) == sorted(
+                    _low_e_multiples(ctx, ctx.scaled_frobenius, 2), key=lambda t: t.msg
                 ), (S, d)
                 low_roots += len(low)
         assert (len(three_generated), low_roots) == (30, 2)
@@ -297,8 +296,9 @@ class TestBoundedLowESearch:
         assert hits == 2
 
     def test_two_generated_multiples_match_oracle(self, small_semigroups):
-        """On every S with F(S) ≤ 9 and d ≤ 3, the enumeration bounded at
-        F ≤ 3·F(S) + 3 gives the oracle's two-generated d-multiples there."""
+        """On every S with F(S) ≤ 9 and d ≤ 3, the generator tuple search
+        for two generators bounded at F ≤ 3·F(S) + 3 gives the oracle's
+        two-generated d-multiples there."""
         cases = found = 0
         for S in small_semigroups:
             if S.frobenius > 9:
@@ -314,7 +314,8 @@ class TestBoundedLowESearch:
                     ),
                     key=lambda t: t.msg,
                 )
-                assert _two_generated_multiples(ctx, f) == expected, (S, d)
+                got = sorted(_low_e_multiples(ctx, f, 2), key=lambda t: t.msg)
+                assert got == expected, (S, d)
                 cases += 1
                 found += len(expected)
         assert (cases, found) == (171, 30)
@@ -322,8 +323,7 @@ class TestBoundedLowESearch:
     def test_low_e_multiples_match_oracle(self, small_semigroups):
         """On every S with e(S) ≥ 4, F(S) ≤ 9 and d ∈ {2, 3}, the generator
         tuple search bounded at F ≤ 3·F(S) + 3 gives the oracle's d-multiples
-        with e < e(S) there, and with at most two generators the closed
-        form's two-generated ones."""
+        with e < e(S) there."""
         cases = found = 0
         for S in small_semigroups:
             e = S.embedding_dimension
@@ -342,8 +342,6 @@ class TestBoundedLowESearch:
                 )
                 got = sorted(_low_e_multiples(ctx, f, e - 1), key=lambda t: t.msg)
                 assert got == expected, (S, d)
-                two_generated = sorted(_low_e_multiples(ctx, f, 2), key=lambda t: t.msg)
-                assert two_generated == _two_generated_multiples(ctx, f), (S, d)
                 cases += 1
                 found += len(expected)
         assert (cases, found) == (76, 2499)
