@@ -104,7 +104,7 @@ def _listing(semigroups, key: str, ctx=None, **fields) -> dict:
         indents = _json_indents(2)
         opening = start + "["
         for T in ordered:
-            yield opening + indents[0] + _semigroup_json(T, names, indents)
+            yield opening + indents[0] + _semigroup_json(T.gap_mask, T.msg, names, indents)
             opening = ","
         yield "\n  ]" + end
 
@@ -183,8 +183,7 @@ def _trees_text(trees):
     names: list = []
     tags: list = [""]  # per depth k ≥ 1: the indent and "[x="
     for tree in trees:
-        for T, x, k in zip(tree.semigroup, tree.removed_generator, tree.depth):
-            G, msg = T.gap_mask, T.msg
+        for G, msg, x, k in zip(tree.gap_mask, tree.msg, tree.removed_generator, tree.depth):
             F = G.bit_length() - 1
             if F >= len(names) or msg[-1] >= len(names):
                 _name_through(names, max(F, msg[-1]))
@@ -212,14 +211,13 @@ def _json_level(k: int) -> tuple[str, ...]:
     return ("\n" + "  " * (2 + 2 * k), *_json_indents(3 + 2 * k))
 
 
-def _semigroup_json(T: NumericalSemigroup, names: list, indents) -> str:
-    """T's canonical JSON object (the fields of ``to_json_dict``), from its
-    opening brace to its closing one, at ``indents`` (:func:`_json_indents`
-    of the braces' level).  Every integer is read from ``names``, grown
-    here as needed; the gaps are picked by the bits of the gap mask,
-    without building the gap tuple."""
+def _semigroup_json(G: int, msg: tuple[int, ...], names: list, indents) -> str:
+    """The canonical JSON object (the fields of ``to_json_dict``) of the
+    semigroup (G, msg), from its opening brace to its closing one, at
+    ``indents`` (:func:`_json_indents` of the braces' level).  Every integer
+    is read from ``names``, grown here as needed; the gaps are picked by the
+    bits of the gap mask G, without building the gap tuple."""
     close, field, element, sep = indents
-    G, msg = T.gap_mask, T.msg
     F = G.bit_length() - 1
     if F >= len(names) or msg[-1] >= len(names):
         _name_through(names, max(F, msg[-1]))
@@ -235,12 +233,12 @@ def _semigroup_json(T: NumericalSemigroup, names: list, indents) -> str:
     )
 
 
-def _node_fields(T: NumericalSemigroup, x: int | None, k: int, names: list, level) -> str:
+def _node_fields(G: int, msg: tuple[int, ...], x: int | None, k: int, names: list, level) -> str:
     """Everything of a fiber node's JSON object after its children: the
     fields at its indent and the closing brace.  ``level`` is
     ``_json_level(k)``; the ``"semigroup"`` object is
     :func:`_semigroup_json`'s, which also names every integer printed."""
-    semigroup = _semigroup_json(T, names, level[1:])
+    semigroup = _semigroup_json(G, msg, names, level[1:])
     pad, fields = level[0], level[1]
     return (
         f'{fields}"depth": {names[k]},{fields}"removed_generator": '
@@ -270,10 +268,10 @@ def _trees_json(ctx, trees):
     names: list = []
     levels: list = []
     for t, tree in enumerate(trees):
-        semigroup, removed, depth, parent = (
-            tree.semigroup, tree.removed_generator, tree.depth, tree.parent
+        gap_mask, msg, removed, depth, parent = (
+            tree.gap_mask, tree.msg, tree.removed_generator, tree.depth, tree.parent
         )
-        last = len(semigroup) - 1
+        last = len(depth) - 1
         for i, k in enumerate(depth):
             if k == len(levels):  # preorder descends one level at a time
                 levels.append(_json_level(k))
@@ -284,12 +282,12 @@ def _trees_json(ctx, trees):
             if after > k:
                 yield opening
                 continue
-            yield opening + "]," + _node_fields(semigroup[i], removed[i], k, names, level)
+            yield opening + "]," + _node_fields(gap_mask[i], msg[i], removed[i], k, names, level)
             j = parent[i]
             while j >= 0 and depth[j] >= after:
                 k = depth[j]
                 yield levels[k][1] + "]," + _node_fields(
-                    semigroup[j], removed[j], k, names, levels[k]
+                    gap_mask[j], msg[j], removed[j], k, names, levels[k]
                 )
                 j = parent[j]
     yield "\n  ]" + end
@@ -302,9 +300,9 @@ def _trees_dot(trees):
     preorder."""
     yield "digraph fiber {\n"
     for tree in trees:
-        name = list(map(str, tree.semigroup))  # each formatted once
-        for n, T in zip(name, tree.semigroup):
-            yield f'  "{n}" [label="{n} F={T.frobenius} g={T.genus}"];\n'
+        name = [f"⟨{_join(msg)}⟩" for msg in tree.msg]  # each formatted once
+        for n, G in zip(name, tree.gap_mask):
+            yield f'  "{n}" [label="{n} F={G.bit_length() - 1} g={G.bit_count()}"];\n'
         # A stable sort by parent keeps each node's children in preorder.
         for i in sorted(range(1, len(name)), key=tree.parent.__getitem__):
             p = tree.parent[i]

@@ -18,7 +18,7 @@ three facts:
 
 * adjoining a pseudo-Frobenius gap z with 2z ∈ T (:func:`_adjoined`):
   msg(T ∪ {z}) = {z} ∪ {a ∈ msg(T) : a < z or a − z ∉ T ∪ {z}};
-* removing a minimal generator x (:func:`_removed`): msg(T ∖ {x}) lies in
+* removing a minimal generator x (:func:`_removed_msg`): msg(T ∖ {x}) lies in
   (msg(T) ∖ {x}) ∪ {x + a : a ∈ msg(T)} ∪ {3x}, decided in ascending
   order with the same sum accumulator;
 * removing a minimal generator x > F(T) other than m = m(T), the case of
@@ -222,8 +222,9 @@ def _adjoined(T: NumericalSemigroup, z: int) -> NumericalSemigroup:
     return NumericalSemigroup(G, tuple(msg))
 
 
-def _removed(T: NumericalSemigroup, x: int) -> NumericalSemigroup:
-    """T ∖ {x}, unchecked: x must be a minimal generator of T.
+def _removed_msg(gap_mask: int, msg: tuple[int, ...], x: int) -> tuple[int, ...]:
+    """msg(T ∖ {x}) from T's gap mask and msg, unchecked: x must be a
+    minimal generator of T.  :func:`_removed` and the fiber walk call it.
 
     A generator y of T ∖ {x} that is not one of T is x + s with s ∈ T
     nonzero.  Unless s is a generator of T, s = a + t with a a generator,
@@ -239,19 +240,23 @@ def _removed(T: NumericalSemigroup, x: int) -> NumericalSemigroup:
     F(T) + m), and it is a generator unless y − a ∈ T ∖ {x} for some
     a ∈ msg(T) ∖ {x}, which is then a bit test, as y − a < x.
     """
-    G = T.gap_mask | 1 << x
-    msg = T.msg
+    G = gap_mask | 1 << x
     m = msg[0]
-    if x > T.gap_mask.bit_length() - 1 and x != m:
+    if x > gap_mask.bit_length() - 1 and x != m:
         i = msg.index(x)
         rest = msg[:i] + msg[i + 1 :]
         y = x + m
         for a in rest[1:]:
             if not G >> (y - a) & 1:
-                return NumericalSemigroup(G, rest)
-        return NumericalSemigroup(G, rest + (y,))
+                return rest
+        return rest + (y,)
     A = sum(map((1).__lshift__, msg))
-    return NumericalSemigroup(G, _generators_among(G, (A ^ 1 << x) | A << x | 1 << 3 * x))
+    return _generators_among(G, (A ^ 1 << x) | A << x | 1 << 3 * x)
+
+
+def _removed(T: NumericalSemigroup, x: int) -> NumericalSemigroup:
+    """T ∖ {x}, unchecked: x must be a minimal generator of T."""
+    return NumericalSemigroup(T.gap_mask | 1 << x, _removed_msg(T.gap_mask, T.msg, x))
 
 
 def _closure(gens: Iterable[int], bound: int, members: int = 1) -> int:

@@ -9,27 +9,27 @@ T ∖ {x} whose θ-step leads straight back to T.  Fibers may be infinite, so
 enumeration always demands an explicit truncation bound.
 
 :func:`enumerate_fiber` is one walk that records a fiber as flat preorder
-lists (:class:`FiberTree`: semigroup, removed generator, depth and parent
-index per node), which the low-e search and the text, JSON and DOT
-renderers of :mod:`numsgps.cli` read directly; the linked
-:class:`FiberNode` view is built only on request.  Most nodes cost the
-walk one kernel call, the removal that builds them: as in the
-tree of numerical semigroups (Fromentin & Hivert, Math. Comp. 85, 2016),
-a child T = P ∖ {x} with x > F(P) and x ≠ m(P) takes its child edges
-from P's: the later ones, plus x + m(P) when that is a new generator.  Only
-the root and a child with x < F(P) or x = m(P) decide theirs from bits, in
-:func:`_child_pairs`: about one node in ten of the benchmark's ``fiber``
-workload.
+lists (:class:`FiberTree`: gap mask, msg, removed generator, depth and
+parent index per node), which the low-e search and the text, JSON and DOT
+renderers of :mod:`numsgps.cli` read directly; no semigroup object is built
+per node.  Most nodes cost the walk one kernel call, the removal that
+gives their msg: as in the tree of numerical semigroups (Fromentin &
+Hivert, Math. Comp. 85, 2016), a child T = P ∖ {x} with x > F(P) and
+x ≠ m(P) takes its child edges from P's: the later ones, plus x + m(P)
+when that is a new generator.  Only the root and a child with x < F(P) or
+x = m(P) decide theirs from bits, in :func:`_child_pairs`: about one node
+in ten of the benchmark's ``fiber`` workload.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import accumulate
 from operator import or_
 
-from .core import NumericalSemigroup, _adjoined, _bits, _from_gap_mask, _removed
+from .core import NumericalSemigroup, _adjoined, _bits, _from_gap_mask, _removed, _removed_msg
 # Unused here; perfbench/selftest.py checks that its tracer reaches the
 # builder through every namespace that bound it, this one included.
 from .core import _from_gap_tuple  # noqa: F401
@@ -85,15 +85,21 @@ class FiberNode:
 @dataclass
 class FiberTree:
     """A fiber as flat lists in depth-first preorder, children by ascending
-    removed generator: node i is ``semigroup[i]``, at depth ``depth[i]``,
-    reached from node ``parent[i]`` by removing ``removed_generator[i]``.
-    Node 0 is the root, with parent -1 and removed generator None.  The
-    lists are all it holds; the caller keeps the (S, d) context."""
+    removed generator: node i is the semigroup (``gap_mask[i]``, ``msg[i]``)
+    at depth ``depth[i]``, reached from node ``parent[i]`` by removing
+    ``removed_generator[i]``.  Node 0 is the root, with parent -1 and
+    removed generator None.  ``semigroup`` is built on first read; the
+    caller keeps the (S, d) context."""
 
-    semigroup: list[NumericalSemigroup]
+    gap_mask: list[int]
+    msg: list[tuple[int, ...]]
     removed_generator: list[int | None]
     depth: list[int]
     parent: list[int]
+
+    @cached_property
+    def semigroup(self) -> list[NumericalSemigroup]:
+        return list(map(NumericalSemigroup, self.gap_mask, self.msg))
 
     def nodes(self) -> list[FiberNode]:
         """The nodes as linked :class:`FiberNode` objects, in preorder; they
@@ -169,15 +175,16 @@ def children(ctx: MultipleContext, T: NumericalSemigroup) -> tuple[FiberNode, ..
     generators.  Only the kept children are built.
     """
     _require_multiple(ctx, T)
-    return tuple(FiberNode(_removed(T, x), x, 0) for x in _child_pairs(ctx, T))
+    return tuple(FiberNode(_removed(T, x), x, 0) for x in _child_pairs(ctx, T.gap_mask, T.msg))
 
 
-def _child_pairs(ctx, T, x_max=None):
-    # The ascending removed generators x of T's children, decided from bits;
-    # nothing is built here.  enumerate_fiber calls it only at a root and at
-    # a child T = P ∖ {x} with x < F(P) or x = m(P); every other child
-    # inherits its edges from P.  (The name stays: perfbench/tracer.py wraps
-    # this function by it.)  Each candidate T' = T ∖ {x} is again a
+def _child_pairs(ctx, G, msg, x_max=None):
+    # The ascending removed generators x of the children of T, the
+    # semigroup with gap mask G and msg, decided from bits; nothing is
+    # built here.  enumerate_fiber calls it only at a root and at a child
+    # T = P ∖ {x} with x < F(P) or x = m(P); every other child inherits its
+    # edges from P.  (The name stays: perfbench/tracer.py wraps this
+    # function by it.)  Each candidate T' = T ∖ {x} is again a
     # d-multiple, since x ∉ d·S, and F(T') = max(F, x) with F = F(T).
     # When F(T') ≠ d·F(S), θ(T') = F(T'), so T' is kept iff x > F.  If
     # F ≠ d·F(S), that holds for every x, and as then F > d·F(S), an x > F
@@ -185,13 +192,13 @@ def _child_pairs(ctx, T, x_max=None):
     # multiples of d.  When x < F = d·F(S), x itself is addable in T'
     # (T' ∪ {x} = T), so θ(T') = x iff no z in (x, F] is addable in T':
     # z ∈ PF(T'), 2z ∈ T' and z ∉ d·gaps(S).  The members a (a ∈ msg(T), a ≠ x), x + a and 3x
-    # generate T' (see core._removed), so z > x is in PF(T') iff it is a
+    # generate T' (see core._removed_msg), so z > x is in PF(T') iff it is a
     # gap with no z + c a gap for those c; above bit x the gap mask of T' is
     # G, so the shifts are shifts of G.  No verdict is cached: one child is
     # probed from several parents, with different x.  F(T') > x_max (a
     # Frobenius bound) would only be dropped, so only the x ≤ x_max are
     # probed.
-    d, scaled, G, msg, F = ctx.d, ctx.scaled_gap_mask, T.gap_mask, T.msg, T.frobenius
+    d, scaled, F = ctx.d, ctx.scaled_gap_mask, G.bit_length() - 1
     end = len(msg) if x_max is None else bisect_right(msg, x_max)
     if F != ctx.scaled_frobenius:
         return [x for x in msg[bisect_right(msg, F):end] if x % d]
@@ -232,15 +239,15 @@ def enumerate_fiber(
     max_genus or past max_frobenius (only the root can be) gets no edges at
     all, and every other node gets only the x ≤ max_frobenius that the
     θ-step keeps.  The walk keeps one stack of nodes with the child edges
-    they have left, and builds a child with :func:`~numsgps.core._removed`
-    only when it pops its edge to append it, so every node built is in the
-    tree and that removal is the one kernel call of most nodes.
+    they have left, and appends a child's gap mask and msg only when it pops
+    its edge, so every node made is in the tree, and the msg from
+    :func:`~numsgps.core._removed_msg` is the one kernel call of most nodes.
 
     A child T = P ∖ {x} with x > F(P) and x ≠ m = m(P) has
     F(T) = x > F(P) ≥ d·F(S), so its edges are its generators in
     (x, max_frobenius] outside d·S, that is, not divisible by d.  Those of P
     are P's later edges, and the one new generator T can have is x + m
-    (:func:`~numsgps.core._removed` adds it), so T takes its edges from P
+    (:func:`~numsgps.core._removed_msg` adds it), so T takes its edges from P
     without a look at its bits.  The root and a child with x < F(P) (so
     F(T) = d·F(S)) or x = m(P) (an ordinary P, which gains more generators)
     get theirs from :func:`_child_pairs`, as :func:`children` does.  No θ
@@ -250,7 +257,7 @@ def enumerate_fiber(
     _require_multiple(ctx, root)
     if addable_gaps(ctx, root):
         raise NotMaximal(f"{root} is not a maximal {ctx.d}-multiple of {ctx.semigroup}")
-    semigroup, removed, depth, parent = [root], [None], [0], [-1]
+    gap_mask, msg, removed, depth, parent = [root.gap_mask], [root.msg], [None], [0], [-1]
     # A node at depth k has genus g(root) + k, so one depth limit holds both
     # bounds: only a node at depth k < limit gets child edges.
     limit = min(
@@ -267,33 +274,33 @@ def enumerate_fiber(
     # descending order, so popping them takes them ascending; an entry
     # leaves the stack with its last edge.  The explicit stack keeps depth
     # off the interpreter's recursion limit.
-    edges = _child_pairs(ctx, root, x_max)[::-1] if limit > 0 else []
+    edges = _child_pairs(ctx, root.gap_mask, root.msg, x_max)[::-1] if limit > 0 else []
     stack = [(0, edges)] if edges else []
-    while stack and len(semigroup) < max_nodes:
+    while stack and len(msg) < max_nodes:
         p, edges = stack[-1]
         x = edges.pop()
         if not edges:
             stack.pop()
-        P = semigroup[p]
-        T = _removed(P, x)
+        P_mask, P_msg = gap_mask[p], msg[p]
+        T_mask, T_msg = P_mask | 1 << x, _removed_msg(P_mask, P_msg, x)
         k = depth[p] + 1
         if k < limit:
-            m = P.msg[0]
-            if x > P.gap_mask.bit_length() - 1 and x != m:
+            m = P_msg[0]
+            if x > P_mask.bit_length() - 1 and x != m:
                 # P's later edges, plus x + m if it is a new generator of
                 # T within x_max and off d·S.
                 y = x + m
-                if len(T.msg) == len(P.msg) and y % d and y <= y_max:
+                if len(T_msg) == len(P_msg) and y % d and y <= y_max:
                     own = [y, *edges]
                 else:
                     own = edges[:]
             else:
-                own = _child_pairs(ctx, T, x_max)[::-1]
+                own = _child_pairs(ctx, T_mask, T_msg, x_max)[::-1]
             if own:
-                stack.append((len(semigroup), own))
-        semigroup.append(T)
+                stack.append((len(msg), own))
+        gap_mask.append(T_mask)
+        msg.append(T_msg)
         removed.append(x)
         depth.append(k)
         parent.append(p)
-    return FiberTree(semigroup, removed, depth, parent)
-
+    return FiberTree(gap_mask, msg, removed, depth, parent)

@@ -318,10 +318,10 @@ def bounded_low_e_multiple_search(
         f = max(N, min(reach))
         roots = dict.fromkeys(saturate(ctx, T) for T in _low_e_multiples(ctx, f, e - 1))
         hits = [
-            t
-            for root in roots
-            for t in enumerate_fiber(ctx, root, bounds).semigroup
-            if t.embedding_dimension < e
+            NumericalSemigroup(G, msg)
+            for tree in (enumerate_fiber(ctx, root, bounds) for root in roots)
+            for G, msg in zip(tree.gap_mask, tree.msg)
+            if len(msg) < e
         ]
         if hits:
             return d, min(hits, key=lambda t: (t.genus, t.gaps))

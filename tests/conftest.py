@@ -105,7 +105,8 @@ def reference_fiber_walk(ctx: MultipleContext, root: NumericalSemigroup, bounds)
             or (bounds.max_frobenius is not None and T.frobenius > bounds.max_frobenius)
         ):
             return []
-        return [(node, x) for x in reversed(_child_pairs(ctx, T, bounds.max_frobenius))]
+        pairs = _child_pairs(ctx, T.gap_mask, T.msg, bounds.max_frobenius)
+        return [(node, x) for x in reversed(pairs)]
 
     stack = edges(root_node)
     count = 1

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import numsgps
-from numsgps import cli, fibers, multiples
+from numsgps import cli, fibers, multiples, rank
 from numsgps.cli import canonical_json, main, parse_semigroup
 from numsgps.oracle import EnumerationBudget, all_multiples_bounded, all_with_frobenius
 
@@ -225,6 +225,35 @@ class TestFiberTree:
         if fmt == "json":
             assert len(out.encode()) == 1070
             assert json.loads(out)["trees"][0]["semigroup"]["frobenius"] == -1
+
+    def test_semigroup_view_is_lazy(self, capsys, monkeypatch):
+        """The walk, the text, JSON and DOT renderers and the low-e search
+        read a tree's gap masks and msg only, so none builds its semigroup
+        view; on first read the view holds the nodes of the nested
+        reference walk in preorder."""
+        walk, walks = fibers.enumerate_fiber, []
+
+        def recorded(ctx, root, bounds):
+            walks.append((ctx, root, bounds, walk(ctx, root, bounds)))
+            return walks[-1][-1]
+
+        monkeypatch.setattr(fibers, "enumerate_fiber", recorded)
+        monkeypatch.setattr(rank, "enumerate_fiber", recorded)
+        argv = ("fiber-tree", "--sgp", "2,3", "--d", "13", "--max-nodes", "90")
+        for fmt in ("text", "json", "dot"):
+            assert run(capsys, *argv, "--format", fmt)[0] == 0
+        rendered = len(walks)
+        argv = ("search-low-e", "--sgp", "4,5,7", "--dmax", "3", "--max-frobenius", "24")
+        assert run(capsys, *argv) == (0, "d=3 ⟨5,7⟩ e=2\n", "")
+        assert rendered == 24 and len(walks) > rendered
+        assert not any("semigroup" in vars(tree) for *_, tree in walks)
+        for ctx, root, bounds, tree in walks:
+            nested, stack = [], [reference_fiber_walk(ctx, root, bounds)]
+            while stack:
+                nested.append(stack.pop())
+                stack.extend(reversed(nested[-1].children))
+            assert tree.semigroup == [n.semigroup for n in nested]
+            assert "semigroup" in vars(tree)
 
     def test_missing_bounds(self, capsys):
         code, _, err = run(capsys, "fiber-tree", "--sgp", "3,4", "--d", "5", "--root", "6,9,11")
@@ -457,7 +486,7 @@ class TestListingJson:
         T = sgp(*gens)
         for indents in (cli._json_indents(2), cli._json_level(0)[1:], cli._json_level(7)[1:]):
             names: list = []
-            text = cli._semigroup_json(T, names, indents)
+            text = cli._semigroup_json(T.gap_mask, T.msg, names, indents)
             assert json.loads(text) == T.to_json_dict()
             assert text.startswith("{" + indents[1]) and text.endswith(indents[0] + "}")
 

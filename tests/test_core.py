@@ -18,6 +18,7 @@ from numsgps.core import (
     _generators_among,
     _minimal_generators,
     _removed,
+    _removed_msg,
     adjoin,
     apery,
     brauer_step,
@@ -282,6 +283,18 @@ class TestIncrementalKernels:
         for S in genus_tree_12:
             for x in S.msg:
                 assert _removed(S, x) == _from_gap_tuple(S.gaps + (x,)), (S, x)
+
+    def test_removed_msg_matches_a_scan(self, genus_tree_12):
+        """The raw removal kernel gives the msg of a full scan of the new
+        gap mask, on both of its branches: x > F(S) with x ≠ m(S), and the
+        rest."""
+        branches = set()
+        for S in genus_tree_12:
+            for x in S.msg:
+                got = _removed_msg(S.gap_mask, S.msg, x)
+                assert got == _minimal_generators(S.gap_mask | 1 << x), (S, x)
+                branches.add(x > S.frobenius and x != S.multiplicity)
+        assert branches == {False, True}
 
     def test_removed_needs_three_x(self):
         # ℕ ∖ {1} = ⟨2, 3⟩: 3 = 3x is neither a generator of ℕ nor x + a.

@@ -6,7 +6,7 @@ from math import inf
 
 import pytest
 
-from numsgps.core import WHOLE_N, _removed, adjoin
+from numsgps.core import WHOLE_N, NumericalSemigroup, _removed, _removed_msg, adjoin
 from numsgps.errors import BoundsMissing, InvalidInput, NotAMultiple, NotMaximal
 from numsgps.fibers import (
     TruncationBounds,
@@ -196,9 +196,9 @@ class TestChildren:
                             if not ctx.in_scaled_semigroup(x)
                             and theta(ctx, _removed(T, x)) == x
                         ]
-                        assert _child_pairs(ctx, T) == kept
+                        assert _child_pairs(ctx, T.gap_mask, T.msg) == kept
                         x_max = T.msg[len(T.msg) // 2]
-                        assert _child_pairs(ctx, T, x_max) == [
+                        assert _child_pairs(ctx, T.gap_mask, T.msg, x_max) == [
                             x for x in kept if x <= x_max
                         ]
         assert nodes == 9174
@@ -391,16 +391,17 @@ class TestEnumerateFiber:
         [((3, 4, 5), 3, 2000, 1, 2000), ((2, 3), 13, 90, 8, 452)],
     )
     def test_builds_only_attached_children(self, monkeypatch, gens, d, max_nodes, roots, nodes):
-        """A node-capped walk builds each non-root node once and nothing
-        else: no child is built ahead of the cap and then dropped."""
+        """A node-capped walk runs the removal kernel once per non-root
+        node and for nothing else: no child is computed ahead of the cap
+        and then dropped."""
         builds = 0
 
-        def counted(T, x):
+        def counted(gap_mask, msg, x):
             nonlocal builds
             builds += 1
-            return _removed(T, x)
+            return _removed_msg(gap_mask, msg, x)
 
-        monkeypatch.setattr("numsgps.fibers._removed", counted)
+        monkeypatch.setattr("numsgps.fibers._removed_msg", counted)
         ctx = ctx_of(gens, d)
         maximals = max_multiples(ctx).maximals
         got = sum(
@@ -446,9 +447,9 @@ class TestEnumerateFiber:
         runs both branches."""
         probed = []
 
-        def counted(ctx, T, x_max=None):
-            probed.append(T)
-            return _child_pairs(ctx, T, x_max)
+        def counted(ctx, G, msg, x_max=None):
+            probed.append(NumericalSemigroup(G, msg))
+            return _child_pairs(ctx, G, msg, x_max)
 
         monkeypatch.setattr("numsgps.fibers._child_pairs", counted)
         ctx = ctx_of(gens, d)
