@@ -12,17 +12,20 @@ and DOT) yield chunks node by node or line by line from each fiber's flat
 preorder lists, so its output, which grows with the cube of the tree
 depth as JSON, never has to fit in memory.  The JSON of a semigroup
 listing (``max-multiples`` and the oracle census and bounded multiples)
-is streamed too, one semigroup per chunk.  Both JSON streams write a
-semigroup's JSON object through one template, :func:`_semigroup_json`,
-and they and the fiber text format each integer once per output, into a
-table of names read by index; the fiber text and JSON also build each
-depth's indents once.  Those tables grow with the largest integer
-printed and with the square of the tree depth.  All search happens in
-the handler, so a refusal comes before the first byte.  :func:`main`
-alone picks the format, runs only the renderers it needs, encodes small
-payloads with the standard library's ``json`` (:func:`canonical_json`)
-and streams the chunks: the ``--dot``/``--csv`` side files first, then
-``--out`` or stdout.  An unwritable path is invalid input.
+is streamed too.  Both JSON streams write a semigroup's JSON object
+through one template, :func:`_semigroup_json`, from constant pieces built
+once per nesting level, as three chunks: up to its gap list, the gaps,
+and the rest, so the gap list, the bulk of a deep fiber's JSON, is never
+copied into a larger string.  They and the fiber text format each integer
+once per output, into a table of names read by index and grown once per
+tree or listing; the fiber text and JSON also build each depth's pieces
+once.  Those tables grow with the largest integer printed and with the
+square of the tree depth.  All search happens in the handler, so a
+refusal comes before the first byte.  :func:`main` alone picks the
+format, runs only the renderers it needs, encodes small payloads with the
+standard library's ``json`` (:func:`canonical_json`) and streams the
+chunks: the ``--dot``/``--csv`` side files first, then ``--out`` or
+stdout.  An unwritable path is invalid input.
 
 Exit codes: 0 success, 2 invalid input, 3 budget or ceiling exceeded,
 4 internal invariant violation.  JSON is canonical (sorted keys, two-space
@@ -39,6 +42,7 @@ import io
 import json
 import sys
 from itertools import compress
+from operator import itemgetter
 
 from . import core, ed1, fibers, monoids, multiples, oracle, rank
 from .core import _BIT_FLAGS, NumericalSemigroup
@@ -89,9 +93,9 @@ def _listing(semigroups, key: str, ctx=None, **fields) -> dict:
 
     The JSON is canonical_json of that payload, byte for byte, in chunks:
     the head, which is the payload with an empty list cut before its
-    ``[]`` (``key`` sorts after every other key), then one
-    :func:`_semigroup_json` per semigroup, then the close.  An empty list
-    is the head as it is."""
+    ``[]`` (``key`` sorts after every other key), then the
+    :func:`_semigroup_json` chunks of each semigroup, then the close.  An
+    empty list is the head as it is."""
     ordered = sorted(semigroups, key=lambda s: s.msg)
 
     def json_chunks():
@@ -101,10 +105,11 @@ def _listing(semigroups, key: str, ctx=None, **fields) -> dict:
             return
         start, _, end = head.rpartition("[]")
         names: list = []
-        indents = _json_indents(2)
+        _name_through(names, (T.gap_mask for T in ordered), (T.msg for T in ordered))
+        level = _json_level(2, "\n    ", "")
         opening = start + "["
         for T in ordered:
-            yield opening + indents[0] + _semigroup_json(T.gap_mask, T.msg, names, indents)
+            yield from _semigroup_json(opening, T.gap_mask, T.msg, names, level)
             opening = ","
         yield "\n  ]" + end
 
@@ -163,87 +168,93 @@ def _cmd_max_multiples(args) -> dict:
     return _listing(multiples.max_multiples(ctx, args.max_nodes).maximals, "maximals", ctx)
 
 
-def _name_through(names: list, top: int) -> None:
-    """Extend ``names``, the table with str(n) at index n, through top.
-
-    The renderers grow it through max(F(T), max msg(T)) for each
-    semigroup T they print (max msg is below F for ⟨3,4⟩), which names
-    everything T prints: its gaps and genus are at most F(T), and so is a
+def _name_through(names: list, gap_masks, msgs) -> None:
+    """Extend ``names``, the table with str(n) at index n, through the
+    largest F(T) and max msg(T) of the semigroups T with these gap masks
+    and msgs (max msg is below F for ⟨3,4⟩).  That names everything the
+    renderers print of them: gaps and genus are at most F(T), and so is a
     fiber node's depth, as the genus grows by one per level, and its
     removed generator is one of its gaps.  Only ℕ has F = -1, which its
     renderer names itself."""
+    top = max(max(gap_masks).bit_length() - 1, max(map(itemgetter(-1), msgs)))
     names.extend(map(str, range(len(names), top + 1)))
 
 
 def _trees_text(trees):
     """One line per node, indented by depth and tagged with the generator
-    removed to reach it, each integer read from one table of names.  The
-    indent and tag of depth k are built once; a forest of depth K keeps
-    about K² bytes of them."""
+    removed to reach it, each integer read from one table of names, grown
+    once per tree.  The indent and tag of depth k are built once; a forest
+    of depth K keeps about K² bytes of them."""
     names: list = []
-    tags: list = [""]  # per depth k ≥ 1: the indent and "[x="
+    name = names.__getitem__
+    tags: list = []  # per depth k ≥ 1: the indent and "[x="
     for tree in trees:
-        for G, msg, x, k in zip(tree.gap_mask, tree.msg, tree.removed_generator, tree.depth):
-            F = G.bit_length() - 1
-            if F >= len(names) or msg[-1] >= len(names):
-                _name_through(names, max(F, msg[-1]))
-            if k == len(tags):  # preorder descends one level at a time
-                tags.append("  " * k + "[x=")
-            tag = f"{tags[k]}{names[x]}] " if k else ""
-            F = names[F] if G else "-1"  # ℕ has F = -1
-            gens = ",".join(map(names.__getitem__, msg))
-            yield f"{tag}⟨{gens}⟩ F={F} g={names[G.bit_count()]}\n"
+        gap_mask, msg, depth = tree.gap_mask, tree.msg, tree.depth
+        _name_through(names, gap_mask, msg)
+        tags.extend("  " * k + "[x=" for k in range(len(tags), max(depth) + 1))
+        G, gens = gap_mask[0], ",".join(map(name, msg[0]))
+        F = names[G.bit_length() - 1] if G else "-1"  # ℕ, only ever a root, has F = -1
+        yield f"⟨{gens}⟩ F={F} g={names[G.bit_count()]}\n"
+        for G, gens, x, k in zip(gap_mask[1:], msg[1:], tree.removed_generator[1:], depth[1:]):
+            gens = ",".join(map(name, gens))
+            yield (
+                f"{tags[k]}{names[x]}] ⟨{gens}⟩ "
+                f"F={names[G.bit_length() - 1]} g={names[G.bit_count()]}\n"
+            )
 
 
-def _json_indents(n: int) -> tuple[str, ...]:
-    """The newline-indents of a JSON object whose braces sit at nesting
-    level n, of its fields and of their list elements, with the separator
-    of those elements."""
+def _json_level(n: int, before: str, after: str) -> tuple[str, ...]:
+    """The constant pieces of the JSON object of a semigroup whose braces
+    sit at nesting level n, in :func:`_semigroup_json`'s order: ``before``
+    goes before its opening brace and ``after`` after its closing one."""
     pad = "\n" + "  " * n
-    elements = pad + "    "
-    return pad, pad + "  ", elements, "," + elements
+    field = pad + "  "
+    element = field + "  "
+    return (
+        f'{before}{{{field}"frobenius": ',
+        f',{field}"gaps": [{element}',
+        "," + element,
+        f'{field}],{field}"genus": ',
+        f',{field}"msg": [{element}',
+        f"{field}]{pad}}}{after}",
+        field,
+    )
 
 
-def _json_level(k: int) -> tuple[str, ...]:
-    """The newline-indent of a fiber node at depth k, at nesting level
-    2 + 2k, then the :func:`_json_indents` of its fields' level, which is
-    its ``"semigroup"`` object's."""
-    return ("\n" + "  " * (2 + 2 * k), *_json_indents(3 + 2 * k))
-
-
-def _semigroup_json(G: int, msg: tuple[int, ...], names: list, indents) -> str:
+def _semigroup_json(head: str, G: int, msg: tuple[int, ...], names: list, level):
     """The canonical JSON object (the fields of ``to_json_dict``) of the
-    semigroup (G, msg), from its opening brace to its closing one, at
-    ``indents`` (:func:`_json_indents` of the braces' level).  Every integer
-    is read from ``names``, grown here as needed; the gaps are picked by the
-    bits of the gap mask G, without building the gap tuple."""
-    close, field, element, sep = indents
-    F = G.bit_length() - 1
-    if F >= len(names) or msg[-1] >= len(names):
-        _name_through(names, max(F, msg[-1]))
-    if G:
-        flags = bin(G)[:1:-1].encode().translate(_BIT_FLAGS)
-        F, gaps = names[F], f"[{element}{sep.join(compress(names, flags))}{field}]"
-    else:
-        F, gaps = "-1", "[]"  # ℕ
+    semigroup (G, msg), after ``head``, as three chunks: everything up to
+    its gap list's ``[``, the gaps, and the rest.  ``level`` is its
+    :func:`_json_level`, and every integer is read from ``names``, which
+    the caller has grown (:func:`_name_through`).  The gaps are picked by
+    the bits of the gap mask G, without building the gap tuple, and their
+    chunk, the bulk of a deep fiber's JSON, is never copied into a larger
+    string.  ℕ, with no gaps, is one chunk."""
+    opening, gaps, sep, genus, msg_key, close, field = level
+    gens = sep.join(map(names.__getitem__, msg))
+    if not G:  # ℕ
+        return (f'{head}{opening}-1,{field}"gaps": [],{field}"genus": 0{msg_key}{gens}{close}',)
+    flags = bin(G)[:1:-1].encode().translate(_BIT_FLAGS)
     return (
-        f'{{{field}"frobenius": {F},{field}"gaps": {gaps},{field}"genus": '
-        f'{names[G.bit_count()]},{field}"msg": [{element}{sep.join(map(names.__getitem__, msg))}'
-        f"{field}]{close}}}"
+        f"{head}{opening}{names[G.bit_length() - 1]}{gaps}",
+        sep.join(compress(names, flags)),
+        f"{genus}{names[G.bit_count()]}{msg_key}{gens}{close}",
     )
 
 
-def _node_fields(G: int, msg: tuple[int, ...], x: int | None, k: int, names: list, level) -> str:
-    """Everything of a fiber node's JSON object after its children: the
-    fields at its indent and the closing brace.  ``level`` is
-    ``_json_level(k)``; the ``"semigroup"`` object is
-    :func:`_semigroup_json`'s, which also names every integer printed."""
-    semigroup = _semigroup_json(G, msg, names, level[1:])
-    pad, fields = level[0], level[1]
-    return (
-        f'{fields}"depth": {names[k]},{fields}"removed_generator": '
-        f'{"null" if x is None else names[x]},{fields}"semigroup": {semigroup}{pad}}}'
-    )
+def _fiber_level(k: int) -> tuple[str, ...]:
+    """The constant pieces of a fiber node's JSON object at depth k, whose
+    braces sit at nesting level 2 + 2k: its opening through its children's
+    ``[`` as the first of its list and after a sibling, its fields from
+    the close of an empty and of a filled children list through
+    ``"removed_generator": ``, and the :func:`_json_level` of its
+    ``"semigroup"`` object, with the node's close after it."""
+    pad = "\n" + "  " * (2 + 2 * k)
+    field = pad + "  "
+    opening = f'{pad}{{{field}"children": ['
+    fields = f'],{field}"depth": {k},{field}"removed_generator": '
+    semigroup = _json_level(3 + 2 * k, f',{field}"semigroup": ', pad + "}")
+    return opening, "," + opening, fields, field + fields, semigroup
 
 
 def _trees_json(ctx, trees):
@@ -255,11 +266,14 @@ def _trees_json(ctx, trees):
     The list stays open while the next node is deeper, as that node is its
     first child; otherwise the node is closed, with its fields, and so is
     each ancestor, found by parent index, whose depth is not less than the
-    next node's.  Each integer is formatted once per output, into a table
-    of names (:func:`_name_through`), and the indents of each depth
-    (:func:`_json_level`) are built once; at depth k they hold about 20k
-    characters, so a forest of depth K keeps about 10K² bytes of them
-    (2.5 MB at K = 500).  Memory stays at the trees, those tables and one
+    next node's.  A closed node is its :func:`_semigroup_json` chunks, the
+    first of which also holds the node's own fields.  Each integer is
+    formatted once per output, into a table of names grown once per tree
+    (:func:`_name_through`), and the pieces of each depth
+    (:func:`_fiber_level`) are built once; at depth k they hold about 90k
+    characters, so a forest of depth K keeps about 45K² bytes of them
+    (11 MB at K = 500, where one deepest node's gap list alone holds about
+    1M characters).  Memory stays at the trees, those tables and one
     node's text.  ``trees`` is not empty: every S other than ℕ has a
     maximal d-multiple.
     """
@@ -271,24 +285,23 @@ def _trees_json(ctx, trees):
         gap_mask, msg, removed, depth, parent = (
             tree.gap_mask, tree.msg, tree.removed_generator, tree.depth, tree.parent
         )
+        _name_through(names, gap_mask, msg)
+        levels.extend(map(_fiber_level, range(len(levels), max(depth) + 1)))
         last = len(depth) - 1
         for i, k in enumerate(depth):
-            if k == len(levels):  # preorder descends one level at a time
-                levels.append(_json_level(k))
-            level = levels[k]
-            first = depth[i - 1] < k if i else t == 0  # first of its list
+            first, later, fields, _, level = levels[k]
+            opening = first if (depth[i - 1] < k if i else t == 0) else later
             after = depth[i + 1] if i < last else 0
-            opening = f'{"" if first else ","}{level[0]}{{{level[1]}"children": ['
             if after > k:
                 yield opening
                 continue
-            yield opening + "]," + _node_fields(gap_mask[i], msg[i], removed[i], k, names, level)
+            x = "null" if i == 0 else names[removed[i]]
+            yield from _semigroup_json(f"{opening}{fields}{x}", gap_mask[i], msg[i], names, level)
             j = parent[i]
             while j >= 0 and depth[j] >= after:
-                k = depth[j]
-                yield levels[k][1] + "]," + _node_fields(
-                    gap_mask[j], msg[j], removed[j], k, names, levels[k]
-                )
+                _, _, _, fields, level = levels[depth[j]]
+                x = "null" if j == 0 else names[removed[j]]
+                yield from _semigroup_json(fields + x, gap_mask[j], msg[j], names, level)
                 j = parent[j]
     yield "\n  ]" + end
 

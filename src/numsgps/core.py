@@ -12,9 +12,9 @@ Minimal generators are decided with a sum accumulator D: scanning the
 nonzero members M up to F + m in ascending order, a member x is a
 generator iff bit x of D is clear, and each generator x adds M << x to D.
 
-Searches over semigroups move one element at a time, so two kernels derive
-the new ``msg`` from the old one instead of rebuilding it from the gaps, by
-three facts:
+Searches over semigroups move one element at a time, so two kernels here,
+and the fiber walk, derive the new ``msg`` from the old one instead of
+rebuilding it from the gaps, by three facts:
 
 * adjoining a pseudo-Frobenius gap z with 2z ∈ T (:func:`_adjoined`):
   msg(T ∪ {z}) = {z} ∪ {a ∈ msg(T) : a < z or a − z ∉ T ∪ {z}};
@@ -23,7 +23,10 @@ three facts:
   order with the same sum accumulator;
 * removing a minimal generator x > F(T) other than m = m(T), the case of
   most fiber-tree edges: msg(T ∖ {x}) = (msg(T) ∖ {x}) ∪ {x + m unless it
-  splits in T ∖ {x}}, as every other candidate splits through m.
+  splits in T ∖ {x}}, as every other candidate splits through m.  The
+  fiber walk, :func:`numsgps.fibers.enumerate_fiber`, applies this one in
+  its own loop, which holds x, m and F(T); every other removal, of any x,
+  is :func:`_removed_msg`'s.
 
 Pseudo-Frobenius numbers come from shifts of G: PF = G & ~⋃ₐ (G >> a) over
 a ∈ msg.  Every bounded coin problem (is n ∈ ⟨gens⟩?), from_generators
@@ -224,7 +227,9 @@ def _adjoined(T: NumericalSemigroup, z: int) -> NumericalSemigroup:
 
 def _removed_msg(gap_mask: int, msg: tuple[int, ...], x: int) -> tuple[int, ...]:
     """msg(T ∖ {x}) from T's gap mask and msg, unchecked: x must be a
-    minimal generator of T.  :func:`_removed` and the fiber walk call it.
+    minimal generator of T.  :func:`_removed` calls it, and so does the
+    fiber walk for each x < F(T) or x = m(T); the walk's other removals
+    take the one-candidate case of the module docstring, inline.
 
     A generator y of T ∖ {x} that is not one of T is x + s with s ∈ T
     nonzero.  Unless s is a generator of T, s = a + t with a a generator,
@@ -233,25 +238,9 @@ def _removed_msg(gap_mask: int, msg: tuple[int, ...], x: int) -> tuple[int, ...]
     candidates are (msg(T) ∖ {x}) ∪ {x + a : a ∈ msg(T)} ∪ {3x}; 3x is
     needed, e.g. ℕ ∖ {1} = ⟨2, 3⟩.  As a bitmask, with A the mask of
     msg(T), the candidates are (A ∖ {x}) | (A << x) | {3x}.
-
-    When x > F(T) and x ≠ m = m(T), every integer above x is in T ∖ {x},
-    so for a > m, x + a = m + (x + a − m) splits there, and so do 2x and 3x.
-    Only y = x + m is left, above every generator of T (they are at most
-    F(T) + m), and it is a generator unless y − a ∈ T ∖ {x} for some
-    a ∈ msg(T) ∖ {x}, which is then a bit test, as y − a < x.
     """
-    G = gap_mask | 1 << x
-    m = msg[0]
-    if x > gap_mask.bit_length() - 1 and x != m:
-        i = msg.index(x)
-        rest = msg[:i] + msg[i + 1 :]
-        y = x + m
-        for a in rest[1:]:
-            if not G >> (y - a) & 1:
-                return rest
-        return rest + (y,)
     A = sum(map((1).__lshift__, msg))
-    return _generators_among(G, (A ^ 1 << x) | A << x | 1 << 3 * x)
+    return _generators_among(gap_mask | 1 << x, (A ^ 1 << x) | A << x | 1 << 3 * x)
 
 
 def _removed(T: NumericalSemigroup, x: int) -> NumericalSemigroup:

@@ -12,13 +12,15 @@ enumeration always demands an explicit truncation bound.
 lists (:class:`FiberTree`: gap mask, msg, removed generator, depth and
 parent index per node), which the low-e search and the text, JSON and DOT
 renderers of :mod:`numsgps.cli` read directly; no semigroup object is built
-per node.  Most nodes cost the walk one kernel call, the removal that
-gives their msg: as in the tree of numerical semigroups (Fromentin &
-Hivert, Math. Comp. 85, 2016), a child T = P ∖ {x} with x > F(P) and
-x ≠ m(P) takes its child edges from P's: the later ones, plus x + m(P)
-when that is a new generator.  Only the root and a child with x < F(P) or
-x = m(P) decide theirs from bits, in :func:`_child_pairs`: about one node
-in ten of the benchmark's ``fiber`` workload.
+per node.  Most nodes cost the walk no call at all: as in the tree of
+numerical semigroups (Fromentin & Hivert, Math. Comp. 85, 2016), a child
+T = P ∖ {x} with x > F(P) and x ≠ m(P) has P's generators less x, plus
+x + m(P) unless it splits, and takes its child edges from P's: the later
+ones, plus x + m(P) when that is a new generator.  The walk works both out
+in its own loop.  Only a child with x < F(P) or x = m(P) calls the removal
+kernel, :func:`~numsgps.core._removed_msg`, and only it and the root decide
+their edges from bits, in :func:`_child_pairs`: about one node in ten of
+the benchmark's ``fiber`` workload.
 """
 
 from __future__ import annotations
@@ -240,18 +242,22 @@ def enumerate_fiber(
     all, and every other node gets only the x ≤ max_frobenius that the
     θ-step keeps.  The walk keeps one stack of nodes with the child edges
     they have left, and appends a child's gap mask and msg only when it pops
-    its edge, so every node made is in the tree, and the msg from
-    :func:`~numsgps.core._removed_msg` is the one kernel call of most nodes.
+    its edge, so every node made is in the tree.
 
-    A child T = P ∖ {x} with x > F(P) and x ≠ m = m(P) has
-    F(T) = x > F(P) ≥ d·F(S), so its edges are its generators in
-    (x, max_frobenius] outside d·S, that is, not divisible by d.  Those of P
-    are P's later edges, and the one new generator T can have is x + m
-    (:func:`~numsgps.core._removed_msg` adds it), so T takes its edges from P
-    without a look at its bits.  The root and a child with x < F(P) (so
-    F(T) = d·F(S)) or x = m(P) (an ordinary P, which gains more generators)
-    get theirs from :func:`_child_pairs`, as :func:`children` does.  No θ
-    result is cached across nodes.
+    A child T = P ∖ {x} with x > F(P) and x ≠ m = m(P) is worked out in the
+    loop, which holds x, m and F(P).  Every integer above x is in T, so a
+    candidate x + a with a > m (:func:`~numsgps.core._removed_msg`) splits
+    as m + (x + a − m), and so do 2x and 3x: msg(T) is msg(P) less x, plus
+    y = x + m, above every generator of P (they are at most F(P) + m),
+    unless y − a ∈ T for a generator a of T, a bit test as y − a < x.
+    F(T) = x > F(P) ≥ d·F(S), so T's edges are its generators in
+    (x, max_frobenius] outside d·S, that is, not divisible by d.  Those of
+    P are P's later edges, and the one new generator T can have is y, so T
+    takes its edges from P without a look at its bits.  A child with
+    x < F(P) (so F(T) = d·F(S)) or x = m(P) (an ordinary P, which gains more
+    generators) gets its msg from the kernel, and it and the root get their
+    edges from :func:`_child_pairs`, as :func:`children` does.  No θ result
+    is cached across nodes.
     """
     bounds.require_finite("fiber enumeration")
     _require_multiple(ctx, root)
@@ -282,22 +288,31 @@ def enumerate_fiber(
         if not edges:
             stack.pop()
         P_mask, P_msg = gap_mask[p], msg[p]
-        T_mask, T_msg = P_mask | 1 << x, _removed_msg(P_mask, P_msg, x)
-        k = depth[p] + 1
-        if k < limit:
-            m = P_msg[0]
-            if x > P_mask.bit_length() - 1 and x != m:
-                # P's later edges, plus x + m if it is a new generator of
-                # T within x_max and off d·S.
-                y = x + m
-                if len(T_msg) == len(P_msg) and y % d and y <= y_max:
-                    own = [y, *edges]
-                else:
-                    own = edges[:]
+        T_mask, m, k = P_mask | 1 << x, P_msg[0], depth[p] + 1
+        own = None
+        if x > P_mask.bit_length() - 1 and x != m:
+            # The one-candidate removal: P's generators less x, and y = x + m
+            # unless y − a ∈ T for a generator a of T (y − m = x is a gap).
+            # T's edges are P's later ones, plus y if it is new, off d·S and
+            # within x_max.
+            i = P_msg.index(x)
+            T_msg = P_msg[:i] + P_msg[i + 1 :]
+            y = x + m
+            for a in T_msg:
+                if not T_mask >> y - a & 1:
+                    if k < limit:
+                        own = edges[:]
+                    break
             else:
+                T_msg += (y,)
+                if k < limit:
+                    own = [y, *edges] if y % d and y <= y_max else edges[:]
+        else:
+            T_msg = _removed_msg(P_mask, P_msg, x)
+            if k < limit:
                 own = _child_pairs(ctx, T_mask, T_msg, x_max)[::-1]
-            if own:
-                stack.append((len(msg), own))
+        if own:
+            stack.append((len(msg), own))
         gap_mask.append(T_mask)
         msg.append(T_msg)
         removed.append(x)

@@ -317,21 +317,26 @@ class TestFiberTree:
         assert depth == 149
 
 
-def fiber_json_reference(sgp_arg, d, root, bounds) -> str:
-    """The fiber-tree JSON built as nested dicts from the nested reference
-    walk and dumped by the standard library, to hold the streamed output
-    against."""
+def reference_forest(sgp_arg, d, root, bounds):
+    """(context, the root FiberNode of each tree) of the fiber-tree
+    command, from the nested reference walk."""
     ctx = multiples.MultipleContext(parse_semigroup(sgp_arg), d)
     if root is None:
         roots = sorted(multiples.max_multiples(ctx).maximals, key=lambda s: s.msg)
     else:
         roots = [parse_semigroup(root)]
+    return ctx, [reference_fiber_walk(ctx, r, bounds) for r in roots]
+
+
+def fiber_json_reference(sgp_arg, d, root, bounds) -> str:
+    """The fiber-tree JSON built as nested dicts from the nested reference
+    walk and dumped by the standard library, to hold the streamed output
+    against."""
+    ctx, trees = reference_forest(sgp_arg, d, root, bounds)
     payload = {
         "S": ctx.semigroup.to_json_dict(),
         "d": d,
-        "trees": [
-            fiber_node_to_json_dict(reference_fiber_walk(ctx, r, bounds)) for r in roots
-        ],
+        "trees": [fiber_node_to_json_dict(node) for node in trees],
     }
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
@@ -376,6 +381,27 @@ class TestFiberJson:
             assert (code, err) == (0, "") and out == expected, argv
             forests += len(json.loads(out)["trees"]) > 1
         assert forests > 10
+
+    def test_text_matches_reference(self, capsys):
+        """The text format on the same cases: one line per node of the
+        nested reference walk in preorder, indented by depth and tagged
+        with the removed generator."""
+        for sgp_arg, d, root, flag, value in self.cases():
+            argv = ["fiber-tree", "--sgp", sgp_arg, "--d", str(d), flag, str(value)]
+            if root is not None:
+                argv += ["--root", root]
+            code, out, err = run(capsys, *argv)
+            bounds = fibers.TruncationBounds(**{flag[2:].replace("-", "_"): value})
+            lines = []
+            for node in reference_forest(sgp_arg, d, root, bounds)[1]:
+                stack = [node]
+                while stack:
+                    n = stack.pop()
+                    stack.extend(reversed(n.children))
+                    T = n.semigroup
+                    tag = f"{'  ' * n.depth}[x={n.removed_generator}] " if n.depth else ""
+                    lines.append(f"{tag}{T} F={T.frobenius} g={T.genus}\n")
+            assert (code, err) == (0, "") and out == "".join(lines), argv
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         argv = ["fiber-tree", "--sgp", "3,5", "--d", "3", "--max-genus", "12", "--format", "json"]
@@ -482,13 +508,31 @@ class TestListingJson:
     @pytest.mark.parametrize("gens", [(1,), (3, 4), (5, 7, 9)])
     def test_semigroup_template(self, gens):
         # ⟨3,4⟩ has its largest generator below F = 5, so the names table
-        # must reach F; ℕ has F = -1 and no gaps.
+        # must reach F; ℕ has F = -1 and no gaps, and is one chunk.
         T = sgp(*gens)
-        for indents in (cli._json_indents(2), cli._json_level(0)[1:], cli._json_level(7)[1:]):
-            names: list = []
-            text = cli._semigroup_json(T.gap_mask, T.msg, names, indents)
+        names: list = []
+        cli._name_through(names, [T.gap_mask], [T.msg])
+        # (pieces, what goes before the braces, after them, their nesting
+        # level): a listing element, and a fiber node's semigroup at depths
+        # 0 and 7.
+        cases = [(cli._json_level(2, "\n    ", ""), "\n    ", "", 2)]
+        for k in (0, 7):
+            pad = "\n" + "  " * (2 + 2 * k)
+            cases.append((cli._fiber_level(k)[4], f',{pad}  "semigroup": ', pad + "}", 3 + 2 * k))
+        for level, before, after, n in cases:
+            chunks = cli._semigroup_json("head", T.gap_mask, T.msg, names, level)
+            text = "".join(chunks)
+            assert text.startswith("head" + before) and text.endswith(after)
+            text = text[len("head" + before) : len(text) - len(after)]
             assert json.loads(text) == T.to_json_dict()
-            assert text.startswith("{" + indents[1]) and text.endswith(indents[0] + "}")
+            pad = "\n" + "  " * n
+            assert text.startswith("{" + pad + "  ") and text.endswith(pad + "}")
+            # The gaps are a chunk of their own, between their brackets.
+            element = pad + "    "
+            if T.gaps:
+                assert chunks[0].endswith('"gaps": [' + element)
+                assert chunks[1] == ("," + element).join(map(str, T.gaps))
+            assert len(chunks) == (3 if T.gaps else 1)
 
 
 class TestExitCodes:

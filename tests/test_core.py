@@ -286,8 +286,8 @@ class TestIncrementalKernels:
 
     def test_removed_msg_matches_a_scan(self, genus_tree_12):
         """The raw removal kernel gives the msg of a full scan of the new
-        gap mask, on both of its branches: x > F(S) with x ≠ m(S), and the
-        rest."""
+        gap mask, for both kinds of x: x > F(S) with x ≠ m(S), which the
+        fiber walk removes itself, and the rest."""
         branches = set()
         for S in genus_tree_12:
             for x in S.msg:
@@ -304,16 +304,18 @@ class TestIncrementalKernels:
     def test_removed_both_branches_on_fiber_edges(self, monkeypatch):
         """Every fiber edge removes x from T, with x < F(T) = d·F(S) at
         depth 1 and x > F(T) below it; with x = m(T) > F(T) the one-candidate
-        branch does not apply.  Both branches must run and agree with a
-        rebuild of the gap mask."""
-        accumulated = 0
+        case does not apply.  The walk takes that case itself and calls the
+        kernel exactly for the other edges; both kinds must occur, and every
+        node must agree with a rebuild of its gap mask."""
+        calls = 0
 
-        def counted(gap_mask, candidates):
-            nonlocal accumulated
-            accumulated += 1
-            return _generators_among(gap_mask, candidates)
+        def counted(gap_mask, msg, x):
+            nonlocal calls
+            calls += 1
+            return _removed_msg(gap_mask, msg, x)
 
-        edges = [(WHOLE_N, 1), (sgp(2, 3), 2)]
+        monkeypatch.setattr("numsgps.fibers._removed_msg", counted)
+        edges = one_candidate = 0
         for gens, d, bounds in (
             ((2, 3), 11, TruncationBounds(max_genus=12)),
             ((3, 4, 5), 3, TruncationBounds(max_nodes=500)),
@@ -321,21 +323,17 @@ class TestIncrementalKernels:
             ctx = MultipleContext(sgp(*gens), d)
             for R in max_multiples(ctx).maximals:
                 tree = enumerate_fiber(ctx, R, bounds)
-                edges += [
-                    (tree.semigroup[p], x)
-                    for p, x in zip(tree.parent[1:], tree.removed_generator[1:])
-                ]
-        above = sum(x > T.frobenius and x != T.multiplicity for T, x in edges)
-        monkeypatch.setattr("numsgps.core._generators_among", counted)
-        removed = [_removed(T, x) for T, x in edges]
-        # The accumulator ran exactly for the other edges, the depth-1
-        # edges with x < F(T) among them, and not only for the two x = m(T).
-        assert accumulated == len(edges) - above
-        assert above > 0 and accumulated > 2
-        monkeypatch.undo()
-        for (T, x), U in zip(edges, removed):
-            assert U == _from_gap_mask(T.gap_mask | 1 << x), (T, x)
-        assert removed[:2] == [sgp(2, 3), sgp(3, 4, 5)]
+                for p, x in zip(tree.parent[1:], tree.removed_generator[1:]):
+                    edges += 1
+                    one_candidate += x > tree.gap_mask[p].bit_length() - 1 and x != tree.msg[p][0]
+                for G, T in zip(tree.gap_mask, tree.semigroup):
+                    assert T == _from_gap_mask(G), T
+        # The kernel ran exactly for the other edges, the depth-1 edges
+        # with x < F(T) among them.
+        assert calls == edges - one_candidate
+        assert one_candidate > 0 and calls > 2
+        # x = m(T) > F(T) goes through the kernel.
+        assert [_removed(WHOLE_N, 1), _removed(sgp(2, 3), 2)] == [sgp(2, 3), sgp(3, 4, 5)]
 
     def test_adjoined_matches_rebuild(self, genus_tree_12):
         checked = 0

@@ -33,6 +33,29 @@ def ctx_of(gens, d):
     return MultipleContext(sgp(*gens), d)
 
 
+# (gens, d, bounds) of the fiber walks held against the nested reference walk.
+FLAT_WALK_CASES = [
+    ((2, 3), 11, {"max_genus": 12}),
+    ((2, 3), 7, {"max_frobenius": 24}),
+    ((3, 4, 5), 3, {"max_depth": 4}),
+    ((4, 5, 6), 3, {"max_frobenius": 27, "max_genus": 16}),
+    ((3, 4, 5), 3, {"max_nodes": 1}),
+    ((3, 4, 5), 3, {"max_nodes": 2}),
+    ((3, 4, 5), 3, {"max_nodes": 7}),
+    ((3, 4, 5), 3, {"max_nodes": 2000}),
+    ((2, 3), 13, {"max_nodes": 90}),
+    # x = m(P) > F(P): ⟨3,4,5⟩ ∖ {3} is the ordinary ⟨4,5,6,7⟩.
+    ((2, 3), 2, {"max_genus": 7}),
+    # Some x + m lie in d·S, and the cap falls among siblings.
+    ((4, 6, 13, 15), 3, {"max_frobenius": 39, "max_nodes": 2000}),
+    # Some x + m are generators above max_frobenius.
+    ((3, 4, 5), 2, {"max_frobenius": 9}),
+    # The root ℕ, with F = -1 and x = m(ℕ) = 1.
+    ((1,), 2, {"max_nodes": 3}),
+    ((1,), 3, {"max_genus": 6}),
+]
+
+
 class TestTheta:
     def test_ed1_value(self):
         ctx = ctx_of((5, 7, 9), 2)
@@ -391,9 +414,11 @@ class TestEnumerateFiber:
         [((3, 4, 5), 3, 2000, 1, 2000), ((2, 3), 13, 90, 8, 452)],
     )
     def test_builds_only_attached_children(self, monkeypatch, gens, d, max_nodes, roots, nodes):
-        """A node-capped walk runs the removal kernel once per non-root
-        node and for nothing else: no child is computed ahead of the cap
-        and then dropped."""
+        """A node-capped walk runs the removal kernel exactly for the
+        non-root nodes T = P ∖ {x} with x ≤ F(P) or x = m(P), and for
+        nothing else: the other nodes take the one-candidate removal inside
+        the walk, and no child is computed ahead of the cap and then
+        dropped."""
         builds = 0
 
         def counted(gap_mask, msg, x):
@@ -404,36 +429,18 @@ class TestEnumerateFiber:
         monkeypatch.setattr("numsgps.fibers._removed_msg", counted)
         ctx = ctx_of(gens, d)
         maximals = max_multiples(ctx).maximals
-        got = sum(
-            len(enumerate_fiber(ctx, R, TruncationBounds(max_nodes=max_nodes)).nodes())
-            for R in maximals
-        )
+        got = kernel_nodes = 0
+        for R in maximals:
+            tree = enumerate_fiber(ctx, R, TruncationBounds(max_nodes=max_nodes))
+            got += len(tree.nodes())
+            kernel_nodes += sum(
+                x <= tree.gap_mask[p].bit_length() - 1 or x == tree.msg[p][0]
+                for p, x in zip(tree.parent[1:], tree.removed_generator[1:])
+            )
         assert (len(maximals), got) == (roots, nodes)
-        assert builds == nodes - roots
+        assert 0 < builds == kernel_nodes < nodes - roots
 
-    @pytest.mark.parametrize(
-        "gens, d, bound",
-        [
-            ((2, 3), 11, {"max_genus": 12}),
-            ((2, 3), 7, {"max_frobenius": 24}),
-            ((3, 4, 5), 3, {"max_depth": 4}),
-            ((4, 5, 6), 3, {"max_frobenius": 27, "max_genus": 16}),
-            ((3, 4, 5), 3, {"max_nodes": 1}),
-            ((3, 4, 5), 3, {"max_nodes": 2}),
-            ((3, 4, 5), 3, {"max_nodes": 7}),
-            ((3, 4, 5), 3, {"max_nodes": 2000}),
-            ((2, 3), 13, {"max_nodes": 90}),
-            # x = m(P) > F(P): ⟨3,4,5⟩ ∖ {3} is the ordinary ⟨4,5,6,7⟩.
-            ((2, 3), 2, {"max_genus": 7}),
-            # Some x + m lie in d·S, and the cap falls among siblings.
-            ((4, 6, 13, 15), 3, {"max_frobenius": 39, "max_nodes": 2000}),
-            # Some x + m are generators above max_frobenius.
-            ((3, 4, 5), 2, {"max_frobenius": 9}),
-            # The root ℕ, with F = -1 and x = m(ℕ) = 1.
-            ((1,), 2, {"max_nodes": 3}),
-            ((1,), 3, {"max_genus": 6}),
-        ],
-    )
+    @pytest.mark.parametrize("gens, d, bound", FLAT_WALK_CASES)
     def test_flat_walk_matches_nested_walk(self, monkeypatch, gens, d, bound):
         """The flat preorder lists hold the (depth, x, T) preorder of the
         nested walk they replaced, on each bound kind and on max_nodes cuts
@@ -496,6 +503,39 @@ class TestEnumerateFiber:
             assert probed == calls
         if nodes > 2:
             assert branches["probed"] and branches["inherited"]
+
+    def test_inline_removal_meets_every_outcome(self):
+        """Over the cases above, the walk's own one-candidate removal, of
+        T = P ∖ {x} with x > F(P) and x ≠ m(P) at a node that gets child
+        edges, meets every outcome of y = x + m(P): y is new and pushed as
+        an edge of T, so T has the child T ∖ {y}; y is new and dropped, as
+        d | y or y > max_frobenius; y splits in T.
+        test_flat_walk_matches_nested_walk holds each of those nodes and
+        its children against the reference walk."""
+        outcomes = set()
+        for gens, d, bound in FLAT_WALK_CASES:
+            ctx = ctx_of(gens, d)
+            roots = [WHOLE_N] if gens == (1,) else max_multiples(ctx).maximals
+            y_max = bound.get("max_frobenius", inf)
+            for R in roots:
+                tree = enumerate_fiber(ctx, R, TruncationBounds(**bound))
+                limit = min(bound.get("max_depth", inf), bound.get("max_genus", inf) - R.genus)
+                edges = set(zip(tree.parent, tree.removed_generator))
+                for i in range(1, len(tree.parent)):
+                    p, x = tree.parent[i], tree.removed_generator[i]
+                    m = tree.msg[p][0]
+                    if x <= tree.gap_mask[p].bit_length() - 1 or x == m or tree.depth[i] >= limit:
+                        continue
+                    y = x + m
+                    if y not in tree.msg[i]:
+                        outcomes.add("splits")
+                    elif y % d == 0:
+                        outcomes.add("in d·S")
+                    elif y > y_max:
+                        outcomes.add("above max_frobenius")
+                    elif (i, y) in edges:  # a node cap may cut it
+                        outcomes.add("pushed")
+        assert outcomes == {"pushed", "in d·S", "above max_frobenius", "splits"}
 
 
 class TestWholeNContext:
