@@ -116,12 +116,6 @@ def _listing(semigroups, key: str, ctx=None, **fields) -> dict:
     return {"json": json_chunks, "text": lambda: "".join(f"{t}\n" for t in ordered)}
 
 
-def _bounds(args) -> fibers.TruncationBounds:
-    return fibers.TruncationBounds(
-        args.max_frobenius, args.max_genus, args.max_depth, args.max_nodes
-    )
-
-
 def _cmd_info(args) -> dict:
     S = parse_semigroup(args.sgp)
     facts = {"embedding_dimension": S.embedding_dimension, "multiplicity": S.multiplicity}
@@ -324,8 +318,11 @@ def _trees_dot(trees):
 
 
 def _cmd_fiber_tree(args) -> dict:
-    bounds = _bounds(args)  # refuses a negative bound before root discovery
-    bounds.require_finite("fiber enumeration")  # and a missing one
+    # A negative bound is refused before root discovery, and so is a missing one.
+    bounds = fibers.TruncationBounds(
+        args.max_frobenius, args.max_genus, args.max_depth, args.max_nodes
+    )
+    bounds.require_finite()
     ctx = _context(args)
     if args.root == "auto":
         roots = sorted(multiples.max_multiples(ctx).maximals, key=lambda s: s.msg)
@@ -417,7 +414,7 @@ def _cmd_unique_betti(args) -> dict:
 
 def _cmd_search_low_e(args) -> dict:
     S = parse_semigroup(args.sgp)
-    d, T = rank.bounded_low_e_multiple_search(S, args.dmax, _bounds(args)) or (None, None)
+    d, T = rank.bounded_low_e_multiple_search(S, args.dmax) or (None, None)
     return {
         "json": lambda: {
             "semigroup": S.to_json_dict(),
@@ -491,8 +488,8 @@ _COMMANDS = (
      _TEXT_JSON, _SGP),
     ("unique-betti", "semigroup from pairwise-coprime factors", _cmd_unique_betti,
      _TEXT_JSON, ("--c", _REQUIRED)),
-    ("search-low-e", "bounded hunt for a multiple of smaller e", _cmd_search_low_e,
-     _TEXT_JSON, _SGP, ("--dmax", _REQUIRED_INT), *_BOUNDS),
+    ("search-low-e", "least d ≤ --dmax with a multiple of smaller e", _cmd_search_low_e,
+     _TEXT_JSON, _SGP, ("--dmax", _REQUIRED_INT)),
     ("rank-sweep", "seeded CSV experiment on random semigroups", _cmd_rank_sweep, (),
      ("--count", _REQUIRED_INT), ("--max-genus", _REQUIRED_INT), ("--seed", _REQUIRED_INT),
      ("--dmax", {"type": int, "default": 3}), ("--csv", {})),

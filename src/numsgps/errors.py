@@ -57,8 +57,8 @@ class NotMaximal(InvalidInput):
 
 
 class BoundsMissing(InvalidInput):
-    """An unbounded fiber enumeration or low-e search refused; at least one
-    truncation bound is required."""
+    """An unbounded fiber enumeration refused; at least one truncation
+    bound is required."""
 
 
 class NotMdSet(InvalidInput):

@@ -10,10 +10,10 @@ enumeration always demands an explicit truncation bound.
 
 :func:`enumerate_fiber` is one walk that records a fiber as flat preorder
 lists (:class:`FiberTree`: gap mask, msg, removed generator, depth and
-parent index per node), which the low-e search and the text, JSON and DOT
-renderers of :mod:`numsgps.cli` read directly; no semigroup object is built
-per node.  Most nodes cost the walk no call at all: as in the tree of
-numerical semigroups (Fromentin & Hivert, Math. Comp. 85, 2016), a child
+parent index per node), which the text, JSON and DOT renderers of
+:mod:`numsgps.cli` read directly; no semigroup object is built per node.
+Most nodes cost the walk no call at all: as in the tree of numerical
+semigroups (Fromentin & Hivert, Math. Comp. 85, 2016), a child
 T = P ∖ {x} with x > F(P) and x ≠ m(P) has P's generators less x, plus
 x + m(P) unless it splits, and takes its child edges from P's: the later
 ones, plus x + m(P) when that is a new generator.  The walk works both out
@@ -47,10 +47,10 @@ from .multiples import MultipleContext, addable_gaps, is_d_multiple
 
 @dataclass(frozen=True)
 class TruncationBounds:
-    """Pruning limits for fiber enumeration and the low-e search; at least
-    one must be set, and none may be negative.  They prune only the
-    descendants of a fiber's root, which :func:`enumerate_fiber` always
-    keeps: max_nodes 0 and 1 both give the root alone."""
+    """Pruning limits for fiber enumeration alone; at least one must be
+    set, and none may be negative.  They prune only the descendants of a
+    fiber's root, which :func:`enumerate_fiber` always keeps: max_nodes 0
+    and 1 both give the root alone."""
 
     max_frobenius: int | None = None
     max_genus: int | None = None
@@ -64,11 +64,11 @@ class TruncationBounds:
                 flag = "--" + bound.name.replace("_", "-")
                 raise InvalidInput(f"{flag} must be a non-negative integer, got {value}")
 
-    def require_finite(self, search: str):
-        """Refuse, naming ``search`` (the caller), when no bound is set."""
+    def require_finite(self):
+        """Refuse when no bound is set."""
         if all(getattr(self, bound.name) is None for bound in fields(self)):
             raise BoundsMissing(
-                f"{search} requires at least one bound: --max-frobenius, "
+                "fiber enumeration requires at least one bound: --max-frobenius, "
                 "--max-genus, --max-depth or --max-nodes"
             )
 
@@ -259,7 +259,7 @@ def enumerate_fiber(
     edges from :func:`_child_pairs`, as :func:`children` does.  No θ result
     is cached across nodes.
     """
-    bounds.require_finite("fiber enumeration")
+    bounds.require_finite()
     _require_multiple(ctx, root)
     if addable_gaps(ctx, root):
         raise NotMaximal(f"{root} is not a maximal {ctx.d}-multiple of {ctx.semigroup}")

@@ -1,20 +1,16 @@
 """Full quotient rank: the Apéry sufficient condition, semigroups with a
-unique Betti element, obstruction search, and a bounded hunt for multiples
-of small embedding dimension.
+unique Betti element, obstruction search, and an exact search for
+multiples of small embedding dimension up to a given d.
 
 The quotient rank of S is min e(T) over all multiples T of S; it is full
 when it equals e(S).  If the sum of all minimal generators but a_i lies in
-Ap(S, a_i) for every i, the rank is full; the converse is open, so a false
-verdict proves nothing and the bounded search below never claims one.
-Its None is exact within its bounds, and for two-generated S outright:
-the only semigroup with e = 1 is ℕ, and ℕ/d = ℕ, so for e(S) = 2 no d is
-searched.  Otherwise a hit lies in
-the fiber of its own saturation and the bounds cap its Frobenius number,
-so the hunt walks only the fibers of the saturations of the d-multiples of
-smaller embedding dimension under that cap.  One depth-first search over
-their generator tuples finds them for every e(S), pruned by the Apéry sets
-and by Sylvester's bound F(⟨a,b⟩) = ab − a − b (Rosales & García-Sánchez,
-Numerical Semigroups, Springer 2009, ch. 1-2).
+Ap(S, a_i) for every i, the rank is full.  The converse is open; it is
+checked on every S of genus ≤ 12 in the tests and ≤ 14 in CI: for
+e(S) = 3 the condition holds exactly when S is not proportionally
+modular, and for e(S) ≥ 4 it never holds and every S has a multiple of
+smaller e at some d ≤ 15.  The search walks generator tuples capped at
+d·max msg(S), pruned by Sylvester's bound F(⟨a,b⟩) = ab − a − b
+(Rosales & García-Sánchez, Numerical Semigroups, Springer 2009, ch. 1-5).
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb, gcd, prod
 
 from .core import CLOSURE_CEILING, NumericalSemigroup, _closure, from_generators
@@ -34,7 +30,6 @@ from .errors import (
     TooSmall,
     WholeN,
 )
-from .fibers import TruncationBounds, enumerate_fiber, saturate
 from .multiples import MultipleContext
 # Unused here; perfbench/selftest.py checks that its tracer reaches
 # max_multiples through this namespace.
@@ -185,69 +180,67 @@ def _coin_decomposition(gens: list[int], target: int) -> list[int] | None:
     return coeffs
 
 
-def _low_e_multiples(ctx: MultipleContext, f: int, k_max: int) -> list[NumericalSemigroup]:
-    """Every d-multiple T of S with 2 ≤ e(T) ≤ k_max and F(T) ≤ f, for
-    S ≠ ℕ, d ≥ 1 and f ≥ N = d·F(S).  A d·F(S) past the closure ceiling,
-    and then an f + d·m(S) past it, is refused with
-    :class:`CeilingExceeded` before any tuple is tried.
+def _generator_tuples(ctx: MultipleContext, k_max: int, f: int | None = None):
+    """Depth-first search over the minimal generating tuples a₁ < … < a_k,
+    k ≤ k_max, whose closure holds d·msg(S) and misses d·gaps(S), for S ≠ ℕ
+    and d ≥ 1; yields each with its member mask closed up to top.  With
+    f None, top = max(d·max msg(S), d·F(S)) and a tuple holding d·msg(S) is
+    not extended.  With f ≥ N = d·F(S), top = f + d·m(S), a tuple must also
+    hold (f, f + a₁], so it generates a d-multiple with F ≤ f, and it is
+    extended by its gaps.  A d·F(S), and then a top, past the closure
+    ceiling is refused with :class:`CeilingExceeded` before any tuple.
 
-    A depth-first search over the minimal generating tuples a₁ < … < a_k,
-    k ≤ k_max, on member masks closed up to f + d·m(S).  a₁ ≤ d·m(S), as
-    d·m(S) ∈ T.  T holds d·msg(S) and, as F(T) ≤ f, (f, f + a₁]; such an
-    element n is a sum of generators ≤ n, so while the prefix misses one,
-    the next generator is a non-member no larger than the least such n.
-    A branch whose closure meets d·gaps(S) is cut.  A tuple whose closure
-    holds them all generates a d-multiple with F ≤ f: it holds d·S, misses
-    d·gaps(S) and a₁ consecutive integers.  It is recorded and extended by
-    its gaps, the non-members up to F(T).
+    a₁ ≤ d·m(S), as d·m(S) ∈ T.  An element n the tuple must hold is a sum
+    of generators ≤ n, so while the prefix misses one, the next generator
+    is a non-member no larger than the least such n: with f None, at most
+    d·max msg(S).  A branch whose closure meets d·gaps(S) is cut.
 
-    Ap(T, a₁) has a₁ elements, each at most F(T) + a₁ ≤ L = f + a₁ and a
-    sum of the other generators, so there are at least a₁ combinations of
-    a₂, …, a_k and of the r generators still allowed (each above a_k) of
-    value ≤ L.  There are at most ∏ᵢ≥₂ (⌊L/aᵢ⌋ + 1) · C(⌊L/(a_k + 1)⌋ + r, r),
-    so a branch where that count is below a₁ is cut.  The count never grows
-    with a_k, nor for a₁ alone (where L grows with a₁) with a₁, so each loop
-    over candidates stops at the first cut.
+    With f set, Ap(T, a₁) has a₁ elements, each at most F(T) + a₁ ≤ L =
+    f + a₁ and a sum of the other generators, so there are at least a₁
+    combinations of a₂, …, a_k and of the r generators still allowed (each
+    above a_k) of value ≤ L.  There are at most ∏ᵢ≥₂ (⌊L/aᵢ⌋ + 1) ·
+    C(⌊L/(a_k + 1)⌋ + r, r), so a branch where that count is below a₁ is
+    cut.  The count never grows with a_k, nor for a₁ alone (where L grows
+    with a₁) with a₁, so each loop over candidates stops at the first cut.
 
     Two more cuts skip a candidate b without a closure.  For b coprime to
     a₁, every n ≥ (a₁ − 1)(b − 1) lies in ⟨a₁, b⟩ (Sylvester), so
     (a₁ − 1)(b − 1) ≤ N would put the gap N of d·S in T.  And the last
     generator allowed must bring the gcd of the tuple to 1.  With a₁ alone
     that gcd is a₁, so one of the two cuts holds for every b up to
-    ⌊N/(a₁ − 1)⌋ + 1.  For k_max = 2, T = ⟨a₁, b⟩ with b ≤ d·max msg(S):
-    a₁ ∤ d, as T/d ≠ ℕ, so a₁ ∤ d·s for some s ∈ msg(S), and d·s ∈ T.  So
-    F(T) = (a₁ − 1)(b − 1) − 1 < (d·m(S) − 1)(d·max msg(S) − 1), and f is
-    clamped below that first.
+    ⌊N/(a₁ − 1)⌋ + 1.
     """
     S, d, N = ctx.semigroup, ctx.d, ctx.scaled_frobenius
     gap_mask = ctx.scaled_gap_mask  # refuses d·F(S) past the closure ceiling
     m = d * S.multiplicity
-    if k_max == 2:
-        f = min(f, (m - 1) * (d * S.msg[-1] - 1) - 1)
-    top = f + m
+    # N is within the ceiling here, so a top past it is d·max msg(S) when f is None.
+    top, bound = max(d * S.msg[-1], N), "generator cap d·max msg(S) ="
+    if f is not None:
+        top, bound = f + m, f"Frobenius reach plus d·m(S), {f} + {m} ="
     if top > CLOSURE_CEILING:
-        raise CeilingExceeded(
-            f"the low-e search's Frobenius reach plus d·m(S), {f} + {m}, passes {CLOSURE_CEILING}"
-        )
+        raise CeilingExceeded(f"the low-e search's {bound} {top} passes {CLOSURE_CEILING}")
     scaled_msg = sum(1 << d * s for s in S.msg)
-    below = (2 << f) - 1
-    out = []
+    below = (2 << top) - 1
     for a1 in range(2, m + 1):
-        L = f + a1
-        if comb(L // (a1 + 1) + k_max - 1, k_max - 1) < a1:
-            break
+        required = scaled_msg
+        if f is not None:
+            L = f + a1
+            if comb(L // (a1 + 1) + k_max - 1, k_max - 1) < a1:
+                break
+            required |= (1 << L + 1) - (1 << f + 1)
         M = _closure((a1,), top)
         if M & gap_mask:
             continue
         b_sylvester = N // (a1 - 1) + 1  # the largest b with (a₁ − 1)(b − 1) ≤ N
-        required = scaled_msg | (1 << L + 1) - (1 << f + 1)
         # (generators, closed member mask, ∏ᵢ≥₂ (⌊L/aᵢ⌋ + 1))
         stack = [((a1,), M, 1)]
         while stack:
             gens, M, count = stack.pop()
             missing = required & ~M
             if not missing:
-                out.append(NumericalSemigroup(below & ~M, gens))
+                yield gens, M
+                if f is None:
+                    continue
             # The least missing element, or else F(T).
             upper = ((missing & -missing) or below & ~M).bit_length() - 1
             r = k_max - len(gens) - 1  # generators allowed after the next
@@ -260,71 +253,78 @@ def _low_e_multiples(ctx: MultipleContext, f: int, k_max: int) -> list[Numerical
             for b in range(lo, upper + 1):
                 if M >> b & 1:
                     continue
-                grown = count * (L // b + 1)
-                if grown * comb(L // (b + 1) + r, r) < a1:
-                    break
+                grown = count
+                if f is not None:
+                    grown *= L // b + 1
+                    if grown * comb(L // (b + 1) + r, r) < a1:
+                        break
                 if (b <= b_sylvester and gcd(a1, b) == 1) or (r == 0 and gcd(g, b) > 1):
                     continue
                 Mb = _closure((b,), top, M)
                 if not Mb & gap_mask:
                     stack.append(((*gens, b), Mb, grown))
-    return out
+
+
+def _low_e_multiples(ctx: MultipleContext, f: int, k_max: int) -> list[NumericalSemigroup]:
+    """Every d-multiple T of S with 2 ≤ e(T) ≤ k_max and F(T) ≤ f, for
+    S ≠ ℕ, d ≥ 1 and f ≥ N = d·F(S), from :func:`_generator_tuples`.
+
+    For k_max = 2, T = ⟨a₁, b⟩ with b ≤ d·max msg(S): a₁ ∤ d, as T/d ≠ ℕ,
+    so a₁ ∤ d·s for some s ∈ msg(S), and d·s ∈ T.  So F(T) = (a₁ − 1)(b − 1)
+    − 1 < (d·m(S) − 1)(d·max msg(S) − 1), and f is clamped below that
+    first.
+    """
+    S, d = ctx.semigroup, ctx.d
+    if k_max == 2:
+        f = min(f, (d * S.multiplicity - 1) * (d * S.msg[-1] - 1) - 1)
+    below = (2 << f) - 1
+    return [NumericalSemigroup(below & ~M, gens) for gens, M in _generator_tuples(ctx, k_max, f)]
+
+
+def _has_modular_order(msg: tuple[int, ...]) -> bool:
+    """Whether msg has an order (n₁, n₂, n₃) with gcd(n₁, n₂) = gcd(n₂, n₃)
+    = 1 and n₂ | n₁ + n₃: for e(S) = 3, whether S is proportionally
+    modular, that is a quotient of a two-generated semigroup (ch. 5)."""
+    return any(
+        gcd(a, b) == gcd(b, c) == 1 and (a + c) % b == 0 for a, b, c in permutations(msg)
+    )
 
 
 def bounded_low_e_multiple_search(
-    S: NumericalSemigroup, d_max: int, bounds: TruncationBounds
+    S: NumericalSemigroup, d_max: int
 ) -> tuple[int, NumericalSemigroup] | None:
-    """First multiple T of S with e(T) < e(S) in the bounded fiber walks,
-    scanning d ascending; a fiber's root is examined whatever the bounds.
+    """The least d ≤ d_max with a d-multiple T of S of e(T) < e(S), and the
+    least (genus, gap tuple) such T; None, exactly, when no d ≤ d_max has
+    one.  For e(S) = 2 none exists: e = 1 only for ℕ, and ℕ/d = ℕ.  For
+    e(S) = 3 one exists at some d iff S is proportionally modular
+    (:func:`_has_modular_order`), so otherwise no d is searched.  A d·F(S),
+    a d·max msg(S) or the least multiple's reach below plus d·m(S) past
+    the closure ceiling propagates its :class:`CeilingExceeded`.
 
-    A hit, a root past the bounds included, certifies quotient rank < e(S);
-    None is exact within the bounds: no d ≤ d_max has a hit in the bounded
-    walk of any fiber.  For e(S) = 2 it is exact outright: a multiple with
-    e = 1 would be ℕ, and ℕ/d = ℕ ≠ S, so no d is searched.  Otherwise d
-    runs from 2, as the only 1-multiple is S itself.  Within one d the hit
-    of least (genus, gap tuple) is returned, so the outcome is
-    deterministic.  A d·F(S) past the closure ceiling propagates its
-    :class:`CeilingExceeded`, as in ``max-multiples``.
-
-    A hit lies in the fiber of its own saturation.  A root has F = N =
-    d·F(S) and holds d·S ∪ (N, ∞), so its genus is at most that set's,
-    g₀ = N − F(S) + g(S); a node at depth k has genus ≤ g₀ + k, the first
-    M preorder nodes have depth < M, and F ≤ 2g − 1 for every semigroup,
-    so every node of the bounded walks has F ≤ f = max(N, the least of
-    ``max_frobenius``, 2·``max_genus`` − 1, 2·(g₀ + ``max_depth``) − 1
-    and 2·(g₀ + ``max_nodes``) − 1 that are set).  So walking, with
-    :func:`enumerate_fiber`, the saturations of the d-multiples with
-    e < e(S) and F ≤ f gives the answer of walking every root.  Those
-    multiples come from :func:`_low_e_multiples` for every e(S) ≥ 3, which
-    refuses f + d·m(S) past the closure ceiling, f clamped for e(S) = 3 to
-    the reach of two generators.
+    Let T be such a d-multiple, and A the semigroup generated by its
+    minimal generators up to d·max msg(S).  Each d·s, s ∈ msg(S), is in T
+    and a sum of generators no larger than itself, so d·S ⊆ A ⊆ T, A/d = S
+    and e(A) ≤ e(T).  With g = gcd(A), A/g is a (d/g)-multiple of S,
+    d/g ≥ 2, with generators up to (d/g)·max msg(S).  So, with d from 2,
+    the first d is the first where :func:`_generator_tuples` finds a tuple
+    H of gcd 1 (a tuple of gcd g > 1 is such an A, found at d/g).  A
+    multiple of least genus g has F ≤ 2g − 1 ≤ 2·g(H) − 1, so the least
+    one comes from :func:`_low_e_multiples` at that reach.
     """
     if S.is_whole_n:
         raise WholeN("quotient rank analysis is undefined for the whole of ℕ")
     if d_max < 0:
         raise InvalidInput(f"--dmax must be a non-negative integer, got {d_max}")
-    bounds.require_finite("the low-e search")
     e = S.embedding_dimension
-    if e <= 2:
+    if e <= 2 or (e == 3 and not _has_modular_order(S.msg)):
         return None
     for d in range(2, d_max + 1):
         ctx = MultipleContext(S, d)
-        N = ctx.scaled_frobenius
-        g0 = N - S.frobenius + S.genus
-        genus_caps = ((0, bounds.max_genus), (g0, bounds.max_depth), (g0, bounds.max_nodes))
-        reach = [2 * (base + k) - 1 for base, k in genus_caps if k is not None]
-        if bounds.max_frobenius is not None:
-            reach.append(bounds.max_frobenius)
-        f = max(N, min(reach))
-        roots = dict.fromkeys(saturate(ctx, T) for T in _low_e_multiples(ctx, f, e - 1))
-        hits = [
-            NumericalSemigroup(G, msg)
-            for tree in (enumerate_fiber(ctx, root, bounds) for root in roots)
-            for G, msg in zip(tree.gap_mask, tree.msg)
-            if len(msg) < e
-        ]
-        if hits:
-            return d, min(hits, key=lambda t: (t.genus, t.gaps))
+        tuples = (gens for gens, _ in _generator_tuples(ctx, e - 1) if reduce(gcd, gens) == 1)
+        first = next(tuples, None)
+        if first is not None:
+            reach = 2 * from_generators(first).genus - 1
+            return d, min(_low_e_multiples(ctx, reach, e - 1), key=lambda t: (t.genus, t.gaps))
     return None
 
 
@@ -356,21 +356,19 @@ SWEEP_FIELDS = (
 
 
 def rank_sweep(count: int, max_genus: int, seed: int, d_max: int = 3) -> list[dict]:
-    """Seeded sweep comparing the Apéry condition against bounded searches.
+    """Seeded sweep comparing the Apéry condition against the low-e search.
 
     Each row records, for one random semigroup, the condition verdict, the
-    subset obstruction, and the bounded low-embedding-dimension hunt (over
-    d ≤ d_max, fibers truncated at F ≤ d_max·F(S) + 6 and 2000 nodes).  The
-    hunt's empty cells are exact for e(S) = 2, where no d is searched, and
-    otherwise say that no d ≤ d_max has a hit within those bounds, proving
-    nothing beyond them.  No verdict on the open converse is derived, only
-    evidence.
+    subset obstruction, and :func:`bounded_low_e_multiple_search` over
+    d ≤ d_max, whose empty cells are exact: no d ≤ d_max has a multiple of
+    smaller embedding dimension.  No verdict on the open converse is
+    derived, only evidence.
     """
     if count < 0:
         raise InvalidInput(f"--count must be a non-negative integer, got {count}")
     if max_genus < 1:
         raise InvalidInput(f"--max-genus must be a positive integer, got {max_genus}")
-    if d_max < 0:  # before d_max·F(S) + 6 becomes a negative Frobenius bound
+    if d_max < 0:  # even when no row searches
         raise InvalidInput(f"--dmax must be a non-negative integer, got {d_max}")
     rng = random.Random(seed)
     rows = []
@@ -378,10 +376,7 @@ def rank_sweep(count: int, max_genus: int, seed: int, d_max: int = 3) -> list[di
         S = random_semigroup(rng, max_genus)
         report = full_rank_condition(S)
         obstruction = j_subset_obstruction(S)
-        bounds = TruncationBounds(
-            max_frobenius=d_max * S.frobenius + 6, max_nodes=2000
-        )
-        low = bounded_low_e_multiple_search(S, d_max, bounds)
+        low = bounded_low_e_multiple_search(S, d_max)
         rows.append(
             {
                 "msg": ",".join(map(str, S.msg)),

@@ -1,3 +1,7 @@
+from functools import reduce
+from itertools import combinations
+from math import gcd
+
 import pytest
 
 # sweeps.py is a helper, not a test module: without this its asserts are
@@ -11,8 +15,8 @@ from numsgps.core import (
     _removed,
     from_generators,
 )
-from numsgps.fibers import FiberNode, _child_pairs, enumerate_fiber
-from numsgps.multiples import MultipleContext, addable_gaps, max_multiples
+from numsgps.fibers import FiberNode, TruncationBounds, _child_pairs, enumerate_fiber
+from numsgps.multiples import MultipleContext, addable_gaps, is_d_multiple, max_multiples
 from numsgps.oracle import all_with_frobenius, semigroups_by_genus
 
 
@@ -73,10 +77,41 @@ def reference_max_multiples(ctx: MultipleContext):
     return tuple(maximals)
 
 
-def reference_low_e_search(S, d_max, bounds):
-    """Reference for rank.bounded_low_e_multiple_search with e(S) ≥ 3: the
-    same scan over d, walking the fiber of every maximal d-multiple from
-    root discovery."""
+def reference_low_e_search(S, d_max):
+    """Reference for rank.bounded_low_e_multiple_search with e(S) ≥ 3,
+    exact and without its tuple walk.  The first d is the first where
+    fewer than e(S) integers up to d·max msg(S), of gcd 1, generate a
+    d-multiple H (the fact the search rests on), tried by brute force over
+    combinations.  The least (genus, gaps) multiple of smaller e there has
+    genus ≤ g(H), so walking the fiber of every maximal d-multiple to genus
+    g(H) finds it."""
+    e = S.embedding_dimension
+    for d in range(2, d_max + 1):
+        ctx = MultipleContext(S, d)
+        tuples = (
+            gens
+            for k in range(2, e)
+            for gens in combinations(range(2, d * S.msg[-1] + 1), k)
+            if reduce(gcd, gens) == 1
+        )
+        H = next((H for H in map(from_generators, tuples) if is_d_multiple(ctx, H)), None)
+        if H is not None:
+            bounds = TruncationBounds(max_genus=H.genus)
+            hits = [
+                T
+                for root in max_multiples(ctx).maximals
+                for T in enumerate_fiber(ctx, root, bounds).semigroup
+                if T.genus <= H.genus and T.embedding_dimension < e
+            ]
+            return d, min(hits, key=lambda t: (t.genus, t.gaps))
+    return None
+
+
+def reference_root_walk(S, d_max, bounds):
+    """The first d ≤ d_max, and its least (genus, gaps) multiple, with a
+    multiple of smaller e in the bounded fiber walk of some maximal
+    d-multiple from root discovery: a lower bound on what the exact
+    search finds."""
     for d in range(2, d_max + 1):
         ctx = MultipleContext(S, d)
         hits = [

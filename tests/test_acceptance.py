@@ -282,15 +282,10 @@ def test_criterion_7_full_rank_reproduction():
             for i in range(len(c)):
                 assert unique_betti_apery(spec, i) == apery(B, prod(c) // c[i])
 
-        # condition_holds ⇒ the bounded search agrees there is nothing,
-        # under any bound setting (tight caps included).
+        # condition_holds ⇒ the exact search finds nothing at any d.
         for probe in (sgp(2, 3), sgp(4, 6, 9), sgp(6, 10, 15), S):
             assert full_rank_condition(probe).condition_holds
-            for bounds in (
-                TruncationBounds(max_nodes=50),
-                TruncationBounds(max_genus=probe.genus + 8, max_nodes=300),
-            ):
-                assert bounded_low_e_multiple_search(probe, 2, bounds) is None
+            assert bounded_low_e_multiple_search(probe, 8) is None
 
 
 def test_criterion_8_property_suites(census_by_frobenius, small_semigroups):

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import numsgps
-from numsgps import cli, fibers, multiples, rank
+from numsgps import cli, fibers, multiples
 from numsgps.cli import canonical_json, main, parse_semigroup
 from numsgps.oracle import EnumerationBudget, all_multiples_bounded, all_with_frobenius
 
@@ -33,7 +33,7 @@ JSON_COMMANDS = (
     ["md-monoid", "--sgp", "5,7,9", "--d", "2", "--x", "9,10", "--format", "json"],
     ["md-monoid", "--sgp", "5,7,9", "--d", "2", "--format", "json"],
     ["unique-betti", "--c", "2,3,5", "--format", "json"],
-    ["search-low-e", "--sgp", "4,5,7", "--dmax", "2", "--max-frobenius", "20", "--format", "json"],
+    ["search-low-e", "--sgp", "4,5,7", "--dmax", "2", "--format", "json"],
     [
         "fiber-tree", "--sgp", "2,3", "--d", "11",
         "--root", "5,7,8,9", "--max-genus", "8", "--format", "json",
@@ -227,10 +227,10 @@ class TestFiberTree:
             assert json.loads(out)["trees"][0]["semigroup"]["frobenius"] == -1
 
     def test_semigroup_view_is_lazy(self, capsys, monkeypatch):
-        """The walk, the text, JSON and DOT renderers and the low-e search
-        read a tree's gap masks and msg only, so none builds its semigroup
-        view; on first read the view holds the nodes of the nested
-        reference walk in preorder."""
+        """The walk and the text, JSON and DOT renderers read a tree's gap
+        masks and msg only, so none builds its semigroup view, and the
+        low-e search walks no fiber; on first read the view holds the nodes
+        of the nested reference walk in preorder."""
         walk, walks = fibers.enumerate_fiber, []
 
         def recorded(ctx, root, bounds):
@@ -238,14 +238,13 @@ class TestFiberTree:
             return walks[-1][-1]
 
         monkeypatch.setattr(fibers, "enumerate_fiber", recorded)
-        monkeypatch.setattr(rank, "enumerate_fiber", recorded)
         argv = ("fiber-tree", "--sgp", "2,3", "--d", "13", "--max-nodes", "90")
         for fmt in ("text", "json", "dot"):
             assert run(capsys, *argv, "--format", fmt)[0] == 0
-        rendered = len(walks)
-        argv = ("search-low-e", "--sgp", "4,5,7", "--dmax", "3", "--max-frobenius", "24")
-        assert run(capsys, *argv) == (0, "d=3 ⟨5,7⟩ e=2\n", "")
-        assert rendered == 24 and len(walks) > rendered
+        assert run(capsys, "search-low-e", "--sgp", "4,5,7", "--dmax", "3") == (
+            0, "d=3 ⟨5,7⟩ e=2\n", ""
+        )
+        assert len(walks) == 24
         assert not any("semigroup" in vars(tree) for *_, tree in walks)
         for ctx, root, bounds, tree in walks:
             nested, stack = [], [reference_fiber_walk(ctx, root, bounds)]
@@ -639,8 +638,8 @@ class TestExitCodes:
             ("fiber-tree", "--sgp", "3,5,7", "--d", "3", "--max-nodes", "-1"),
             ("fiber-tree", "--sgp", "3,5,7", "--d", "3", "--max-depth", "-2"),
             ("fiber-tree", "--sgp", "3,5,7", "--d", "3", "--max-genus", "-1"),
-            ("search-low-e", "--sgp", "4,5,7", "--dmax", "2", "--max-frobenius", "-5"),
-            ("search-low-e", "--sgp", "4,5,7", "--max-frobenius", "20", "--dmax", "-1"),
+            ("fiber-tree", "--sgp", "3,5,7", "--d", "3", "--max-frobenius", "-5"),
+            ("search-low-e", "--sgp", "4,5,7", "--dmax", "-1"),
             ("rank-sweep", "--count", "1", "--max-genus", "8", "--seed", "0", "--dmax", "-1"),
             ("oracle", "multiples-bounded", "--sgp", "3,4,5", "--d", "2", "--max-frobenius", "-5"),
             ("oracle", "multiples-bounded", "--sgp", "3,4,5", "--d", "2",
@@ -667,11 +666,14 @@ class TestExitCodes:
         assert run(capsys, *argv, "--x", "5")[:2] == (3, "")
 
     def test_low_e_search_names_its_bounds(self, capsys):
-        code, out, err = run(capsys, "search-low-e", "--sgp", "4,5,7", "--dmax", "2")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: the low-e search requires at least one bound")
+        """The search is exact up to --dmax, so it takes no truncation
+        bound: argparse refuses each one with exit 2, naming it."""
         for flag in ("--max-frobenius", "--max-genus", "--max-depth", "--max-nodes"):
-            assert flag in err
+            with pytest.raises(SystemExit) as exc:
+                main(["search-low-e", "--sgp", "4,5,7", "--dmax", "2", flag, "10"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.endswith(f"error: unrecognized arguments: {flag} 10\n")
 
     def test_fiber_tree_names_its_bounds_before_root_discovery(self, capsys, monkeypatch):
         """With no bound, fiber-tree refuses before max_multiples runs (it
@@ -688,68 +690,61 @@ class TestExitCodes:
             assert flag in err
 
     def test_low_e_search_skips_no_d(self, capsys):
-        """A none is exact within the bounds for every e(S) and writes
-        nothing to stderr, however small --max-nodes is: ⟨6,8,9,11⟩ has no
-        multiple of smaller e in the walks bounded by it for d = 2, 3."""
-        argv = ("search-low-e", "--sgp", "6,8,9,11", "--dmax", "3", "--max-frobenius", "45")
-        assert run(capsys, *argv, "--max-nodes", "10") == (0, "none\n", "")
-        # For e(S) = 3 the roots come from the two-generated multiples.
-        argv = ("search-low-e", "--sgp", "4,5,7", "--max-frobenius", "24")
-        assert run(capsys, *argv, "--dmax", "3", "--max-nodes", "10") == (
-            0, "d=3 ⟨5,7⟩ e=2\n", ""
-        )
-        assert run(capsys, *argv, "--dmax", "2") == (0, "none\n", "")
+        """Every none is exact up to --dmax and writes nothing to stderr:
+        ⟨6,8,9,11⟩ has no multiple of smaller e at d = 2, 3."""
+        argv = ("search-low-e", "--sgp", "6,8,9,11", "--dmax", "3")
+        assert run(capsys, *argv) == (0, "none\n", "")
+        argv = ("search-low-e", "--sgp", "4,5,7", "--dmax")
+        assert run(capsys, *argv, "3") == (0, "d=3 ⟨5,7⟩ e=2\n", "")
+        assert run(capsys, *argv, "2") == (0, "none\n", "")
         # For e(S) = 2 the none is exact and no d is searched.
-        argv = ("search-low-e", "--sgp", "3,5", "--dmax", "3", "--max-frobenius", "24")
-        assert run(capsys, *argv, "--max-nodes", "2") == (0, "none\n", "")
+        assert run(capsys, "search-low-e", "--sgp", "3,5", "--dmax", "3") == (0, "none\n", "")
 
     def test_low_e_search_finds_8_18_19(self, capsys):
         """⟨8,18,19⟩ is a 3-multiple of ⟨6,8,9,19⟩ with e = 3 and F = 49.
         It was missed when every d with more than 4,000 multiples of
-        Frobenius number d·F(S) went unsearched, and d = 3 has more."""
-        argv = ("search-low-e", "--sgp", "6,8,9,19")
-        assert run(capsys, *argv, "--dmax", "12", "--max-frobenius", "60") == (
-            0, "d=3 ⟨8,18,19⟩ e=3\n", ""
-        )
-        assert run(capsys, *argv, "--dmax", "20", "--max-frobenius", "30") == (0, "none\n", "")
+        Frobenius number d·F(S) went unsearched, and then past a Frobenius
+        bound of 30; the exact search finds it whatever --dmax ≥ 3."""
+        for dmax in ("3", "12", "20"):
+            assert run(capsys, "search-low-e", "--sgp", "6,8,9,19", "--dmax", dmax) == (
+                0, "d=3 ⟨8,18,19⟩ e=3\n", ""
+            )
 
     def test_low_e_search_root_past_the_bounds_is_a_hit(self, capsys):
-        """A fiber's root is examined whatever the bounds: ⟨4,13⟩ is a
-        5-multiple of ⟨4,5,6⟩ with e = 2, so it certifies the answer though
-        its Frobenius number, 35, is past --max-frobenius."""
-        argv = ("search-low-e", "--sgp", "4,5,6", "--dmax", "5", "--max-frobenius", "10")
-        assert run(capsys, *argv) == (0, "d=5 ⟨4,13⟩ e=2\n", "")
+        """⟨4,13⟩ is a 5-multiple of ⟨4,5,6⟩ with e = 2 and Frobenius number
+        35, five times F(S), and no d < 5 has a multiple of smaller e."""
+        argv = ("search-low-e", "--sgp", "4,5,6", "--dmax")
+        assert run(capsys, *argv, "5") == (0, "d=5 ⟨4,13⟩ e=2\n", "")
+        assert run(capsys, *argv, "4") == (0, "none\n", "")
 
     def test_low_e_search_refuses_the_closure_ceiling(self, capsys):
-        """d·F(S) past the closure ceiling is refused with exit 3, as in
-        max-multiples.  So is a Frobenius reach f with f + d·m(S) past it,
-        as the search closes masks that long.  For e(S) = 3, f is first
-        clamped to the reach of two generators, below
-        (d·m(S) − 1)(d·max msg(S) − 1), so a huge bound still answers."""
-        code, out, err = run(
-            capsys, "search-low-e", "--sgp", "1100,1101,1102", "--dmax", "3",
-            "--max-frobenius", "10",
-        )
-        assert (code, out) == (3, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "1048576" in err
-        argv = ("search-low-e", "--dmax", "2", "--max-frobenius", "1048576")
-        assert run(capsys, *argv, "--sgp", "4,5,6,7") == (
+        """The search refuses with exit 3, naming the bound, a mask longer
+        than the closure ceiling: d·F(S), as in max-multiples; the generator
+        cap d·max msg(S), where d·F(S) is within it; and, once a tuple H is
+        found, the reach 2·g(H) − 1 plus d·m(S) of the least multiple.
+        Without the old Frobenius reach, ⟨4,5,6,7⟩ finds a hit and
+        ⟨600,601,602⟩ its none at once."""
+        argv = ("search-low-e", "--sgp", "1100,1101,1102", "--dmax", "3")
+        assert run(capsys, *argv) == (3, "", "error: d·F(S) = 1209998 passes 1048576\n")
+        argv = ("search-low-e", "--sgp", "3,524290,524291", "--dmax", "2")
+        assert run(capsys, *argv) == (
             3,
             "",
-            "error: the low-e search's Frobenius reach plus d·m(S), 1048576 + 8, "
+            "error: the low-e search's generator cap d·max msg(S) = 1048582 passes 1048576\n",
+        )
+        argv = ("search-low-e", "--sgp", "33,16400,32767", "--dmax", "2")
+        assert run(capsys, *argv) == (
+            3,
+            "",
+            "error: the low-e search's Frobenius reach plus d·m(S), 1048511 + 66 = 1048577 "
             "passes 1048576\n",
         )
-        assert run(capsys, *argv, "--sgp", "4,5,7") == (0, "none\n", "")
-        argv = ("search-low-e", "--sgp", "4,6,7", "--dmax", "5", "--max-genus", "1000000")
-        assert run(capsys, *argv) == (0, "none\n", "")
+        argv = ("search-low-e", "--sgp", "4,5,6,7", "--dmax", "2")
+        assert run(capsys, *argv) == (0, "d=2 ⟨5,7,8⟩ e=3\n", "")
+        start = time.perf_counter()
         argv = ("search-low-e", "--sgp", "600,601,602", "--dmax", "2")
-        assert run(capsys, *argv, "--max-frobenius", "2000000") == (
-            3,
-            "",
-            "error: the low-e search's Frobenius reach plus d·m(S), 1442396 + 1200, "
-            "passes 1048576\n",
-        )
+        assert run(capsys, *argv) == (0, "none\n", "")
+        assert time.perf_counter() - start < 5
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -775,6 +770,30 @@ class TestRankSweep:
         code, out, _ = run(capsys, "rank-sweep", "--count", "2", "--max-genus", "6", "--seed", "3")
         assert code == 0
         assert len(out.splitlines()) == 3
+
+    def test_sixty_rows_derive_from_the_bounded_table(self, capsys):
+        """The 60-row table pinned in CI differs from the one the bounded
+        search printed only in the low_e cells of ⟨6,8,9,19⟩ and ⟨4,5,11⟩,
+        empty there and now 3-multiples of smaller e past the old reach of
+        3·F(S) + 6: emptying them again gives back the old digest."""
+        argv = ("rank-sweep", "--count", "60", "--max-genus", "10", "--seed", "7")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2173033a24f16db6ccc303774c51a074e6d9a68fbb7341343f9f13b4d8ac529b"
+        )
+        old = out
+        for S, T, row in (
+            (sgp(6, 8, 9, 19), sgp(8, 18, 19), '"6,8,9,19",13,9,4,6,False,True,True,'),
+            (sgp(4, 5, 11), sgp(4, 11), '"4,5,11",7,5,3,4,False,True,True,'),
+        ):
+            assert multiples.quotient(T, 3) == S and T.frobenius > 3 * S.frobenius + 6
+            cells = f'3,"{",".join(map(str, T.msg))}"'
+            assert out.count(f"\n{row}{cells}\n") == 1
+            old = old.replace(f"\n{row}{cells}\n", f"\n{row},\n")
+        assert hashlib.sha256(old.encode()).hexdigest() == (
+            "fa4df8f46a9ea9ce06a6316528c4bc9749572800be4be6c50505805fa1c27e0e"
+        )
 
 
 class TestOutFile:
@@ -863,7 +882,7 @@ class TestOneRowParser:
             ["ed1", "--sgp", "5,7,9", "--d", "2", "--x", "9", "--format", "json"],
             ["full-rank", "--sgp", "4,5,6,7"],
             ["unique-betti", "--c", "2,3,5"],
-            ["search-low-e", "--sgp", "4,5,7", "--dmax", "2", "--max-frobenius", "20"],
+            ["search-low-e", "--sgp", "4,5,7", "--dmax", "2"],
             ["rank-sweep", "--count", "1", "--max-genus", "4", "--seed", "1"],
             ["oracle", "frobenius-census", "--f", "6"],
             ["oracle", "multiples-bounded", "--sgp", "3,4,5", "--d", "2", "--max-frobenius", "6"],

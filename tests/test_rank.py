@@ -1,10 +1,10 @@
 """Full quotient rank: the Apéry condition, unique-Betti families, the
-subset-sum obstruction, the bounded low-e hunt, and the seeded sweep."""
+subset-sum obstruction, the exact low-e search, and the seeded sweep."""
 
 import random
 import time
 from itertools import combinations
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -13,10 +13,17 @@ from numsgps.core import apery, from_generators
 from numsgps.errors import NotPairwiseCoprime, TooSmall, WholeN
 from numsgps.fibers import TruncationBounds
 from numsgps.multiples import MultipleContext, max_multiples, quotient
-from numsgps.oracle import EnumerationBudget, all_multiples_bounded, semigroups_by_genus
+from numsgps.oracle import (
+    EnumerationBudget,
+    all_multiples_bounded,
+    all_with_frobenius,
+    semigroups_by_genus,
+)
 from numsgps.rank import (
     UniqueBettiSpec,
     _coin_decomposition,
+    _generator_tuples,
+    _has_modular_order,
     _low_e_multiples,
     bounded_low_e_multiple_search,
     full_rank_condition,
@@ -27,7 +34,17 @@ from numsgps.rank import (
     unique_betti_apery,
 )
 
-from conftest import coin_dp, reference_low_e_search, sgp
+from conftest import coin_dp, reference_low_e_search, reference_root_walk, sgp
+from sweeps import quotient_rank_census
+
+
+def assert_no_earlier(got, walk, S):
+    """The exact search's answer got is no later than a bounded walk's:
+    a hit at an earlier d, or at the same d with no greater (genus, gaps)."""
+    if walk is not None:
+        assert got is not None, S
+        (d, T), (d_walk, T_walk) = got, walk
+        assert d < d_walk or (d == d_walk and (T.genus, T.gaps) <= (T_walk.genus, T_walk.gaps)), S
 
 
 def coprime_specs(product_cap: int):
@@ -175,51 +192,81 @@ class TestBoundedLowESearch:
         for gens in [(2, 3), (21, 24, 25, 31), (4, 6, 9)]:
             S = sgp(*gens)
             assert full_rank_condition(S).condition_holds
-            for bounds in (
-                TruncationBounds(max_frobenius=2 * S.frobenius + 6, max_nodes=500),
-                TruncationBounds(max_genus=2 * S.genus + 6, max_nodes=500),
-            ):
-                assert bounded_low_e_multiple_search(S, 2, bounds) is None
+            assert bounded_low_e_multiple_search(S, 6) is None
 
     def test_457_finds_57_at_d3(self):
         S = sgp(4, 5, 7)
-        bounds = TruncationBounds(max_frobenius=3 * S.frobenius + 6, max_nodes=4000)
-        hit = bounded_low_e_multiple_search(S, 3, bounds)
+        hit = bounded_low_e_multiple_search(S, 3)
         assert hit is not None
         d, T = hit
         assert (d, T) == (3, sgp(5, 7))
         assert quotient(T, d) == S
         assert T.embedding_dimension < S.embedding_dimension
 
-    def test_matches_oracle(self, small_semigroups):
-        """On every S with F(S) ≤ 9, with d_max 3 and F ≤ 3·F(S) + k for
-        k ∈ {0, 3}, the search gives the oracle's answer: the first d with a
-        multiple of smaller e and that d's least (genus, gaps) one, or None.
-        Each None is complete within the bounds."""
-        cases = hits = two_generated = 0
-        for S in small_semigroups:
-            if S.frobenius > 9:
+    def test_matches_oracle(self):
+        """On every S with e(S) ≥ 3 and genus ≤ 6, with d_max 4, the search
+        gives the exact answer of the brute-force reference: the first d
+        with a multiple of smaller e and that d's least (genus, gaps) one,
+        or None."""
+        cases = hits = 0
+        for S in semigroups_by_genus(6):
+            if S.embedding_dimension < 3:
                 continue
-            for k in (0, 3):
-                f = 3 * S.frobenius + k
-                expected = None
-                for d in range(1, 4):
-                    low = [
-                        T
-                        for T in all_multiples_bounded(
-                            MultipleContext(S, d), EnumerationBudget(f, f, 10**6)
-                        )
-                        if T.embedding_dimension < S.embedding_dimension
-                    ]
-                    if low:
-                        expected = d, min(low, key=lambda t: (t.genus, t.gaps))
-                        break
-                bounds = TruncationBounds(max_frobenius=f)
-                assert bounded_low_e_multiple_search(S, 3, bounds) == expected, (S, k)
-                cases += 1
-                hits += expected is not None
-                two_generated += S.embedding_dimension == 2
-        assert (cases, hits, two_generated) == (114, 65, 14)
+            expected = reference_low_e_search(S, 4)
+            assert bounded_low_e_multiple_search(S, 4) == expected, S
+            cases += 1
+            hits += expected is not None
+        assert (cases, hits) == (39, 32)
+
+    def test_sound_and_complete(self):
+        """On every S with e(S) ≥ 3 and genus ≤ 8, with d_max 4: a hit (d, T)
+        has T/d = S and e(T) < e(S); and wherever the tuple search lists
+        multiples of smaller e with F ≤ 3·d·F(S) + 20, the search hits at a
+        d' ≤ d, with the least (genus, gaps) one listed at d'."""
+        cases = hits = listed = 0
+        for S in semigroups_by_genus(8):
+            e = S.embedding_dimension
+            if e < 3:
+                continue
+            got = bounded_low_e_multiple_search(S, 4)
+            if got is not None:
+                d, T = got
+                assert quotient(T, d) == S and T.embedding_dimension < e, S
+            for d in range(2, 5):
+                ctx = MultipleContext(S, d)
+                found = _low_e_multiples(ctx, 3 * ctx.scaled_frobenius + 20, e - 1)
+                if found:
+                    assert got is not None and got[0] <= d, (S, d)
+                    if got[0] == d:
+                        assert got[1] == min(found, key=lambda t: (t.genus, t.gaps)), S
+                    listed += 1
+            cases += 1
+            hits += got is not None
+        assert (cases, hits, listed) == (142, 118, 285)
+
+    def test_three_generated_order_decides(self):
+        """For e(S) = 3 the search walks only when msg(S) has an order
+        (n₁, n₂, n₃) with gcd(n₁, n₂) = gcd(n₂, n₃) = 1 and n₂ | n₁ + n₃.  On
+        every such S with genus ≤ 10 the walk itself, run for every d ≤ 20,
+        finds a tuple of gcd 1 at some d exactly when that order exists.
+        The latest first d is 19, at ⟨3,14,16⟩."""
+        first = {}
+        for S in semigroups_by_genus(10):
+            if S.embedding_dimension != 3:
+                continue
+            first[S] = next(
+                (
+                    d
+                    for d in range(2, 21)
+                    for gens, _ in _generator_tuples(MultipleContext(S, d), 2)
+                    if gcd(*gens) == 1
+                ),
+                None,
+            )
+            assert (first[S] is not None) == _has_modular_order(S.msg), S
+        hits = {S: d for S, d in first.items() if d is not None}
+        assert (len(first), len(hits), max(hits.values())) == (62, 45, 19)
+        assert [S for S, d in hits.items() if d == 19] == [sgp(3, 14, 16)]
 
     @pytest.mark.parametrize(
         "make_bounds, expected",
@@ -246,31 +293,33 @@ class TestBoundedLowESearch:
     def test_three_generated_matches_walking_every_root(
         self, census_by_frobenius, make_bounds, expected
     ):
-        """For e(S) = 3 the search takes its roots from the two-generated
-        d-multiples; on every such S with F(S) ≤ 13 and d ≤ 4 it gives the
-        answer of walking every root found by root discovery.  The pinned
-        hit count keeps hits and misses covered."""
-        hits = 0
+        """On every S with e(S) = 3, F(S) ≤ 13 and d ≤ 4, walking every
+        root found by root discovery under these bounds never finds a
+        multiple of smaller e that the exact search misses: it hits at a d
+        no earlier, and at the same d with no lesser (genus, gaps) one.  The
+        pinned counts of the walk's hits and the search's keep both
+        covered."""
+        walked = found = 0
         for f in range(1, 14):
             for S in census_by_frobenius(f):
                 if S.embedding_dimension != 3:
                     continue
-                bounds = make_bounds(S)
-                got = bounded_low_e_multiple_search(S, 4, bounds)
-                assert got == reference_low_e_search(S, 4, bounds), S
-                hits += got is not None
-        assert hits == expected
+                got = bounded_low_e_multiple_search(S, 4)
+                walk = reference_root_walk(S, 4, make_bounds(S))
+                assert_no_earlier(got, walk, S)
+                walked += walk is not None
+                found += got is not None
+        assert (walked, found) == (expected, 11)
 
-    def test_no_root_discovery_for_three_generated(self, census_by_frobenius, monkeypatch):
-        """On every S with e(S) = 3, F(S) ≤ 13 and d ≤ 5, the maximal
-        d-multiples with e < 3 are the two-generated d-multiples with
-        F = d·F(S): such a T is symmetric, so PF(T) = {d·F(S)} ⊆ d·gaps(S).
-        So the search needs no root discovery: with rank.max_multiples made
-        to raise, it still answers as the walk of every root under
-        max_nodes=1.  d runs to 5 because no such root exists for
-        d ≤ 4 there; ⟨4,5,6⟩ and ⟨4,7,10⟩ have one at d = 5."""
+    def test_no_root_discovery_for_three_generated(self, monkeypatch):
+        """The search needs no root discovery: with rank.max_multiples made
+        to raise, it answers on every S with e(S) = 3 and F(S) ≤ 13 at
+        d ≤ 5, and every hit is a multiple of smaller e.  For d ≤ 5 the
+        maximal d-multiples with e < 3 are exactly the two-generated ones
+        with F = d·F(S) the tuple search lists; ⟨4,5,6⟩ and ⟨4,7,10⟩ have
+        one at d = 5."""
         three_generated = [
-            S for f in range(1, 14) for S in census_by_frobenius(f) if S.embedding_dimension == 3
+            S for f in range(1, 14) for S in all_with_frobenius(f) if S.embedding_dimension == 3
         ]
         low_roots = 0
         for S in three_generated:
@@ -284,16 +333,17 @@ class TestBoundedLowESearch:
         assert (len(three_generated), low_roots) == (30, 2)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("root discovery ran for e(S) = 3")
+            raise AssertionError("root discovery ran")
 
         monkeypatch.setattr(rank, "max_multiples", refuse)
-        bounds = TruncationBounds(max_nodes=1)
         hits = 0
         for S in three_generated:
-            got = bounded_low_e_multiple_search(S, 5, bounds)
-            assert got == reference_low_e_search(S, 5, bounds), S
-            hits += got is not None
-        assert hits == 2
+            got = bounded_low_e_multiple_search(S, 5)
+            if got is not None:
+                d, T = got
+                assert quotient(T, d) == S and T.embedding_dimension < 3, S
+                hits += 1
+        assert hits == 15
 
     def test_two_generated_multiples_match_oracle(self, small_semigroups):
         """On every S with F(S) ≤ 9 and d ≤ 3, the generator tuple search
@@ -361,34 +411,45 @@ class TestBoundedLowESearch:
         ids=["sweep", "max_genus", "max_depth", "max_nodes", "max_depth_0"],
     )
     def test_four_or_more_generated_matches_walking_every_root(self, make_bounds, expected):
-        """For e(S) ≥ 4 the search takes its roots from the d-multiples with
-        e < e(S) under the Frobenius reach; on every such S with genus ≤ 8
-        (108 of them) and d ≤ 3 it gives the answer of walking every root
-        found by root discovery.  The first bounds are the sweep's.  The
-        pinned hit count keeps hits and misses covered."""
-        hits = 0
+        """On every S with e(S) ≥ 4 and genus ≤ 8 (108 of them) and d ≤ 3,
+        walking every root found by root discovery under these bounds never
+        finds a multiple of smaller e that the exact search misses.  The
+        first bounds are those the sweep once used.  The pinned counts of
+        the walk's hits and the search's keep both covered."""
+        walked = found = 0
         for S in semigroups_by_genus(8):
             if S.embedding_dimension < 4:
                 continue
-            bounds = make_bounds(S)
-            got = bounded_low_e_multiple_search(S, 3, bounds)
-            assert got == reference_low_e_search(S, 3, bounds), S
-            hits += got is not None
-        assert hits == expected
+            got = bounded_low_e_multiple_search(S, 3)
+            walk = reference_root_walk(S, 3, make_bounds(S))
+            assert_no_earlier(got, walk, S)
+            walked += walk is not None
+            found += got is not None
+        assert (walked, found) == (expected, 101)
 
     def test_two_generated_searches_nothing(self):
         """For e(S) = 2 None is exact (e = 1 only for ℕ, and ℕ/d = ℕ), so
         no d is searched, however large d_max."""
-        bounds = TruncationBounds(max_frobenius=24, max_nodes=2)
         start = time.perf_counter()
-        assert bounded_low_e_multiple_search(sgp(3, 5), 10**6, bounds) is None
+        assert bounded_low_e_multiple_search(sgp(3, 5), 10**6) is None
         assert time.perf_counter() - start < 5
 
-    def test_bounds_required(self):
-        from numsgps.errors import BoundsMissing
 
-        with pytest.raises(BoundsMissing):
-            bounded_low_e_multiple_search(sgp(4, 5, 7), 2, TruncationBounds())
+class TestQuotientRankCensus:
+    def test_to_genus_12(self):
+        """The converse of the Apéry condition on all 1,412 S ≠ ℕ of genus
+        ≤ 12 (sweeps.quotient_rank_census); CI runs it to genus 14.  Five
+        of the 1,289 witnesses of e(S) ≥ 4 need d > 8."""
+        cases, witnesses = quotient_rank_census(12, 15)
+        late = sorted((d, S.msg, T.msg) for S, d, T in witnesses if d > 8)
+        assert (cases, len(witnesses)) == (1412, 1289)
+        assert late == [
+            (9, (4, 14, 15, 21), (12, 34, 55)),
+            (9, (4, 14, 17, 19), (17, 19, 69)),
+            (9, (4, 14, 19, 21), (14, 22, 101)),
+            (9, (8, 9, 12, 14), (16, 28, 49)),
+            (11, (8, 9, 11, 12), (19, 23, 75)),
+        ]
 
 
 class TestRankSweep:
