@@ -46,7 +46,7 @@ from operator import itemgetter
 
 from . import core, ed1, fibers, monoids, multiples, oracle, rank
 from .core import _BIT_FLAGS, NumericalSemigroup
-from .errors import InvalidInput, NumsgpsError
+from .errors import CeilingExceeded, InvalidInput, NumsgpsError
 
 
 def canonical_json(payload) -> str:
@@ -442,7 +442,12 @@ def _cmd_rank_sweep(args) -> dict:
     return {"text": table}
 
 
+_CENSUS_CEILING = 20  # the largest Frobenius number the census command lists
+
+
 def _cmd_oracle_census(args) -> dict:
+    if args.f > _CENSUS_CEILING:
+        raise CeilingExceeded(f"census for f={args.f} exceeds ceiling {_CENSUS_CEILING}")
     found = oracle.all_with_frobenius(args.f)
     return _listing(found, "semigroups", f=args.f, count=len(found))
 

@@ -11,27 +11,12 @@ with different forced/allowed position sets.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 from .core import NumericalSemigroup, WHOLE_N, _from_gap_tuple, from_gaps
 from .errors import CeilingExceeded, InternalInvariantError, InvalidInput, NotClosed
 from .multiples import MultipleContext, quotient
-
-DEFAULT_CENSUS_CEILING = 20
-CEILING_ENV_VAR = "NUMSGPS_ORACLE_CEILING"
-
-
-def census_ceiling() -> int:
-    raw = os.environ.get(CEILING_ENV_VAR)
-    if not raw:
-        return DEFAULT_CENSUS_CEILING
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidInput(f"{CEILING_ENV_VAR} must be an integer, got {raw!r}") from None
-
 
 @dataclass(frozen=True)
 class EnumerationBudget:
@@ -101,14 +86,10 @@ def _canonical(gap_sets) -> tuple[NumericalSemigroup, ...]:
 def all_with_frobenius(f: int) -> tuple[NumericalSemigroup, ...]:
     """Every numerical semigroup with Frobenius number exactly f.
 
-    Descent over gap subsets of [1, f] containing f.  Refuses f above the
-    configured ceiling (default 20, override via NUMSGPS_ORACLE_CEILING).
+    Descent over gap subsets of [1, f] containing f.
     """
     if f < 1:
         raise InvalidInput(f"the Frobenius number must be positive, got {f}")
-    ceiling = census_ceiling()
-    if f > ceiling:
-        raise CeilingExceeded(f"census for f={f} exceeds ceiling {ceiling}")
     sets = _closed_gap_sets(f, (1 << f) - 2, 1 << f)
     return _canonical(sets)
 

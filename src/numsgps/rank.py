@@ -4,13 +4,15 @@ multiples of small embedding dimension up to a given d.
 
 The quotient rank of S is min e(T) over all multiples T of S; it is full
 when it equals e(S).  If the sum of all minimal generators but a_i lies in
-Ap(S, a_i) for every i, the rank is full.  The converse is open; it is
-checked on every S of genus ≤ 12 in the tests and ≤ 14 in CI: for
-e(S) = 3 the condition holds exactly when S is not proportionally
-modular, and for e(S) ≥ 4 it never holds and every S has a multiple of
-smaller e at some d ≤ 15.  The search walks generator tuples capped at
-d·max msg(S), pruned by Sylvester's bound F(⟨a,b⟩) = ab − a − b
-(Rosales & García-Sánchez, Numerical Semigroups, Springer 2009, ch. 1-5).
+Ap(S, a_i) for every i, the rank is full.  The converse is proven for
+e(S) ≤ 3: the condition always holds for e(S) = 2, and for e(S) = 3 it
+fails exactly when S is proportionally modular, a quotient of a
+two-generated semigroup.  For e(S) ≥ 4 it is open; on every S of genus
+≤ 12 in the tests and ≤ 14 in CI the condition never holds and every S
+has a multiple of smaller e at some d ≤ 15.  The search walks generator
+tuples capped at d·max msg(S), pruned by Sylvester's bound F(⟨a,b⟩) =
+ab − a − b (Rosales & García-Sánchez, Numerical Semigroups, Springer
+2009, ch. 1-5).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import comb, gcd, prod
 
 from .core import CLOSURE_CEILING, NumericalSemigroup, _closure, from_generators
@@ -267,27 +269,9 @@ def _generator_tuples(ctx: MultipleContext, k_max: int, f: int | None = None):
 
 def _low_e_multiples(ctx: MultipleContext, f: int, k_max: int) -> list[NumericalSemigroup]:
     """Every d-multiple T of S with 2 ≤ e(T) ≤ k_max and F(T) ≤ f, for
-    S ≠ ℕ, d ≥ 1 and f ≥ N = d·F(S), from :func:`_generator_tuples`.
-
-    For k_max = 2, T = ⟨a₁, b⟩ with b ≤ d·max msg(S): a₁ ∤ d, as T/d ≠ ℕ,
-    so a₁ ∤ d·s for some s ∈ msg(S), and d·s ∈ T.  So F(T) = (a₁ − 1)(b − 1)
-    − 1 < (d·m(S) − 1)(d·max msg(S) − 1), and f is clamped below that
-    first.
-    """
-    S, d = ctx.semigroup, ctx.d
-    if k_max == 2:
-        f = min(f, (d * S.multiplicity - 1) * (d * S.msg[-1] - 1) - 1)
+    S ≠ ℕ, d ≥ 1 and f ≥ N = d·F(S), from :func:`_generator_tuples`."""
     below = (2 << f) - 1
     return [NumericalSemigroup(below & ~M, gens) for gens, M in _generator_tuples(ctx, k_max, f)]
-
-
-def _has_modular_order(msg: tuple[int, ...]) -> bool:
-    """Whether msg has an order (n₁, n₂, n₃) with gcd(n₁, n₂) = gcd(n₂, n₃)
-    = 1 and n₂ | n₁ + n₃: for e(S) = 3, whether S is proportionally
-    modular, that is a quotient of a two-generated semigroup (ch. 5)."""
-    return any(
-        gcd(a, b) == gcd(b, c) == 1 and (a + c) % b == 0 for a, b, c in permutations(msg)
-    )
 
 
 def bounded_low_e_multiple_search(
@@ -295,11 +279,21 @@ def bounded_low_e_multiple_search(
 ) -> tuple[int, NumericalSemigroup] | None:
     """The least d ≤ d_max with a d-multiple T of S of e(T) < e(S), and the
     least (genus, gap tuple) such T; None, exactly, when no d ≤ d_max has
-    one.  For e(S) = 2 none exists: e = 1 only for ℕ, and ℕ/d = ℕ.  For
-    e(S) = 3 one exists at some d iff S is proportionally modular
-    (:func:`_has_modular_order`), so otherwise no d is searched.  A d·F(S),
-    a d·max msg(S) or the least multiple's reach below plus d·m(S) past
-    the closure ceiling propagates its :class:`CeilingExceeded`.
+    one.  When :func:`full_rank_condition` holds, no d has one and no d is
+    searched.  A d·F(S), a d·max msg(S) or the least multiple's reach below
+    plus d·m(S) past the closure ceiling propagates its
+    :class:`CeilingExceeded`.
+
+    That gate decides e(S) ≤ 3 in full.  For msg(S) = (a, b) the condition
+    holds, as b − a ∈ ⟨a, b⟩ would need a | b, and no multiple of e = 1
+    exists: that is ℕ, and ℕ/d = ℕ.  For msg(S) = (nᵢ, nⱼ, nₖ) it fails at
+    nᵢ iff nⱼ + nₖ − nᵢ ∈ S.  Write that as a combination of the
+    generators: a term in nⱼ, cancelled, would leave nₖ a sum of the
+    others, and likewise a term in nₖ, so it fails iff nᵢ | nⱼ + nₖ.  Then
+    gcd(nᵢ, nⱼ) divides nₖ, so it is 1, and so is gcd(nᵢ, nₖ): S is
+    proportionally modular, which is being a quotient of a two-generated
+    semigroup (ch. 5), so some d has a multiple of e = 2 exactly when the
+    condition fails.  For e(S) ≥ 4 the condition proves full rank.
 
     Let T be such a d-multiple, and A the semigroup generated by its
     minimal generators up to d·max msg(S).  Each d·s, s ∈ msg(S), is in T
@@ -311,13 +305,12 @@ def bounded_low_e_multiple_search(
     multiple of least genus g has F ≤ 2g − 1 ≤ 2·g(H) − 1, so the least
     one comes from :func:`_low_e_multiples` at that reach.
     """
-    if S.is_whole_n:
-        raise WholeN("quotient rank analysis is undefined for the whole of ℕ")
+    holds = full_rank_condition(S).condition_holds  # refuses ℕ
     if d_max < 0:
         raise InvalidInput(f"--dmax must be a non-negative integer, got {d_max}")
-    e = S.embedding_dimension
-    if e <= 2 or (e == 3 and not _has_modular_order(S.msg)):
+    if holds:
         return None
+    e = S.embedding_dimension
     for d in range(2, d_max + 1):
         ctx = MultipleContext(S, d)
         tuples = (gens for gens, _ in _generator_tuples(ctx, e - 1) if reduce(gcd, gens) == 1)

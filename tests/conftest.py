@@ -1,5 +1,5 @@
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 
 import pytest
@@ -22,6 +22,16 @@ from numsgps.oracle import all_with_frobenius, semigroups_by_genus
 
 def sgp(*gens) -> NumericalSemigroup:
     return from_generators(gens)
+
+
+def modular_order(msg) -> bool:
+    """Whether msg has an order (n₁, n₂, n₃) with gcd(n₁, n₂) = gcd(n₂, n₃)
+    = 1 and n₂ | n₁ + n₃: for e(S) = 3, whether S is proportionally
+    modular, that is a quotient of a two-generated semigroup (Rosales &
+    García-Sánchez, Numerical Semigroups, ch. 5)."""
+    return any(
+        gcd(a, b) == gcd(b, c) == 1 and (a + c) % b == 0 for a, b, c in permutations(msg)
+    )
 
 
 def coin_dp(gens, target):

@@ -12,7 +12,9 @@ from numsgps.fibers import divisibility_check
 from numsgps.monoids import build_monoid, is_md_set
 from numsgps.multiples import MultipleContext, is_d_multiple, max_multiples, quotient
 from numsgps.oracle import EnumerationBudget, all_multiples_bounded, semigroups_by_genus
-from numsgps.rank import _has_modular_order, bounded_low_e_multiple_search, full_rank_condition
+from numsgps.rank import bounded_low_e_multiple_search, full_rank_condition
+
+from conftest import modular_order
 
 
 def tail_family(ctx, extra=6):
@@ -177,8 +179,9 @@ def apery_shape_sweep(census_getter, random_samples=150) -> int:
 def quotient_rank_census(max_genus, d_max):
     """The converse of the Apéry condition on every S ≠ ℕ with genus ≤
     max_genus.  For e(S) = 2 the condition holds.  For e(S) = 3 it holds
-    exactly when msg(S) has no order as in rank._has_modular_order, that
-    is when no d has a multiple of e = 2.  For e(S) ≥ 4 it never holds, and
+    exactly when msg(S) has no order as in conftest.modular_order, that
+    is when no d has a multiple of e = 2 (proven in
+    rank.bounded_low_e_multiple_search).  For e(S) ≥ 4 it never holds, and
     the search finds a multiple of smaller e at some d ≤ d_max, checked with
     is_d_multiple.  Returns the number of S and the witnesses (S, d, T) of
     e(S) ≥ 4."""
@@ -189,7 +192,7 @@ def quotient_rank_census(max_genus, d_max):
         cases += 1
         e, holds = S.embedding_dimension, full_rank_condition(S).condition_holds
         if e <= 3:
-            assert holds == (e == 2 or not _has_modular_order(S.msg)), S
+            assert holds == (e == 2 or not modular_order(S.msg)), S
             continue
         assert not holds, S
         hit = bounded_low_e_multiple_search(S, d_max)

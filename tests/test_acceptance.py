@@ -92,10 +92,9 @@ def test_criterion_1_census_and_quotient_fixtures(capsys):
             assert out == "⟨3,4,5⟩\n"
 
 
-def test_criterion_2_maximal_sets_against_census(monkeypatch):
+def test_criterion_2_maximal_sets_against_census():
     """{⟨5,8,9,11⟩, ⟨7,8,9,10,11,13⟩} is the maximal set for d = 3 and not
     for d = 5; production agrees with the census oracle for both d."""
-    monkeypatch.setenv("NUMSGPS_ORACLE_CEILING", "20")
     with criterion("2 (maximal sets against census)", 10.0):
         S = sgp(3, 5, 7)
         expected = {sgp(5, 8, 9, 11), sgp(7, 8, 9, 10, 11, 13)}

@@ -540,17 +540,13 @@ class TestExitCodes:
         assert code == 2
         assert "gcd" in err
 
-    def test_ceiling(self, capsys, monkeypatch):
-        monkeypatch.delenv("NUMSGPS_ORACLE_CEILING", raising=False)
-        code, _, err = run(capsys, "oracle", "frobenius-census", "--f", "25")
-        assert code == 3
-        assert "ceiling" in err
-
-    def test_malformed_ceiling(self, capsys, monkeypatch):
-        monkeypatch.setenv("NUMSGPS_ORACLE_CEILING", "abc")
-        code, out, err = run(capsys, "oracle", "frobenius-census", "--f", "6")
-        assert (code, out) == (2, "")
-        assert "NUMSGPS_ORACLE_CEILING" in err
+    def test_ceiling(self, capsys):
+        """The census lists f ≤ 20 and refuses f = 21 with exit 3."""
+        code, out, _ = run(capsys, "oracle", "frobenius-census", "--f", "20")
+        assert (code, len(out.splitlines())) == (0, 900)
+        code, out, err = run(capsys, "oracle", "frobenius-census", "--f", "21")
+        assert (code, out) == (3, "")
+        assert "census for f=21 exceeds ceiling 20" in err
 
     def test_deep_oracle_descent(self, capsys):
         # One decision per position up to 1500, deeper than the

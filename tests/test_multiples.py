@@ -116,11 +116,8 @@ class TestMaxMultiples:
                     for b in result:
                         assert a == b or not a <= b
 
-    def test_completeness_against_census(
-        self, small_semigroups, census_by_frobenius, monkeypatch
-    ):
+    def test_completeness_against_census(self, small_semigroups, census_by_frobenius):
         """Production search equals the maximal elements of the census filter."""
-        monkeypatch.setenv("NUMSGPS_ORACLE_CEILING", "24")
         for S in small_semigroups:
             if S.frobenius > 8:
                 continue

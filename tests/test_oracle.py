@@ -55,11 +55,9 @@ class TestCensus:
                         continue
                     assert from_generators(subset) != S
 
-    def test_ceiling(self, monkeypatch):
-        monkeypatch.delenv("NUMSGPS_ORACLE_CEILING", raising=False)
-        with pytest.raises(CeilingExceeded):
-            all_with_frobenius(21)
-        monkeypatch.setenv("NUMSGPS_ORACLE_CEILING", "22")
+    def test_ceiling(self):
+        """The census has no ceiling of its own (the CLI command keeps
+        one), and refuses f < 1."""
         assert len(all_with_frobenius(21)) > 0
         with pytest.raises(InvalidInput):
             all_with_frobenius(0)

@@ -23,7 +23,6 @@ from numsgps.rank import (
     UniqueBettiSpec,
     _coin_decomposition,
     _generator_tuples,
-    _has_modular_order,
     _low_e_multiples,
     bounded_low_e_multiple_search,
     full_rank_condition,
@@ -34,7 +33,7 @@ from numsgps.rank import (
     unique_betti_apery,
 )
 
-from conftest import coin_dp, reference_low_e_search, reference_root_walk, sgp
+from conftest import coin_dp, modular_order, reference_low_e_search, reference_root_walk, sgp
 from sweeps import quotient_rank_census
 
 
@@ -89,6 +88,28 @@ class TestFullRankCondition:
         # m = 4 < 2³, so the condition cannot hold.
         assert S.multiplicity < 2 ** (S.embedding_dimension - 1)
         assert not report.condition_holds
+
+    def test_decides_at_most_three_generators(self):
+        """On every S ≠ ℕ of genus ≤ 14 with e(S) ≤ 3: for e(S) = 2 the
+        condition holds; for e(S) = 3 it holds iff no generator divides the
+        sum of the other two, and that divisibility is the order form of
+        conftest.modular_order, whose gcd conditions it implies."""
+        counts = {2: 0, 3: 0}
+        held = 0
+        for S in semigroups_by_genus(14):
+            e = S.embedding_dimension
+            if S.is_whole_n or e > 3:
+                continue
+            counts[e] += 1
+            holds = full_rank_condition(S).condition_holds
+            if e == 2:
+                assert holds, S
+                continue
+            divides = any((sum(S.msg) - n) % n == 0 for n in S.msg)
+            assert holds == (not divides), S
+            assert divides == modular_order(S.msg), S
+            held += holds
+        assert (counts, held) == ({2: 28, 3: 143}, 52)
 
     def test_whole_n_rejected(self):
         from numsgps.core import WHOLE_N
@@ -194,6 +215,24 @@ class TestBoundedLowESearch:
             assert full_rank_condition(S).condition_holds
             assert bounded_low_e_multiple_search(S, 6) is None
 
+    def test_condition_holding_searches_nothing(self, monkeypatch):
+        """When the Apéry condition holds, None is exact for every d, so no
+        tuple walk runs, however large d_max: ⟨21,24,25,31⟩, three
+        unique-Betti semigroups and a two-generated one, for which it always
+        holds (e = 1 only for ℕ, and ℕ/d = ℕ)."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the tuple walk ran")
+
+        cases = [(sgp(21, 24, 25, 31), 30), (sgp(3, 5), 10**6)]
+        for c in [(2, 3, 5), (2, 3, 5, 7), (3, 4, 5, 7)]:
+            cases.append((unique_betti(UniqueBettiSpec(c)), 30))
+        monkeypatch.setattr(rank, "_generator_tuples", refuse)
+        start = time.perf_counter()
+        for S, d_max in cases:
+            assert bounded_low_e_multiple_search(S, d_max) is None, S
+        assert time.perf_counter() - start < 1
+
     def test_457_finds_57_at_d3(self):
         S = sgp(4, 5, 7)
         hit = bounded_low_e_multiple_search(S, 3)
@@ -245,8 +284,9 @@ class TestBoundedLowESearch:
         assert (cases, hits, listed) == (142, 118, 285)
 
     def test_three_generated_order_decides(self):
-        """For e(S) = 3 the search walks only when msg(S) has an order
-        (n₁, n₂, n₃) with gcd(n₁, n₂) = gcd(n₂, n₃) = 1 and n₂ | n₁ + n₃.  On
+        """For e(S) = 3 the search walks only when the Apéry condition
+        fails, that is when msg(S) has an order (n₁, n₂, n₃) with gcd(n₁,
+        n₂) = gcd(n₂, n₃) = 1 and n₂ | n₁ + n₃ (conftest.modular_order).  On
         every such S with genus ≤ 10 the walk itself, run for every d ≤ 20,
         finds a tuple of gcd 1 at some d exactly when that order exists.
         The latest first d is 19, at ⟨3,14,16⟩."""
@@ -263,7 +303,7 @@ class TestBoundedLowESearch:
                 ),
                 None,
             )
-            assert (first[S] is not None) == _has_modular_order(S.msg), S
+            assert (first[S] is not None) == modular_order(S.msg), S
         hits = {S: d for S, d in first.items() if d is not None}
         assert (len(first), len(hits), max(hits.values())) == (62, 45, 19)
         assert [S for S, d in hits.items() if d == 19] == [sgp(3, 14, 16)]
@@ -426,13 +466,6 @@ class TestBoundedLowESearch:
             walked += walk is not None
             found += got is not None
         assert (walked, found) == (expected, 101)
-
-    def test_two_generated_searches_nothing(self):
-        """For e(S) = 2 None is exact (e = 1 only for ℕ, and ℕ/d = ℕ), so
-        no d is searched, however large d_max."""
-        start = time.perf_counter()
-        assert bounded_low_e_multiple_search(sgp(3, 5), 10**6) is None
-        assert time.perf_counter() - start < 5
 
 
 class TestQuotientRankCensus:
