@@ -45,7 +45,7 @@ from itertools import compress
 from operator import itemgetter
 
 from . import core, ed1, fibers, monoids, multiples, oracle, rank
-from .core import _BIT_FLAGS, NumericalSemigroup
+from .core import NumericalSemigroup, _bit_flags
 from .errors import CeilingExceeded, InvalidInput, NumsgpsError
 
 
@@ -228,10 +228,9 @@ def _semigroup_json(head: str, G: int, msg: tuple[int, ...], names: list, level)
     gens = sep.join(map(names.__getitem__, msg))
     if not G:  # ℕ
         return (f'{head}{opening}-1,{field}"gaps": [],{field}"genus": 0{msg_key}{gens}{close}',)
-    flags = bin(G)[:1:-1].encode().translate(_BIT_FLAGS)
     return (
         f"{head}{opening}{names[G.bit_length() - 1]}{gaps}",
-        sep.join(compress(names, flags)),
+        sep.join(compress(names, _bit_flags(G))),
         f"{genus}{names[G.bit_count()]}{msg_key}{gens}{close}",
     )
 
@@ -480,7 +479,8 @@ _COMMANDS = (
     ("is-multiple", "test whether a candidate is a d-multiple of S", _cmd_is_multiple,
      _TEXT_JSON, _SGP, _D, ("--candidate", _REQUIRED)),
     ("max-multiples", "all inclusion-maximal d-multiples of S", _cmd_max_multiples,
-     _TEXT_JSON, _SGP, _D, ("--max-nodes", {"type": int})),
+     _TEXT_JSON, _SGP, _D,
+     ("--max-nodes", {"type": int, "help": "exit 3 past this many search paths"})),
     ("fiber-tree", "enumerate a saturation fiber as a rooted tree", _cmd_fiber_tree,
      ("text", "json", "dot"), _SGP, _D,
      ("--root", {"default": "auto", "help": "'auto' or a generator list"}),

@@ -80,11 +80,16 @@ def checked(value: int) -> int:
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
+def _bit_flags(mask: int) -> bytes:
+    """One byte per binary digit of a nonnegative mask, lowest first: 1
+    where the bit is set, else 0.  It reads the digits in one pass (a loop
+    clearing the lowest set bit would copy the mask once per set bit)."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
+
+
 def _bits(mask: int) -> tuple[int, ...]:
-    """Positions of the set bits of a nonnegative mask, ascending, read in
-    one pass over its binary digits (a loop clearing the lowest set bit
-    would copy the mask once per set bit)."""
-    return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)))
+    """Positions of the set bits of a nonnegative mask, ascending."""
+    return tuple(compress(count(), _bit_flags(mask)))
 
 
 @dataclass(frozen=True)

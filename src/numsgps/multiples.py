@@ -123,19 +123,28 @@ def addable_gaps(ctx: MultipleContext, T: NumericalSemigroup) -> tuple[int, ...]
     )
 
 
-def _search_space(ctx: MultipleContext):
-    """The start of the search over the d-multiples with Frobenius number
-    N = d·F(S): the mask of 0, d, …, N, the free positions p < N with
-    d ∤ p in ascending order, and the blocker mask W_p of each.
+def _gap_masks(ctx: MultipleContext, node_cap: int | None):
+    """Gap masks of the maximal d-multiples, by a depth-first search over
+    the d-multiples with Frobenius number N = d·F(S).
 
     A gap mask is the complement in [0, N] of a closed member mask M.  With
-    B = d·gaps(S), a closed M admits the free position p iff no kp + u with
-    k ≥ 1 and u ∈ M lies in B, that is iff M misses W_p = ⋃ₖ (B >> kp);
-    then M ∪ {p} closes to ⋃ₖ (M << kp).  The search starts from
-    d·S ∩ [0, N] and decides the free positions in ascending order: a
+    B = d·gaps(S), a closed M admits a free position p (p < N, d ∤ p) iff
+    no kp + u with k ≥ 1 and u ∈ M lies in B, that is iff M misses W_p =
+    ⋃ₖ (B >> kp); then M ∪ {p} closes to ⋃ₖ (M << kp).  The search starts
+    from d·S ∩ [0, N] and decides the free positions in ascending order: a
     closure adds only sums above p, so a position it leaves out never comes
     back.  Each admitted p branches into include and exclude, and each set
     of decisions gives its own M, so no mask is met twice.
+
+    A leaf is maximal iff M blocks every position it excluded, that is M
+    meets its W_p.  Only free positions in W_p can come to block p, so a
+    branch is cut once it has decided the last of them with p still
+    unblocked.  An include can block an exclusion only when the grown M
+    meets the union U of the W_p still unblocked, so the exclusions and
+    their deadline are rebuilt only then.
+
+    Each stack entry popped is one search path; past ``node_cap`` of them
+    the search raises :class:`CeilingExceeded`.
     """
     d, N, B = ctx.d, ctx.scaled_frobenius, ctx.scaled_gap_mask
     steps = ((1 << d * (N // d + 1)) - 1) // ((1 << d) - 1)  # 0, d, …, N
@@ -146,54 +155,18 @@ def _search_space(ctx: MultipleContext):
         for kp in range(p, N + 1, p):
             W |= B >> kp
         blockers.append(W)
-    return steps, positions, blockers
-
-
-def _count_passes(ctx: MultipleContext, space, cap: int) -> bool:
-    """Whether more than ``cap`` d-multiples have Frobenius number d·F(S).
-
-    They are the leaves of the search of :func:`_search_space` without a
-    cut.  Its first path ends in one leaf, and every admitted position opens
-    an exclude branch that ends in a leaf of its own, so the count is 1 +
-    the branches opened, and the walk stops once that passes ``cap``.  As
-    the ground multiple d·S ∪ {n > d·F(S)} always exists, cap 0 is always
-    passed.
-    """
-    steps, positions, blockers = space
-    N = ctx.scaled_frobenius
-    count = 1
-    stack = [(0, steps & ~ctx.scaled_gap_mask)]
-    while stack:
-        i, M = stack.pop()
-        for i in range(i, len(positions)):
-            p = positions[i]
-            if not (M >> p & 1 or M & blockers[i]):
-                if count >= cap:  # this branch's leaf passes the cap
-                    return True
-                count += 1
-                stack.append((i + 1, M))
-                M = _closure((p,), N, M)
-    return count > cap
-
-
-def _gap_masks(ctx: MultipleContext, space):
-    """Gap masks of the maximal d-multiples, by the search of
-    :func:`_search_space`.
-
-    A leaf is maximal iff M blocks every position it excluded, that is M
-    meets its W_p.  Only free positions in W_p can come to block p, so a
-    branch is cut once it has decided the last of them with p still
-    unblocked.  An include can block an exclusion only when the grown M
-    meets the union U of the W_p still unblocked, so the exclusions and
-    their deadline are rebuilt only then.
-    """
-    N, B = ctx.scaled_frobenius, ctx.scaled_gap_mask
-    steps, positions, blockers = space
     # The last free position in each W_p, or -1.
     last = [(W & ~steps).bit_length() - 1 for W in blockers]
+    paths_left = -1 if node_cap is None else node_cap  # never 0 when uncapped
     # (next index, M, unblocked exclusions, deadline, U)
     stack = [(0, steps & ~B, (), N, 0)]
     while stack:
+        if not paths_left:
+            raise CeilingExceeded(
+                f"more than {node_cap} search paths for the maximal {d}-multiples"
+                f" of {ctx.semigroup}"
+            )
+        paths_left -= 1
         i, M, excluded, deadline, union = stack.pop()
         for i in range(i, len(positions)):
             p = positions[i]
@@ -218,35 +191,25 @@ def _gap_masks(ctx: MultipleContext, space):
 
 
 def max_multiples(ctx: MultipleContext, node_cap: int | None = None) -> MaxMultiplesResult:
-    """The complete set of inclusion-maximal d-multiples of S.
+    """The complete set of inclusion-maximal d-multiples of S, by the
+    search of :func:`_gap_masks`, which cuts a branch once a position it
+    excluded can no longer be blocked and builds a semigroup only for the
+    leaves it keeps.  For d = 1 there is no free position, and it yields S
+    alone.  Each kept gap mask becomes its gap tuple once; the maximals are
+    sorted by (genus, gap tuple) on those tuples and built from them.
 
-    A depth-first search over the free positions p < d·F(S), d ∤ p, in
-    ascending order, on closed member masks (see :func:`_search_space`).
-    It cuts a branch once a position it excluded can no longer be blocked,
-    and builds a semigroup only for the leaves it keeps.  For d = 1 there
-    is no free position, and the same search yields S alone.  Each kept gap
-    mask becomes its gap tuple once; the maximals are sorted by
-    (genus, gap tuple) on those tuples and built from them.
-
-    There can be very many d-multiples with Frobenius number d·F(S);
-    callers that only need a best-effort answer may pass ``node_cap`` and
-    catch :class:`CeilingExceeded`, raised when more than ``node_cap`` of
-    them exist, as it is for a d·F(S) past the closure ceiling whatever the
-    cap.  They are counted, and never built, by the same search without the
-    cut, which stops once it passes the cap (see :func:`_count_passes`), so
-    a cap of 0 raises for every d, d = 1 included.  A negative ``node_cap``
-    is refused with :class:`InvalidInput`.
+    ``node_cap`` caps the search's paths: past it, as for a d·F(S) past the
+    closure ceiling whatever the cap, :class:`CeilingExceeded` is raised.
+    Every search takes a path, so cap 0 raises for every d; each path ends
+    in its own d-multiple with Frobenius number d·F(S), so a cap of their
+    number never raises.  A negative ``node_cap`` is refused with
+    :class:`InvalidInput`.
     """
     if node_cap is not None and node_cap < 0:
         raise InvalidInput(f"--max-nodes must be a non-negative integer, got {node_cap}")
     if ctx.semigroup.is_whole_n:
         raise WholeN("maximal multiples are undefined for the whole of ℕ")
-    space = _search_space(ctx)
-    if node_cap is not None and _count_passes(ctx, space, node_cap):
-        raise CeilingExceeded(
-            f"more than {node_cap} multiples with Frobenius {ctx.scaled_frobenius}"
-        )
-    gap_sets = sorted(map(_bits, _gap_masks(ctx, space)), key=lambda g: (len(g), g))
+    gap_sets = sorted(map(_bits, _gap_masks(ctx, node_cap)), key=lambda g: (len(g), g))
     return MaxMultiplesResult(tuple(map(_from_gap_tuple, gap_sets)))
 
 

@@ -61,10 +61,11 @@ def coin_dp(gens, target):
     return reachable, coeffs
 
 
-def reference_max_multiples(ctx: MultipleContext):
+def reference_max_multiples(ctx: MultipleContext, max_visits=None):
     """Reference for max_multiples, for d ≥ 2: the maximal d-multiples,
     sorted by (genus, gap tuple), found by visiting every d-multiple with
-    Frobenius number d·F(S).
+    Frobenius number d·F(S), or None once it would visit more than
+    ``max_visits`` of them.
 
     Depth-first search from the ground multiple d·S ∪ {n | n > d·F(S)}
     that adjoins addable gaps in decreasing order only: a d-multiple T with
@@ -77,7 +78,11 @@ def reference_max_multiples(ctx: MultipleContext):
     )
     stack = [(ground, ctx.scaled_frobenius)]
     maximals = []
+    visits = 0
     while stack:
+        visits += 1
+        if max_visits is not None and visits > max_visits:
+            return None
         T, below = stack.pop()
         addable = addable_gaps(ctx, T)
         if not addable:

@@ -583,24 +583,24 @@ class TestExitCodes:
         assert time.perf_counter() - start < 5
 
     def test_max_multiples_node_cap(self, capsys):
-        # ⟨2,3⟩ with d = 40 has far too many multiples with Frobenius 40 to visit.
+        # ⟨2,3⟩ with d = 40 takes 1,288 search paths.
         start = time.perf_counter()
         code, out, err = run(
             capsys, "max-multiples", "--sgp", "2,3", "--d", "40", "--max-nodes", "1000"
         )
         assert (code, out) == (3, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == "error: more than 1000 search paths for the maximal 40-multiples of ⟨2,3⟩\n"
         assert time.perf_counter() - start < 5
-        # ⟨3,5,7⟩, d = 3 has exactly 20 multiples with Frobenius 12.
+        # ⟨3,5,7⟩, d = 3 takes 8 search paths, of its 20 multiples with Frobenius 12.
         argv = ("max-multiples", "--sgp", "3,5,7", "--d", "3")
-        assert run(capsys, *argv, "--max-nodes", "19") == (
-            3, "", "error: more than 19 multiples with Frobenius 12\n"
+        assert run(capsys, *argv, "--max-nodes", "7") == (
+            3, "", "error: more than 7 search paths for the maximal 3-multiples of ⟨3,5,7⟩\n"
         )
-        assert run(capsys, *argv, "--max-nodes", "20") == run(capsys, *argv)
-        # d = 1 runs the same search, and its one multiple S passes cap 0.
+        assert run(capsys, *argv, "--max-nodes", "8") == run(capsys, *argv)
+        # d = 1 runs the same search, whose one path finds S.
         argv = ("max-multiples", "--sgp", "3,4,5", "--d", "1")
         assert run(capsys, *argv, "--max-nodes", "0") == (
-            3, "", "error: more than 0 multiples with Frobenius 2\n"
+            3, "", "error: more than 0 search paths for the maximal 1-multiples of ⟨3,4,5⟩\n"
         )
         uncapped = run(capsys, *argv)
         assert run(capsys, *argv, "--max-nodes", "1") == uncapped == (0, "⟨3,4,5⟩\n", "")

@@ -135,10 +135,12 @@ class TestMaxMultiples:
                 }
                 assert set(max_multiples(ctx).maximals) == expected
 
-    def test_node_cap_is_the_multiple_count(self, small_semigroups):
-        """node_cap = N passes and N − 1 raises, where N counts the
-        d-multiples with Frobenius d·F(S) that the oracle enumerates; 0
-        always raises, as the ground multiple d·S ∪ {n > d·F(S)} is one."""
+    def test_node_cap_counts_search_paths(self, small_semigroups):
+        """The least node_cap k that passes, the search's path count, lies
+        between the number of maximals and the number N of d-multiples with
+        Frobenius d·F(S) that the oracle enumerates, since each path ends in
+        its own multiple.  Cap k gives the uncapped result, k − 1 raises,
+        and 0 always raises, as every search takes a path."""
         for S in small_semigroups:
             if S.frobenius > 7:
                 continue
@@ -147,29 +149,40 @@ class TestMaxMultiples:
                 f = d * S.frobenius
                 budget = EnumerationBudget(f, f, 100_000)
                 n = sum(T.frobenius == f for T in all_multiples_bounded(ctx, budget))
-                assert max_multiples(ctx, node_cap=n) == max_multiples(ctx)
-                with pytest.raises(CeilingExceeded, match=f"more than {n - 1} multiples"):
-                    max_multiples(ctx, node_cap=n - 1)
-                with pytest.raises(CeilingExceeded, match="more than 0 multiples"):
+                uncapped = max_multiples(ctx)
+                lo, hi = 0, n  # bisect for k, checked below
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    try:
+                        max_multiples(ctx, node_cap=mid)
+                        hi = mid
+                    except CeilingExceeded:
+                        lo = mid
+                k = hi
+                assert len(uncapped.maximals) <= k <= n
+                assert max_multiples(ctx, node_cap=k) == uncapped
+                with pytest.raises(
+                    CeilingExceeded,
+                    match=f"^more than {k - 1} search paths for the maximal {d}-multiples of {S}$",
+                ):
+                    max_multiples(ctx, node_cap=k - 1)
+                with pytest.raises(CeilingExceeded, match="^more than 0 search paths"):
                     max_multiples(ctx, node_cap=0)
 
     def test_matches_reference_search(self, genus_tree_12):
         """Gap masks and msg equal the reference search's, which visits every
         d-multiple with Frobenius d·F(S), on every S with genus ≤ 7 and
-        d ∈ {2, 3, 4} that has at most 30,000 of them.  node_cap counts
-        those multiples (test_node_cap_is_the_multiple_count), so it picks
-        the cases without running the reference on the large ones."""
+        d ∈ {2, 3, 4} that has at most 30,000 of them."""
         cases = 0
         for S in genus_tree_12:
             if not 1 <= S.genus <= 7:
                 continue
             for d in range(2, 5):
                 ctx = MultipleContext(S, d)
-                try:
-                    got = max_multiples(ctx, node_cap=30_000).maximals
-                except CeilingExceeded:
+                expected = reference_max_multiples(ctx, max_visits=30_000)
+                if expected is None:
                     continue
-                expected = reference_max_multiples(ctx)
+                got = max_multiples(ctx).maximals
                 assert [(T.gap_mask, T.msg) for T in got] == [
                     (T.gap_mask, T.msg) for T in expected
                 ], ctx
