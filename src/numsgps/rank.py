@@ -1,6 +1,6 @@
 """Full quotient rank: the Apéry sufficient condition, semigroups with a
-unique Betti element, obstruction search, and an exact search for
-multiples of small embedding dimension up to a given d.
+unique Betti element, the J-subset obstruction (the condition's negation)
+and an exact search for multiples of small embedding dimension up to d.
 
 The quotient rank of S is min e(T) over all multiples T of S; it is full
 when it equals e(S).  If the sum of all minimal generators but a_i lies in
@@ -59,6 +59,12 @@ def full_rank_condition(S: NumericalSemigroup) -> RankReport:
 
     condition_holds = True is a proof; False proves nothing.  When the
     condition holds, the multiplicity is at least 2^(e-1).
+
+    It fails exactly when :func:`j_subset_obstruction` has a witness.  (⇐)
+    Take i ∉ J with u_i ≥ 1: then Σ_{j≠i} a_j − a_i ∈ S, so it fails at a_i.
+    (⇒) If it fails at a_i, Σ_{j≠i} a_j = (v_i + 1)·a_i + Σ_{k≠i} v_k a_k.
+    Cancelling each a_j with v_j ≥ 1 from both sides leaves a J-relation
+    with J = {j ≠ i : v_j = 0}, non-empty as the right side is positive.
     """
     if S.is_whole_n:
         raise WholeN("quotient rank analysis is undefined for the whole of ℕ")
@@ -146,9 +152,9 @@ class JSubsetWitness:
 def j_subset_obstruction(S: NumericalSemigroup) -> JSubsetWitness | None:
     """Search for J with sum_{j in J} a_j = sum_{j not in J} u_j a_j, u != 0.
 
-    A witness is consistent with S not having full quotient rank; finding
-    none (the search is exhaustive, the equation bounds the coefficients)
-    reports only that no obstruction of this shape exists.
+    A witness exists exactly when :func:`full_rank_condition` fails (proof
+    there), so finding none (the search is exhaustive, the equation bounds
+    the coefficients) proves full quotient rank.
     """
     if S.is_whole_n:
         raise WholeN("quotient rank analysis is undefined for the whole of ℕ")
@@ -322,12 +328,16 @@ def bounded_low_e_multiple_search(
 
 
 def random_semigroup(rng: random.Random, max_genus: int) -> NumericalSemigroup:
-    """A random numerical semigroup with 1 ≤ genus ≤ max_genus."""
+    """A random numerical semigroup with 1 ≤ genus ≤ max_genus.  A draw with
+    more than max_genus non-members, all gaps, up to 2·max_genus (or the
+    closure ceiling) is rejected unbuilt.  As F ≤ 2g − 1 (ch. 1), that range
+    holds every gap of a kept S.  The test draws no random number."""
     high = max(6, 3 * max_genus)
+    reach = min(2 * max_genus, CLOSURE_CEILING)
     while True:
         k = rng.randint(2, 5)
         gens = rng.sample(range(2, high + 1), k)
-        if reduce(gcd, gens) != 1:
+        if reduce(gcd, gens) != 1 or reach + 1 - _closure(gens, reach).bit_count() > max_genus:
             continue
         S = from_generators(gens)
         if 1 <= S.genus <= max_genus:
@@ -351,11 +361,11 @@ SWEEP_FIELDS = (
 def rank_sweep(count: int, max_genus: int, seed: int, d_max: int = 3) -> list[dict]:
     """Seeded sweep comparing the Apéry condition against the low-e search.
 
-    Each row records, for one random semigroup, the condition verdict, the
-    subset obstruction, and :func:`bounded_low_e_multiple_search` over
-    d ≤ d_max, whose empty cells are exact: no d ≤ d_max has a multiple of
-    smaller embedding dimension.  No verdict on the open converse is
-    derived, only evidence.
+    Each row records, for one random semigroup, the condition verdict, its
+    negation as obstruction_found (see :func:`full_rank_condition`), and
+    :func:`bounded_low_e_multiple_search` over d ≤ d_max, whose empty cells
+    are exact: no d ≤ d_max has a multiple of smaller embedding dimension.
+    No verdict on the open converse is derived, only evidence.
     """
     if count < 0:
         raise InvalidInput(f"--count must be a non-negative integer, got {count}")
@@ -368,7 +378,6 @@ def rank_sweep(count: int, max_genus: int, seed: int, d_max: int = 3) -> list[di
     for _ in range(count):
         S = random_semigroup(rng, max_genus)
         report = full_rank_condition(S)
-        obstruction = j_subset_obstruction(S)
         low = bounded_low_e_multiple_search(S, d_max)
         rows.append(
             {
@@ -379,7 +388,7 @@ def rank_sweep(count: int, max_genus: int, seed: int, d_max: int = 3) -> list[di
                 "multiplicity": S.multiplicity,
                 "condition_holds": report.condition_holds,
                 "multiplicity_bound_ok": report.multiplicity_bound_ok,
-                "obstruction_found": obstruction is not None,
+                "obstruction_found": not report.condition_holds,
                 "low_e_d": low[0] if low else "",
                 "low_e_multiple": ",".join(map(str, low[1].msg)) if low else "",
             }

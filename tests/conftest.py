@@ -61,6 +61,20 @@ def coin_dp(gens, target):
     return reachable, coeffs
 
 
+def reference_random_semigroup(rng, max_genus: int) -> NumericalSemigroup:
+    """Reference for rank.random_semigroup: the same draws, each built in
+    full before its genus is tested."""
+    high = max(6, 3 * max_genus)
+    while True:
+        k = rng.randint(2, 5)
+        gens = rng.sample(range(2, high + 1), k)
+        if reduce(gcd, gens) != 1:
+            continue
+        S = from_generators(gens)
+        if 1 <= S.genus <= max_genus:
+            return S
+
+
 def reference_max_multiples(ctx: MultipleContext, max_visits=None):
     """Reference for max_multiples, for d ≥ 2: the maximal d-multiples,
     sorted by (genus, gap tuple), found by visiting every d-multiple with

@@ -1,8 +1,10 @@
 """The command-line surface: exact text fixtures, canonical JSON round
 trips, DOT output, CSV reproducibility and exit codes."""
 
+import csv
 import hashlib
 import inspect
+import io
 import json
 import os
 import re
@@ -766,6 +768,17 @@ class TestRankSweep:
         code, out, _ = run(capsys, "rank-sweep", "--count", "2", "--max-genus", "6", "--seed", "3")
         assert code == 0
         assert len(out.splitlines()) == 3
+
+    def test_large_genus_draws_are_tested_before_they_are_built(self, capsys):
+        """A draw whose closure would pass the ceiling, ⟨3195,3547⟩ here, is
+        rejected by its genus before it is built: the sweep exits 0 where it
+        once exited 3 on a draw it would have discarded."""
+        argv = ("rank-sweep", "--count", "3", "--max-genus", "2000", "--seed", "1", "--dmax", "0")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 3
+        assert all(1 <= int(row["genus"]) <= 2000 for row in rows)
 
     def test_sixty_rows_derive_from_the_bounded_table(self, capsys):
         """The 60-row table pinned in CI differs from the one the bounded

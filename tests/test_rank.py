@@ -33,7 +33,14 @@ from numsgps.rank import (
     unique_betti_apery,
 )
 
-from conftest import coin_dp, modular_order, reference_low_e_search, reference_root_walk, sgp
+from conftest import (
+    coin_dp,
+    modular_order,
+    reference_low_e_search,
+    reference_random_semigroup,
+    reference_root_walk,
+    sgp,
+)
 from sweeps import quotient_rank_census
 
 
@@ -197,6 +204,14 @@ class TestJSubsetObstruction:
         for S in small_semigroups:
             if full_rank_condition(S).condition_holds:
                 assert j_subset_obstruction(S) is None
+
+    def test_witness_exactly_when_condition_fails(self):
+        """The proof in full_rank_condition's docstring, checked on all
+        11,769 S ≠ ℕ of genus ≤ 16."""
+        cases = [S for S in semigroups_by_genus(16) if not S.is_whole_n]
+        assert len(cases) == 11769
+        for S in cases:
+            assert (j_subset_obstruction(S) is None) == full_rank_condition(S).condition_holds, S
 
 
 class TestCoinDecomposition:
@@ -501,6 +516,16 @@ class TestRankSweep:
                 assert row["low_e_d"] == ""
                 assert not row["obstruction_found"]
                 assert row["multiplicity_bound_ok"]
+
+    def test_random_semigroup_draws_as_the_reference(self):
+        """Testing the genus before the build changes neither the draws nor
+        the rng state: twin generators give the same S and next number."""
+        for seed in range(500):
+            for max_genus in range(1, 13):
+                rng, twin = random.Random(seed), random.Random(seed)
+                S = random_semigroup(rng, max_genus)
+                assert S == reference_random_semigroup(twin, max_genus), (seed, max_genus)
+                assert rng.random() == twin.random(), (seed, max_genus)
 
     def test_random_semigroup_respects_genus(self):
         import random as _random
