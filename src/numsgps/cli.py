@@ -5,7 +5,7 @@ handler, formats, options), and :func:`build_parser` loops over it.
 :func:`main` builds that parser once per process, on its first call, and
 parses every later argv with it too: in-process callers parse many argv,
 and a parse leaves the parser as it was.  A handler computes its result
-once and returns one zero-argument renderer per output.  A renderer
+once and returns one zero-argument renderer per format.  A renderer
 returns text, a small JSON payload (a dict, under ``"json"``) or an
 iterable of text chunks; the three ``fiber-tree`` renderers (text, JSON
 and DOT) yield chunks node by node or line by line from each fiber's flat
@@ -22,10 +22,9 @@ tree or listing; the fiber text and JSON also build each depth's pieces
 once.  Those tables grow with the largest integer printed and with the
 square of the tree depth.  All search happens in the handler, so a
 refusal comes before the first byte.  :func:`main` alone picks the
-format, runs only the renderers it needs, encodes small payloads with the
+format, runs the one renderer it names, encodes small payloads with the
 standard library's ``json`` (:func:`canonical_json`) and streams the
-chunks: the ``--dot``/``--csv`` side files first, then ``--out`` or
-stdout.  An unwritable path is invalid input.
+chunks to ``--out`` or stdout.  An unwritable path is invalid input.
 
 Exit codes: 0 success, 2 invalid input, 3 budget or ceiling exceeded,
 4 internal invariant violation.  JSON is canonical (sorted keys, two-space
@@ -436,8 +435,6 @@ def _cmd_rank_sweep(args) -> dict:
         writer.writerows(rows)
         return buffer.getvalue()
 
-    if args.csv:
-        return {"csv": table, "text": lambda: f"wrote {len(rows)} rows to {args.csv}\n"}
     return {"text": table}
 
 
@@ -483,8 +480,7 @@ _COMMANDS = (
      ("--max-nodes", {"type": int, "help": "exit 3 past this many search paths"})),
     ("fiber-tree", "enumerate a saturation fiber as a rooted tree", _cmd_fiber_tree,
      ("text", "json", "dot"), _SGP, _D,
-     ("--root", {"default": "auto", "help": "'auto' or a generator list"}),
-     ("--dot", {"help": "also write DOT to this path"}), *_BOUNDS),
+     ("--root", {"default": "auto", "help": "'auto' or a generator list"}), *_BOUNDS),
     ("md-monoid", "the monoid ⟨X⟩ + d·S and its minimal system", _cmd_md_monoid,
      _TEXT_JSON, _SGP, _D, ("--x", {"default": "", "help": "comma list, may be empty"})),
     ("ed1", "closed forms for ⟨x⟩ + d·S", _cmd_ed1, _TEXT_JSON, _SGP, _D,
@@ -497,7 +493,7 @@ _COMMANDS = (
      _TEXT_JSON, _SGP, ("--dmax", _REQUIRED_INT)),
     ("rank-sweep", "seeded CSV experiment on random semigroups", _cmd_rank_sweep, (),
      ("--count", _REQUIRED_INT), ("--max-genus", _REQUIRED_INT), ("--seed", _REQUIRED_INT),
-     ("--dmax", {"type": int, "default": 3}), ("--csv", {})),
+     ("--dmax", {"type": int, "default": 3})),
     ("oracle", "brute-force enumerators (test fixtures)", None, ()),
     ("oracle frobenius-census", "all semigroups with Frobenius number f",
      _cmd_oracle_census, _TEXT_JSON, ("--f", _REQUIRED_INT)),
@@ -562,16 +558,8 @@ def _write(path, chunks) -> None:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        renderers = args.run(args)
-        # The side files --dot and --csv get the renderer of their name;
-        # stdout (or --out) comes last, so a refused path leaves it empty.
-        targets = [(getattr(args, k, None), k) for k in ("dot", "csv") if getattr(args, k, None)]
-        targets.append((args.out, getattr(args, "format", "text")))
-        # Each target calls its renderer, so chunks that stream are fresh for
-        # each (--dot PATH --format dot writes the same DOT twice).
-        outputs = [(path, _chunks(renderers[key]())) for path, key in targets]
-        for path, chunks in outputs:
-            _write(path, chunks)
+        renderer = args.run(args)[getattr(args, "format", "text")]
+        _write(args.out, _chunks(renderer()))
     except NumsgpsError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code

@@ -9,10 +9,10 @@ e(S) ≤ 3: the condition always holds for e(S) = 2, and for e(S) = 3 it
 fails exactly when S is proportionally modular, a quotient of a
 two-generated semigroup.  For e(S) ≥ 4 it is open; on every S of genus
 ≤ 12 in the tests and ≤ 14 in CI the condition never holds and every S
-has a multiple of smaller e at some d ≤ 15.  The search walks generator
-tuples capped at d·max msg(S), pruned by Sylvester's bound F(⟨a,b⟩) =
-ab − a − b (Rosales & García-Sánchez, Numerical Semigroups, Springer
-2009, ch. 1-5).
+has a multiple of smaller e at some d ≤ 15.  It first holds for e(S) ≥ 4
+at genus 17, at ⟨8,12,14,15⟩.  The search walks generator tuples capped
+at d·max msg(S), pruned by Sylvester's bound F(⟨a,b⟩) = ab − a − b
+(Rosales & García-Sánchez, Numerical Semigroups, Springer 2009, ch. 1-5).
 """
 
 from __future__ import annotations
@@ -314,8 +314,12 @@ def bounded_low_e_multiple_search(
     holds = full_rank_condition(S).condition_holds  # refuses ℕ
     if d_max < 0:
         raise InvalidInput(f"--dmax must be a non-negative integer, got {d_max}")
-    if holds:
-        return None
+    return None if holds else _low_e_search(S, d_max)
+
+
+def _low_e_search(S: NumericalSemigroup, d_max: int) -> tuple[int, NumericalSemigroup] | None:
+    """:func:`bounded_low_e_multiple_search` past its gate, for an S that
+    fails the Apéry condition and d_max ≥ 0."""
     e = S.embedding_dimension
     for d in range(2, d_max + 1):
         ctx = MultipleContext(S, d)
@@ -378,7 +382,7 @@ def rank_sweep(count: int, max_genus: int, seed: int, d_max: int = 3) -> list[di
     for _ in range(count):
         S = random_semigroup(rng, max_genus)
         report = full_rank_condition(S)
-        low = bounded_low_e_multiple_search(S, d_max)
+        low = None if report.condition_holds else _low_e_search(S, d_max)
         rows.append(
             {
                 "msg": ",".join(map(str, S.msg)),

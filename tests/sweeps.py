@@ -176,28 +176,40 @@ def apery_shape_sweep(census_getter, random_samples=150) -> int:
     return cases
 
 
+def quotient_rank_case(S, d_max):
+    """The converse of the Apéry condition on one S ≠ ℕ: whether the
+    condition holds, and for e(S) ≥ 4 where it fails, the hit (d, T) of the
+    low-e search, else None.  For e(S) = 2 the condition holds.  For
+    e(S) = 3 it holds exactly when msg(S) has no order as in
+    conftest.modular_order, that is when no d has a multiple of e = 2
+    (proven in rank.bounded_low_e_multiple_search).  For e(S) ≥ 4 a holding
+    condition proves full rank, so the search finds nothing and S is never
+    a hit (⟨8,12,14,15⟩, at genus 17, is the first); where it fails, the
+    search finds a multiple of smaller e at some d ≤ d_max, checked with
+    is_d_multiple."""
+    e, holds = S.embedding_dimension, full_rank_condition(S).condition_holds
+    if e <= 3:
+        assert holds == (e == 2 or not modular_order(S.msg)), S
+        return holds, None
+    hit = bounded_low_e_multiple_search(S, d_max)
+    if holds:
+        assert hit is None, S
+        return True, None
+    assert hit is not None, S
+    d, T = hit
+    assert is_d_multiple(MultipleContext(S, d), T) and T.embedding_dimension < e, S
+    return False, hit
+
+
 def quotient_rank_census(max_genus, d_max):
-    """The converse of the Apéry condition on every S ≠ ℕ with genus ≤
-    max_genus.  For e(S) = 2 the condition holds.  For e(S) = 3 it holds
-    exactly when msg(S) has no order as in conftest.modular_order, that
-    is when no d has a multiple of e = 2 (proven in
-    rank.bounded_low_e_multiple_search).  For e(S) ≥ 4 it never holds, and
-    the search finds a multiple of smaller e at some d ≤ d_max, checked with
-    is_d_multiple.  Returns the number of S and the witnesses (S, d, T) of
-    e(S) ≥ 4."""
+    """:func:`quotient_rank_case` on every S ≠ ℕ with genus ≤ max_genus.
+    Returns the number of S and the hits (S, d, T) of e(S) ≥ 4."""
     cases, witnesses = 0, []
     for S in semigroups_by_genus(max_genus):
         if S.is_whole_n:
             continue
         cases += 1
-        e, holds = S.embedding_dimension, full_rank_condition(S).condition_holds
-        if e <= 3:
-            assert holds == (e == 2 or not modular_order(S.msg)), S
-            continue
-        assert not holds, S
-        hit = bounded_low_e_multiple_search(S, d_max)
-        assert hit is not None, S
-        d, T = hit
-        assert is_d_multiple(MultipleContext(S, d), T) and T.embedding_dimension < e, S
-        witnesses.append((S, d, T))
+        _, hit = quotient_rank_case(S, d_max)
+        if hit:
+            witnesses.append((S, *hit))
     return cases, witnesses

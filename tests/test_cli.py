@@ -170,12 +170,13 @@ class TestFiberTree:
 
     def test_dot(self, capsys, tmp_path):
         target = tmp_path / "tree.dot"
-        code, out, _ = run(
-            capsys, "fiber-tree", "--sgp", "2,3", "--d", "11",
-            "--root", "5,7,8,9", "--max-genus", "7",
-            "--format", "dot", "--dot", str(target),
+        argv = (
+            "fiber-tree", "--sgp", "2,3", "--d", "11",
+            "--root", "5,7,8,9", "--max-genus", "7", "--format", "dot",
         )
+        code, out, _ = run(capsys, *argv)
         assert code == 0
+        assert run(capsys, "--out", str(target), *argv) == (0, "", "")
         assert out == target.read_text(encoding="utf-8")
         assert '"⟨5,7,8,9⟩" -> "⟨5,7,8⟩" [label="9"]' in out
         assert out.splitlines()[0] == "digraph fiber {"
@@ -754,13 +755,10 @@ class TestRankSweep:
     def test_csv_reproducible(self, capsys, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
+        argv = ("rank-sweep", "--count", "5", "--max-genus", "7", "--seed", "11")
         for path in (a, b):
-            code, _, _ = run(
-                capsys, "rank-sweep", "--count", "5", "--max-genus", "7",
-                "--seed", "11", "--csv", str(path),
-            )
-            assert code == 0
-        assert a.read_text() == b.read_text()
+            assert run(capsys, "--out", str(path), *argv) == (0, "", "")
+        assert a.read_text() == b.read_text() == run(capsys, *argv)[1]
         header = a.read_text().splitlines()[0]
         assert header.startswith("msg,frobenius,genus,")
 
@@ -817,15 +815,17 @@ class TestOutFile:
 
 
 class TestUnwritablePaths:
-    """A path that cannot be written is refused with exit 2 and leaves
-    stdout empty, whichever option names it."""
+    """An --out path that cannot be written is refused with exit 2 and
+    leaves stdout empty, whether the output is a JSON payload, streamed
+    DOT chunks or the CSV table."""
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["--out", "{bad}", "info", "--sgp", "3,4"],
-            ["fiber-tree", "--sgp", "3,4,5", "--d", "3", "--max-nodes", "2", "--dot", "{bad}"],
-            ["rank-sweep", "--count", "1", "--max-genus", "4", "--seed", "1", "--csv", "{bad}"],
+            ["--out", "{bad}", "fiber-tree", "--sgp", "3,4,5", "--d", "3", "--max-nodes", "2",
+             "--format", "dot"],
+            ["--out", "{bad}", "rank-sweep", "--count", "1", "--max-genus", "4", "--seed", "1"],
         ],
         ids=["out", "dot", "csv"],
     )
@@ -834,6 +834,27 @@ class TestUnwritablePaths:
         code, out, err = run(capsys, *(a.replace("{bad}", bad) for a in argv))
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot write ") and bad in err
+
+
+class TestOneOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fiber-tree", "--sgp", "3,4,5", "--d", "3", "--max-nodes", "2", "--dot", "{path}"],
+            ["rank-sweep", "--count", "1", "--max-genus", "4", "--seed", "1", "--csv", "{path}"],
+        ],
+        ids=["dot", "csv"],
+    )
+    def test_side_file_options_are_refused(self, capsys, tmp_path, argv):
+        """The --dot and --csv side files are gone: DOT and the CSV table go
+        to --out or stdout, and argparse refuses either flag with exit 2."""
+        path = tmp_path / "side.txt"
+        with pytest.raises(SystemExit) as exc:
+            main([a.replace("{path}", str(path)) for a in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not path.exists()
+        assert captured.err.endswith(f"error: unrecognized arguments: {argv[-2]} {path}\n")
 
 
 class TestHelp:
@@ -854,7 +875,7 @@ class TestHelp:
         text = self.help_text(capsys, "fiber-tree")
         section = text.split("\noptions:\n")[1]
         assert re.findall(r"^  (--[\w-]+)", section, re.MULTILINE) == [
-            "--sgp", "--d", "--root", "--dot", "--max-frobenius", "--max-genus",
+            "--sgp", "--d", "--root", "--max-frobenius", "--max-genus",
             "--max-depth", "--max-nodes", "--format",
         ]
 
@@ -946,19 +967,20 @@ class TestOneRowParser:
 
 
 class TestParserReuse:
-    """An option given in one call on the reused parser leaves nothing
-    behind for the next: without it, nothing goes to a file and the output
-    goes to stdout, as from a freshly built parser."""
+    """Options given in one call on the reused parser leave nothing behind
+    for the next: without them, nothing goes to a file and the output goes
+    to stdout in the default format, as from a freshly built parser."""
 
     @pytest.mark.parametrize(
         "with_path, without",
         [
             (
-                ["fiber-tree", "--sgp", "3,4,5", "--d", "2", "--max-nodes", "3", "--dot", "{path}"],
+                ["--out", "{path}", "fiber-tree", "--sgp", "3,4,5", "--d", "2", "--max-nodes", "3",
+                 "--format", "dot"],
                 ["fiber-tree", "--sgp", "3,4,5", "--d", "2", "--max-nodes", "3"],
             ),
             (
-                ["rank-sweep", "--count", "1", "--max-genus", "4", "--seed", "1", "--csv", "{path}"],
+                ["--out", "{path}", "rank-sweep", "--count", "1", "--max-genus", "4", "--seed", "1"],
                 ["rank-sweep", "--count", "1", "--max-genus", "4", "--seed", "1"],
             ),
             (["--out", "{path}", "info", "--sgp", "3,4"], ["info", "--sgp", "3,4"]),

@@ -41,7 +41,7 @@ from conftest import (
     reference_root_walk,
     sgp,
 )
-from sweeps import quotient_rank_census
+from sweeps import quotient_rank_case, quotient_rank_census
 
 
 def assert_no_earlier(got, walk, S):
@@ -199,11 +199,6 @@ class TestJSubsetObstruction:
     def test_full_rank_examples_have_none(self):
         assert j_subset_obstruction(sgp(21, 24, 25, 31)) is None
         assert j_subset_obstruction(sgp(2, 3)) is None
-
-    def test_condition_implies_no_witness(self, small_semigroups):
-        for S in small_semigroups:
-            if full_rank_condition(S).condition_holds:
-                assert j_subset_obstruction(S) is None
 
     def test_witness_exactly_when_condition_fails(self):
         """The proof in full_rank_condition's docstring, checked on all
@@ -499,6 +494,15 @@ class TestQuotientRankCensus:
             (11, (8, 9, 11, 12), (19, 23, 75)),
         ]
 
+    def test_proven_full_rank_is_no_hit(self):
+        """The first e(S) = 4 semigroups past the census that pass the Apéry
+        condition, at genus 17 and 19: each is classed as of proven full
+        rank, and the search finds nothing."""
+        for gens, genus in (((8, 12, 14, 15), 17), ((8, 12, 14, 19), 19), ((10, 12, 15, 16), 19)):
+            S = sgp(*gens)
+            assert (S.genus, S.embedding_dimension) == (genus, 4)
+            assert quotient_rank_case(S, 15) == (True, None)
+
 
 class TestRankSweep:
     def test_reproducible(self):
@@ -506,6 +510,20 @@ class TestRankSweep:
         b = rank_sweep(8, 8, seed=2024)
         assert a == b
         assert rank_sweep(8, 8, seed=2025) != a
+
+    def test_one_condition_check_per_row(self, monkeypatch):
+        """Each row checks the Apéry condition once: the low-e search past
+        its gate reuses the row's verdict."""
+        calls = []
+
+        def counted(S):
+            calls.append(S)
+            return full_rank_condition(S)
+
+        monkeypatch.setattr(rank, "full_rank_condition", counted)
+        rows = rank_sweep(50, 8, seed=7)
+        assert len(calls) == len(rows) == 50
+        assert any(row["low_e_d"] != "" for row in rows)
 
     def test_rows_are_consistent(self):
         for row in rank_sweep(12, 8, seed=7):
