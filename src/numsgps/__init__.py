@@ -14,7 +14,6 @@ from .core import (
     is_irreducible,
     is_pseudo_symmetric,
     is_symmetric,
-    preceq,
     pseudo_frobenius,
     remove_minimal_generator,
     semigroup_type,

@@ -158,19 +158,6 @@ class NumericalSemigroup:
         }
 
 
-@dataclass(frozen=True)
-class PartialOrderWitness:
-    """Record of one comparison x ⪯_S y, which holds iff y - x ∈ S."""
-
-    x: int
-    y: int
-    difference_in_S: bool
-
-
-def preceq(S: NumericalSemigroup, x: int, y: int) -> PartialOrderWitness:
-    return PartialOrderWitness(x, y, S.contains(y - x))
-
-
 def _generators_among(gap_mask: int, candidates: int) -> tuple[int, ...]:
     """The minimal generators of the semigroup with the given gap bitmask,
     provided every one of them is a bit of ``candidates``.

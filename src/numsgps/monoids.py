@@ -60,9 +60,12 @@ class MdMonoid:
 
     x_set: tuple[int, ...]
     minimal_system: tuple[int, ...]
-    is_semigroup: bool
     scale: int
     reduced: NumericalSemigroup
+
+    @property
+    def is_semigroup(self) -> bool:
+        return self.scale == 1
 
     def contains(self, x: int) -> bool:
         return x >= 0 and x % self.scale == 0 and self.reduced.contains(x // self.scale)
@@ -93,13 +96,7 @@ def build_monoid(ctx: MultipleContext, xs: Iterable[int]) -> MdMonoid:
     msg_m = tuple(scale * a for a in reduced.msg)
     scaled_msg = {d * a for a in S.msg}
     minimal_system = tuple(a for a in msg_m if a not in scaled_msg)
-    return MdMonoid(
-        x_set=x_tuple,
-        minimal_system=minimal_system,
-        is_semigroup=scale == 1,
-        scale=scale,
-        reduced=reduced,
-    )
+    return MdMonoid(x_tuple, minimal_system, scale, reduced)
 
 
 def decompose_multiple(ctx: MultipleContext, T: NumericalSemigroup) -> tuple[int, ...]:

@@ -95,22 +95,12 @@ def all_with_frobenius(f: int) -> tuple[NumericalSemigroup, ...]:
 
 
 def all_with_frobenius_genus_tree(f: int) -> tuple[NumericalSemigroup, ...]:
-    """Second, independent census: grow semigroups from ℕ by removing one
-    minimal generator above the Frobenius number at a time."""
+    """Second, independent census: the genus tree of
+    :func:`semigroups_by_genus` to genus f, filtered by F(S) = f.  It holds
+    every such S, as g(S) ≤ F(S), and in the same (genus, gaps) order."""
     if f < 1:
         raise InvalidInput(f"the Frobenius number must be positive, got {f}")
-    gap_sets = []
-    frontier = [WHOLE_N]
-    while frontier:
-        nxt = []
-        for S in frontier:
-            for x in S.msg:
-                if x == f:
-                    gap_sets.append(S.gaps + (x,))
-                elif S.frobenius < x < f:
-                    nxt.append(_from_gap_tuple(S.gaps + (x,)))
-        frontier = nxt
-    return _canonical(gap_sets)
+    return tuple(S for S in semigroups_by_genus(f) if S.frobenius == f)
 
 
 def semigroups_by_genus(max_genus: int) -> tuple[NumericalSemigroup, ...]:

@@ -306,9 +306,12 @@ def bounded_low_e_multiple_search(
     and a sum of generators no larger than itself, so d·S ⊆ A ⊆ T, A/d = S
     and e(A) ≤ e(T).  With g = gcd(A), A/g is a (d/g)-multiple of S,
     d/g ≥ 2, with generators up to (d/g)·max msg(S).  So, with d from 2,
-    the first d is the first where :func:`_generator_tuples` finds a tuple
-    H of gcd 1 (a tuple of gcd g > 1 is such an A, found at d/g).  A
-    multiple of least genus g has F ≤ 2g − 1 ≤ 2·g(H) − 1, so the least
+    the first d is the first where :func:`_generator_tuples` finds a tuple,
+    and the first tuple H it finds has gcd 1.  Had H gcd g > 1, g would
+    divide every d·s, s ∈ msg(S), and so d, and H/g would be fewer than
+    e(S) generators of S (g = d) or a tuple of gcd 1 that the walk, whose
+    cuts keep every such tuple, yields, or yields a prefix of, at d/g < d.
+    A multiple of least genus g has F ≤ 2g − 1 ≤ 2·g(H) − 1, so the least
     one comes from :func:`_low_e_multiples` at that reach.
     """
     holds = full_rank_condition(S).condition_holds  # refuses ℕ
@@ -319,12 +322,12 @@ def bounded_low_e_multiple_search(
 
 def _low_e_search(S: NumericalSemigroup, d_max: int) -> tuple[int, NumericalSemigroup] | None:
     """:func:`bounded_low_e_multiple_search` past its gate, for an S that
-    fails the Apéry condition and d_max ≥ 0."""
+    fails the Apéry condition and d_max ≥ 0.  The first tuple found has
+    gcd 1, as proven there, so no gcd is checked."""
     e = S.embedding_dimension
     for d in range(2, d_max + 1):
         ctx = MultipleContext(S, d)
-        tuples = (gens for gens, _ in _generator_tuples(ctx, e - 1) if reduce(gcd, gens) == 1)
-        first = next(tuples, None)
+        first = next((gens for gens, _ in _generator_tuples(ctx, e - 1)), None)
         if first is not None:
             reach = 2 * from_generators(first).genus - 1
             return d, min(_low_e_multiples(ctx, reach, e - 1), key=lambda t: (t.genus, t.gaps))

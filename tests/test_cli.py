@@ -98,6 +98,17 @@ class TestTextFixtures:
         assert code == 0
         assert out == "minimal system {9} md-e=1 semigroup ⟨9,10,14⟩\n"
 
+    def test_md_monoid_not_a_semigroup(self, capsys):
+        """X = ∅ leaves M = 2·⟨5,7,9⟩, of gcd 2, so the scaled monoid is
+        printed and the JSON has no semigroup."""
+        code, out, _ = run(capsys, "md-monoid", "--sgp", "5,7,9", "--d", "2")
+        assert (code, out) == (0, "minimal system {} md-e=0 monoid 2*⟨5,7,9⟩\n")
+        code, out, _ = run(capsys, "md-monoid", "--sgp", "5,7,9", "--d", "2", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["is_semigroup"], payload["semigroup"]) == (False, None)
+        assert (payload["minimal_system"], payload["md_embedding_dimension"]) == ([], 0)
+
     def test_md_monoid_over_whole_n(self, capsys):
         code, out, _ = run(capsys, "md-monoid", "--sgp", "1", "--d", "2", "--x", "3")
         assert (code, out) == (0, "minimal system {3} md-e=1 semigroup ⟨2,3⟩\n")

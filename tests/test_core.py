@@ -28,7 +28,6 @@ from numsgps.core import (
     is_irreducible,
     is_pseudo_symmetric,
     is_symmetric,
-    preceq,
     pseudo_frobenius,
     remove_minimal_generator,
     semigroup_type,
@@ -205,11 +204,7 @@ class TestPseudoFrobenius:
             if S.is_whole_n:
                 continue
             maximals = tuple(
-                z
-                for z in S.gaps
-                if not any(
-                    y != z and preceq(S, z, y).difference_in_S for y in S.gaps
-                )
+                z for z in S.gaps if not any(y != z and S.contains(y - z) for y in S.gaps)
             )
             assert pseudo_frobenius(S) == maximals
 

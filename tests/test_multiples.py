@@ -169,19 +169,33 @@ class TestMaxMultiples:
                 with pytest.raises(CeilingExceeded, match="^more than 0 search paths"):
                     max_multiples(ctx, node_cap=0)
 
+    # msg(S) of the 29 S with genus ≤ 7 whose reference search at d = 4
+    # passes 30,000 visits, each of genus 6 or 7; none does at d = 2 or 3.
+    # Found once by running the reference to that limit on every pair.
+    OVER_VISIT_LIMIT_AT_D4 = frozenset({
+        (3, 8), (4, 5), (4, 6, 9), (4, 6, 11), (4, 7, 9), (4, 7, 10), (5, 6, 9), (5, 7, 8),
+        (4, 6, 13, 15), (4, 9, 10, 15), (5, 7, 8, 9), (5, 7, 9, 11), (5, 7, 9, 13),
+        (5, 8, 9, 11), (5, 8, 9, 12), (6, 7, 8, 9), (6, 7, 8, 10), (6, 7, 8, 11),
+        (6, 7, 9, 10), (6, 7, 9, 11), (6, 7, 8, 9, 10), (6, 7, 8, 9, 11), (6, 8, 9, 10, 11),
+        (6, 8, 9, 10, 13), (6, 8, 9, 11, 13), (7, 8, 9, 10, 11, 12), (7, 8, 9, 10, 11, 13),
+        (7, 8, 9, 10, 12, 13), (7, 8, 9, 11, 12, 13),
+    })
+
     def test_matches_reference_search(self, genus_tree_12):
         """Gap masks and msg equal the reference search's, which visits every
         d-multiple with Frobenius d·F(S), on every S with genus ≤ 7 and
-        d ∈ {2, 3, 4} that has at most 30,000 of them."""
+        d ∈ {2, 3, 4} that has at most 30,000 of them: every pair but the
+        pinned ones, on which the reference would give up after 30,001."""
         cases = 0
         for S in genus_tree_12:
             if not 1 <= S.genus <= 7:
                 continue
             for d in range(2, 5):
+                if d == 4 and S.msg in self.OVER_VISIT_LIMIT_AT_D4:
+                    continue
                 ctx = MultipleContext(S, d)
                 expected = reference_max_multiples(ctx, max_visits=30_000)
-                if expected is None:
-                    continue
+                assert expected is not None, ctx
                 got = max_multiples(ctx).maximals
                 assert [(T.gap_mask, T.msg) for T in got] == [
                     (T.gap_mask, T.msg) for T in expected

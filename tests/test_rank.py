@@ -3,6 +3,7 @@ subset-sum obstruction, the exact low-e search, and the seeded sweep."""
 
 import random
 import time
+from functools import reduce
 from itertools import combinations
 from math import gcd, prod
 
@@ -242,6 +243,25 @@ class TestBoundedLowESearch:
         for S, d_max in cases:
             assert bounded_low_e_multiple_search(S, d_max) is None, S
         assert time.perf_counter() - start < 1
+
+    def test_tuples_to_first_hit_have_gcd_one(self):
+        """Every tuple the walk yields at each d ≤ 15 up to and including
+        the first d with one has gcd 1, on every S with e(S) ≥ 3 and genus
+        ≤ 9 that fails the Apéry condition: the search takes its first
+        tuple without a gcd check.  ⟨3,14,16⟩ first hits at d = 19."""
+        cases = hits = 0
+        for S in semigroups_by_genus(9):
+            e = S.embedding_dimension
+            if e < 3 or full_rank_condition(S).condition_holds:
+                continue
+            cases += 1
+            for d in range(2, 16):
+                found = [gens for gens, _ in _generator_tuples(MultipleContext(S, d), e - 1)]
+                assert all(reduce(gcd, gens) == 1 for gens in found), (S, d)
+                if found:
+                    hits += 1
+                    break
+        assert (cases, hits) == (245, 244)
 
     def test_457_finds_57_at_d3(self):
         S = sgp(4, 5, 7)
