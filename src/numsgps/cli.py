@@ -12,7 +12,8 @@ and DOT) yield chunks node by node or line by line from each fiber's flat
 preorder lists, so its output, which grows with the cube of the tree
 depth as JSON, never has to fit in memory.  The JSON of a semigroup
 listing (``max-multiples`` and the oracle census and bounded multiples)
-is streamed too.  Both JSON streams write a semigroup's JSON object
+is streamed too.  Both JSON streams write their head, S and the int
+fields, with :func:`_json_head`, and every semigroup, S included,
 through one template, :func:`_semigroup_json`, from constant pieces built
 once per nesting level, as three chunks: up to its gap list, the gaps,
 and the rest, so the gap list, the bulk of a deep fiber's JSON, is never
@@ -22,9 +23,10 @@ tree or listing; the fiber text and JSON also build each depth's pieces
 once.  Those tables grow with the largest integer printed and with the
 square of the tree depth.  All search happens in the handler, so a
 refusal comes before the first byte.  :func:`main` alone picks the
-format, runs the one renderer it names, encodes small payloads with the
-standard library's ``json`` (:func:`canonical_json`) and streams the
-chunks to ``--out`` or stdout.  An unwritable path is invalid input.
+format, runs the one renderer it names, encodes the one-shot payloads
+with the standard library's ``json`` (:func:`canonical_json`) and
+streams the chunks to ``--out`` or stdout; no streamed output, head
+included, goes through ``json``.  An unwritable path is invalid input.
 
 Exit codes: 0 success, 2 invalid input, 3 budget or ceiling exceeded,
 4 internal invariant violation.  JSON is canonical (sorted keys, two-space
@@ -51,11 +53,11 @@ from .errors import CeilingExceeded, InvalidInput, NumsgpsError
 def canonical_json(payload) -> str:
     """The payload as sorted-key, two-space-indented JSON with a final
     newline.  With ``indent`` the standard library encoder is its pure
-    Python one, which recurses once per nesting level, so only small
-    payloads come through here: the fiber forest is written chunk by chunk
-    from its preorder lists by :func:`_trees_json`, and a semigroup
-    listing one semigroup at a time by :func:`_listing`; each takes only
-    its head from here."""
+    Python one, which recurses once per nesting level, so only the small
+    one-shot payloads come through here.  The fiber forest
+    (:func:`_trees_json`) and the semigroup listings (:func:`_listing`)
+    are written chunk by chunk, their heads by :func:`_json_head`, and
+    match this function's text byte for byte."""
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
@@ -86,31 +88,27 @@ def _join(values) -> str:
     return ",".join(map(str, values))
 
 
-def _listing(semigroups, key: str, ctx=None, **fields) -> dict:
+def _listing(semigroups, key: str, S=None, **fields) -> dict:
     """Renderers of a semigroup list sorted by msg: one per line as text,
-    under ``key`` (after the S/d head when ctx is given) as JSON.
+    under ``key`` (after S, when given, and the int ``fields``) as JSON.
 
     The JSON is canonical_json of that payload, byte for byte, in chunks:
-    the head, which is the payload with an empty list cut before its
-    ``[]`` (``key`` sorts after every other key), then the
-    :func:`_semigroup_json` chunks of each semigroup, then the close.  An
-    empty list is the head as it is."""
+    the :func:`_json_head` of S and the fields, then the
+    :func:`_semigroup_json` chunks of each semigroup, then the close."""
     ordered = sorted(semigroups, key=lambda s: s.msg)
 
     def json_chunks():
-        head = canonical_json({**(_head(ctx) if ctx else {}), **fields, key: []})
-        if not ordered:
-            yield head
-            return
-        start, _, end = head.rpartition("[]")
         names: list = []
+        yield from _json_head(names, key, S, **fields)
+        if not ordered:
+            yield "]\n}\n"
+            return
         _name_through(names, (T.gap_mask for T in ordered), (T.msg for T in ordered))
-        level = _json_level(2, "\n    ", "")
-        opening = start + "["
+        opening = ""
         for T in ordered:
-            yield from _semigroup_json(opening, T.gap_mask, T.msg, names, level)
+            yield from _semigroup_json(opening, T.gap_mask, T.msg, names, _LISTED)
             opening = ","
-        yield "\n  ]" + end
+        yield "\n  ]\n}\n"
 
     return {"json": json_chunks, "text": lambda: "".join(f"{t}\n" for t in ordered)}
 
@@ -158,7 +156,8 @@ def _cmd_is_multiple(args) -> dict:
 
 def _cmd_max_multiples(args) -> dict:
     ctx = _context(args)
-    return _listing(multiples.max_multiples(ctx, args.max_nodes).maximals, "maximals", ctx)
+    maximals = multiples.max_multiples(ctx, args.max_nodes).maximals
+    return _listing(maximals, "maximals", ctx.semigroup, d=ctx.d)
 
 
 def _name_through(names: list, gap_masks, msgs) -> None:
@@ -234,6 +233,27 @@ def _semigroup_json(head: str, G: int, msg: tuple[int, ...], names: list, level)
     )
 
 
+_HEAD_S = _json_level(1, '{\n  "S": ', ",")  # S, first key of a streamed head
+_LISTED = _json_level(2, "\n    ", "")  # a semigroup in a listing
+
+
+def _json_head(names: list, key: str, S=None, **fields):
+    r"""The head of a streamed canonical JSON object whose last key,
+    ``key``, holds a list, as chunks through that list's ``[``: S (when
+    given) through :func:`_semigroup_json`, after ``names`` is grown
+    through it, then the int ``fields`` in sorted key order.  This is
+    canonical_json's text: ``"S"`` sorts before every lowercase key, each
+    caller's ``key`` sorts after its fields, and an int is written as
+    ``str(int)``.  The caller closes the object with ``\n  ]\n}\n``, or
+    with ``]\n}\n`` when its list is empty."""
+    if S is None:
+        yield "{"
+    else:
+        _name_through(names, (S.gap_mask,), (S.msg,))
+        yield from _semigroup_json("", S.gap_mask, S.msg, names, _HEAD_S)
+    yield "".join(f'\n  "{k}": {v},' for k, v in sorted(fields.items())) + f'\n  "{key}": ['
+
+
 def _fiber_level(k: int) -> tuple[str, ...]:
     """The constant pieces of a fiber node's JSON object at depth k, whose
     braces sit at nesting level 2 + 2k: its opening through its children's
@@ -251,8 +271,8 @@ def _fiber_level(k: int) -> tuple[str, ...]:
 
 def _trees_json(ctx, trees):
     """canonical_json of the fiber-tree payload (the S/d head, then
-    ``trees``), byte for byte, in chunks written from the trees' preorder
-    lists.
+    ``trees``), byte for byte, in chunks: the :func:`_json_head`, then
+    the nodes written from the trees' preorder lists.
 
     A node's ``"children"`` key sorts first, so its chunk opens that list.
     The list stays open while the next node is deeper, as that node is its
@@ -269,9 +289,8 @@ def _trees_json(ctx, trees):
     node's text.  ``trees`` is not empty: every S other than ℕ has a
     maximal d-multiple.
     """
-    start, _, end = canonical_json({**_head(ctx), "trees": []}).rpartition("[]")
-    yield start + "["
     names: list = []
+    yield from _json_head(names, "trees", ctx.semigroup, d=ctx.d)
     levels: list = []
     for t, tree in enumerate(trees):
         gap_mask, msg, removed, depth, parent = (
@@ -295,7 +314,7 @@ def _trees_json(ctx, trees):
                 x = "null" if j == 0 else names[removed[j]]
                 yield from _semigroup_json(fields + x, gap_mask[j], msg[j], names, level)
                 j = parent[j]
-    yield "\n  ]" + end
+    yield "\n  ]\n}\n"
 
 
 def _trees_dot(trees):
@@ -456,7 +475,7 @@ def _cmd_oracle_multiples(args) -> dict:
         hard_node_limit=args.limit,
     )
     found = oracle.all_multiples_bounded(ctx, budget)
-    return _listing(found, "multiples", ctx, max_frobenius=args.max_frobenius)
+    return _listing(found, "multiples", ctx.semigroup, d=ctx.d, max_frobenius=args.max_frobenius)
 
 
 # An option is (flag, keyword arguments of add_argument).

@@ -151,9 +151,12 @@ def _gap_masks(ctx: MultipleContext, node_cap: int | None):
     positions = [p for p in range(1, N) if p % d]
     blockers = []
     for p in positions:
-        W = 0
-        for kp in range(p, N + 1, p):
-            W |= B >> kp
+        # W_p by doubling: B >> kp for k = 1 … 2^j after j steps, and a
+        # shift past N adds nothing, as B lies in [0, N].
+        W, step = B >> p, p
+        while step < N:
+            W |= W >> step
+            step *= 2
         blockers.append(W)
     # The last free position in each W_p, or -1.
     last = [(W & ~steps).bit_length() - 1 for W in blockers]

@@ -485,7 +485,9 @@ class TestListingJson:
         assert cases == 3 * 14
 
     def test_census(self, capsys):
-        for f in range(1, 13):
+        # Every census the CLI allows, so the templated count/f head is
+        # checked against the standard library on each.
+        for f in range(1, cli._CENSUS_CEILING + 1):
             found = all_with_frobenius(f)
             expected = listing_json_reference(
                 {"f": f, "count": len(found)}, "semigroups", found
@@ -498,6 +500,7 @@ class TestListingJson:
         [
             ("1", 2, 3, 3),  # ℕ, ⟨2,3⟩, ⟨2,5⟩: ℕ has F = -1 and no gaps
             ("3,5", 2, 5, 0),  # no multiple with F ≤ 5: an empty list
+            ("2,3", 1000, 5, 0),  # empty, and d is past every name in the table
             ("3,4,5", 2, 9, 12),
         ],
     )
