@@ -13,11 +13,14 @@ preorder lists, so its output, which grows with the cube of the tree
 depth as JSON, never has to fit in memory.  The JSON of a semigroup
 listing (``max-multiples`` and the oracle census and bounded multiples)
 is streamed too.  Both JSON streams write their head, S and the int
-fields, with :func:`_json_head`, and every semigroup, S included,
-through one template, :func:`_semigroup_json`, from constant pieces built
-once per nesting level, as three chunks: up to its gap list, the gaps,
-and the rest, so the gap list, the bulk of a deep fiber's JSON, is never
-copied into a larger string.  They and the fiber text format each integer
+fields, with :func:`_json_head`.  S, a listed semigroup and a fiber's
+root go through one template, :func:`_semigroup_json`; :func:`_trees_json`
+writes every other fiber node inline from the same constant pieces, built
+once per nesting level.  Either way a semigroup is three chunks: up to
+its gap list, the gaps, and the rest, so the gap list, the bulk of a deep
+fiber's JSON, is never copied into a larger string.  A fiber child
+P ∖ {x} with x > F(P) writes P's gaps, joined once and held while the
+closes share P, and then x.  They and the fiber text format each integer
 once per output, into a table of names read by index and grown once per
 tree or listing; the fiber text and JSON also build each depth's pieces
 once.  Those tables grow with the largest integer printed and with the
@@ -220,8 +223,10 @@ def _semigroup_json(head: str, G: int, msg: tuple[int, ...], names: list, level)
     :func:`_json_level`, and every integer is read from ``names``, which
     the caller has grown (:func:`_name_through`).  The gaps are picked by
     the bits of the gap mask G, without building the gap tuple, and their
-    chunk, the bulk of a deep fiber's JSON, is never copied into a larger
-    string.  ℕ, with no gaps, is one chunk."""
+    chunk is never copied into a larger string.  ℕ, with no gaps, is one
+    chunk.  It writes S, the listed semigroups and a fiber's root;
+    :func:`_trees_json` writes the other fiber nodes inline from the same
+    level pieces."""
     opening, gaps, sep, genus, msg_key, close, field = level
     gens = sep.join(map(names.__getitem__, msg))
     if not G:  # ℕ
@@ -278,19 +283,32 @@ def _trees_json(ctx, trees):
     The list stays open while the next node is deeper, as that node is its
     first child; otherwise the node is closed, with its fields, and so is
     each ancestor, found by parent index, whose depth is not less than the
-    next node's.  A closed node is its :func:`_semigroup_json` chunks, the
-    first of which also holds the node's own fields.  Each integer is
-    formatted once per output, into a table of names grown once per tree
-    (:func:`_name_through`), and the pieces of each depth
-    (:func:`_fiber_level`) are built once; at depth k they hold about 90k
-    characters, so a forest of depth K keeps about 45K² bytes of them
-    (11 MB at K = 500, where one deepest node's gap list alone holds about
-    1M characters).  Memory stays at the trees, those tables and one
-    node's text.  ``trees`` is not empty: every S other than ℕ has a
+    next node's.  One loop closes them, writing each node inline from the
+    pieces of its depth (:func:`_fiber_level`, whose semigroup pieces are
+    those :func:`_semigroup_json` writes listings with) as three chunks:
+    up to its gap list, the gaps, and the rest.  Only the root goes
+    through :func:`_semigroup_json`.
+
+    A child T = P ∖ {x} with x > F(P), about nine nodes in ten, has the
+    gaps of P followed by x, and F(T) = x.  Its gap list is written as
+    the gaps of P, joined at the children's indent, then a separator and
+    x.  That join is held while the closes share P, as consecutive
+    leaves do, and made again when P changes; one list is held, not one
+    per open ancestor.  The root and a child with x < F(P), whose x lands
+    mid-list, join their own gaps.
+
+    Each integer is formatted once per output, into a table of names
+    grown once per tree (:func:`_name_through`), and the pieces of each
+    depth are built once; at depth k they hold about 90k characters, so a
+    forest of depth K keeps about 45K² bytes of them (11 MB at K = 500,
+    where one deepest node's gap list alone holds about 1M characters).
+    Memory stays at the trees, those tables, one node's text and one held
+    parent gap list.  ``trees`` is not empty: every S other than ℕ has a
     maximal d-multiple.
     """
     names: list = []
     yield from _json_head(names, "trees", ctx.semigroup, d=ctx.d)
+    name = names.__getitem__
     levels: list = []
     for t, tree in enumerate(trees):
         gap_mask, msg, removed, depth, parent = (
@@ -299,21 +317,39 @@ def _trees_json(ctx, trees):
         _name_through(names, gap_mask, msg)
         levels.extend(map(_fiber_level, range(len(levels), max(depth) + 1)))
         last = len(depth) - 1
+        held_for = -1  # the parent whose gaps ``held`` joins
         for i, k in enumerate(depth):
-            first, later, fields, _, level = levels[k]
+            first, later, fields, _, _ = levels[k]
             opening = first if (depth[i - 1] < k if i else t == 0) else later
             after = depth[i + 1] if i < last else 0
             if after > k:
                 yield opening
                 continue
-            x = "null" if i == 0 else names[removed[i]]
-            yield from _semigroup_json(f"{opening}{fields}{x}", gap_mask[i], msg[i], names, level)
-            j = parent[i]
-            while j >= 0 and depth[j] >= after:
-                _, _, _, fields, level = levels[depth[j]]
-                x = "null" if j == 0 else names[removed[j]]
-                yield from _semigroup_json(fields + x, gap_mask[j], msg[j], names, level)
-                j = parent[j]
+            j, head = i, opening + fields
+            while j:
+                frobenius, gaps, sep, genus, msg_key, close, _ = levels[depth[j]][4]
+                G, p = gap_mask[j], parent[j]
+                x = names[removed[j]]
+                rest = f"{genus}{names[G.bit_count()]}{msg_key}{sep.join(map(name, msg[j]))}{close}"
+                if gap_mask[p] >> removed[j]:  # x < F(P): x lands mid-list
+                    yield f"{head}{x}{frobenius}{names[G.bit_length() - 1]}{gaps}"
+                    yield sep.join(compress(names, _bit_flags(G)))
+                    yield rest
+                else:  # the gaps of P, then x
+                    if p != held_for:
+                        held, held_for = sep.join(compress(names, _bit_flags(gap_mask[p]))), p
+                    if held:
+                        yield f"{head}{x}{frobenius}{x}{gaps}"
+                        yield held
+                        yield f"{sep}{x}{rest}"
+                    else:  # P is ℕ
+                        yield f"{head}{x}{frobenius}{x}{gaps}{x}{rest}"
+                j = p
+                if depth[j] < after:
+                    break
+                head = levels[depth[j]][3]
+            else:
+                yield from _semigroup_json(head + "null", gap_mask[0], msg[0], names, levels[0][4])
     yield "\n  ]\n}\n"
 
 

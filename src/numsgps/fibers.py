@@ -180,7 +180,7 @@ def children(ctx: MultipleContext, T: NumericalSemigroup) -> tuple[FiberNode, ..
     return tuple(FiberNode(_removed(T, x), x, 0) for x in _child_pairs(ctx, T.gap_mask, T.msg))
 
 
-def _child_pairs(ctx, G, msg, x_max=None):
+def _child_pairs(ctx, G, msg, x_max=None, x_min=0):
     # The ascending removed generators x of the children of T, the
     # semigroup with gap mask G and msg, decided from bits; nothing is
     # built here.  enumerate_fiber calls it only at a root and at a child
@@ -196,22 +196,34 @@ def _child_pairs(ctx, G, msg, x_max=None):
     # z ∈ PF(T'), 2z ∈ T' and z ∉ d·gaps(S).  The members a (a ∈ msg(T), a ≠ x), x + a and 3x
     # generate T' (see core._removed_msg), so z > x is in PF(T') iff it is a
     # gap with no z + c a gap for those c; above bit x the gap mask of T' is
-    # G, so the shifts are shifts of G.  No verdict is cached: one child is
+    # G, so the shifts are shifts of G, and they are built only when some
+    # x < F outside d·S is left to probe.  No verdict is cached: one child is
     # probed from several parents, with different x.  F(T') > x_max (a
     # Frobenius bound) would only be dropped, so only the x ≤ x_max are
     # probed.
+    #
+    # Only the x > x_min are probed, where the walk passes x_min = θ(T), the
+    # generator T was reached by removing.  No x < θ(T) is a child: when
+    # F = d·F(S), x0 = θ(T) is the largest addable gap of T, and for a
+    # generator x < x0, x0 stays a gap of T ∖ {x}; it stays
+    # pseudo-Frobenius, as each x0 + s with 0 < s ∈ T is in T and above x;
+    # 2·x0 ∈ T stays in T ∖ {x}, as 2·x0 > x; and x0 stays outside
+    # d·gaps(S).  So θ(T ∖ {x}) ≥ x0 > x.
+    # When F ≠ d·F(S), θ(T) = F and every kept x exceeds F anyway.
     d, scaled, F = ctx.d, ctx.scaled_gap_mask, G.bit_length() - 1
+    start = bisect_right(msg, x_min)
     end = len(msg) if x_max is None else bisect_right(msg, x_max)
     if F != ctx.scaled_frobenius:
-        return [x for x in msg[bisect_right(msg, F):end] if x % d]
-    shifted = [G >> a for a in msg]
-    before = [0, *accumulate(shifted, or_)]  # before[i]: a < msg[i]
-    after = [*accumulate(reversed(shifted), or_)][::-1] + [0]  # a ≥ msg[i]
-    out = []
-    for i, x in enumerate(msg[:end]):
+        return [x for x in msg[max(start, bisect_right(msg, F)):end] if x % d]
+    out, before = [], None
+    for i, x in enumerate(msg[start:end], start):
         if x % d == 0 and not scaled >> x & 1:  # x ∈ d·S
             continue
         if x < F:
+            if before is None:
+                shifted = [G >> a for a in msg]
+                before = [0, *accumulate(shifted, or_)]  # before[i]: a < msg[i]
+                after = [*accumulate(reversed(shifted), or_)][::-1] + [0]  # a ≥ msg[i]
             # Shifts by c = a ≠ x, then x + a, then 3x.
             covered = before[i] | after[i + 1] | after[0] >> x | G >> 3 * x
             pf = G & ~(covered | scaled | (2 << x) - 1)  # PF(T') above x, off d·gaps(S)
@@ -256,8 +268,9 @@ def enumerate_fiber(
     takes its edges from P without a look at its bits.  A child with
     x < F(P) (so F(T) = d·F(S)) or x = m(P) (an ordinary P, which gains more
     generators) gets its msg from the kernel, and it and the root get their
-    edges from :func:`_child_pairs`, as :func:`children` does.  No θ result
-    is cached across nodes.
+    edges from :func:`_child_pairs`, as :func:`children` does, but for
+    such a child only its generators above x are probed: x = θ(T), and no
+    generator below θ(T) is a child.  No θ result is cached across nodes.
     """
     bounds.require_finite()
     _require_multiple(ctx, root)
@@ -310,7 +323,7 @@ def enumerate_fiber(
         else:
             T_msg = _removed_msg(P_mask, P_msg, x)
             if k < limit:
-                own = _child_pairs(ctx, T_mask, T_msg, x_max)[::-1]
+                own = _child_pairs(ctx, T_mask, T_msg, x_max, x)[::-1]
         if own:
             stack.append((len(msg), own))
         gap_mask.append(T_mask)

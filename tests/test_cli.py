@@ -341,14 +341,13 @@ def reference_forest(sgp_arg, d, root, bounds):
     return ctx, [reference_fiber_walk(ctx, r, bounds) for r in roots]
 
 
-def fiber_json_reference(sgp_arg, d, root, bounds) -> str:
-    """The fiber-tree JSON built as nested dicts from the nested reference
-    walk and dumped by the standard library, to hold the streamed output
-    against."""
-    ctx, trees = reference_forest(sgp_arg, d, root, bounds)
+def fiber_json_reference(ctx, trees) -> str:
+    """The fiber-tree JSON built as nested dicts from the trees of the
+    nested reference walk (:func:`reference_forest`) and dumped by the
+    standard library, to hold the streamed output against."""
     payload = {
         "S": ctx.semigroup.to_json_dict(),
-        "d": d,
+        "d": ctx.d,
         "trees": [fiber_node_to_json_dict(node) for node in trees],
     }
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
@@ -360,51 +359,90 @@ class TestFiberJson:
 
     @staticmethod
     def cases():
-        # Every S with F(S) <= 5, d in {2, 3}, each kind of truncation; many
-        # of these contexts have more than one maximal multiple, so a forest.
+        """(argv, S, d, root, bounds) of each case: every S with F(S) <= 5,
+        d in {2, 3}, each kind of truncation; many of these contexts have
+        more than one maximal multiple, so a forest."""
+        def case(sgp_arg, d, root, **bound):
+            argv = ["fiber-tree", "--sgp", sgp_arg, "--d", str(d)]
+            for key, value in bound.items():
+                argv += ["--" + key.replace("_", "-"), str(value)]
+            if root is not None:
+                argv += ["--root", root]
+            return argv, sgp_arg, d, root, fibers.TruncationBounds(**bound)
+
         for f in range(1, 6):
             for S in all_with_frobenius(f):
                 for d in (2, 3):
                     f0 = d * f
-                    for flag, value in (
-                        ("--max-genus", f0 // 2 + 4),
-                        ("--max-frobenius", f0 + 4),
-                        ("--max-depth", 3),
-                        ("--max-nodes", 25),
+                    for bound in (
+                        {"max_genus": f0 // 2 + 4},
+                        {"max_frobenius": f0 + 4},
+                        {"max_depth": 3},
+                        {"max_nodes": 25},
                     ):
-                        yield ",".join(map(str, S.msg)), d, None, flag, value
+                        yield case(",".join(map(str, S.msg)), d, None, **bound)
         # An explicit root, and ℕ as a root (its gap list is empty).
-        yield "2,3", 11, "5,7,8,9", "--max-genus", 8
-        yield "1", 2, "1", "--max-nodes", 5
+        yield case("2,3", 11, "5,7,8,9", max_genus=8)
+        yield case("1", 2, "1", max_nodes=5)
         # Node caps that cut a deep fiber between siblings, and a forest of
         # 8 roots with every tree cut.
         for cap in (1, 2, 7):
-            yield "3,4,5", 3, None, "--max-nodes", cap
-        yield "2,3", 13, None, "--max-nodes", 90
+            yield case("3,4,5", 3, None, max_nodes=cap)
+        yield case("2,3", 13, None, max_nodes=90)
+        # A forest with many children T = P ∖ {x} with x < F(P), whose x
+        # lands mid-list, and a node-capped chain 119 levels deep.
+        yield case("4,6,13,15", 3, None, max_frobenius=39, max_nodes=300)
+        yield case("3,5,7", 3, None, max_nodes=120)
+
+    @staticmethod
+    def gap_list_kinds(trees) -> set:
+        """The ways the renderer writes the gap lists of these trees, read
+        off the nested reference walk.  A child T = P ∖ {x} with x > F(P)
+        is written from P's gaps, which are held while the closes, in
+        postorder, share P: "replaced" when P's held list is replaced by
+        another parent's and joined again, "ℕ parent" when P's list is
+        empty.  A child with x < F(P) is "mid-list"."""
+        kinds = set()
+        for root in trees:
+            held, joined = None, set()  # the held P, and every P joined so far
+            stack = [(root, None, False)]
+            while stack:
+                node, parent, expanded = stack.pop()
+                if not expanded:
+                    stack.append((node, parent, True))
+                    stack.extend((c, node, False) for c in reversed(node.children))
+                elif parent is None:
+                    continue
+                elif node.removed_generator < parent.semigroup.frobenius:
+                    kinds.add("mid-list")
+                else:
+                    if parent.semigroup.is_whole_n:
+                        kinds.add("ℕ parent")
+                    if parent is not held:
+                        if id(parent) in joined:
+                            kinds.add("replaced")
+                        held = parent
+                        joined.add(id(parent))
+        return kinds
 
     def test_matches_reference(self, capsys):
         forests = 0
-        for sgp_arg, d, root, flag, value in self.cases():
-            argv = ["fiber-tree", "--sgp", sgp_arg, "--d", str(d), flag, str(value)]
-            if root is not None:
-                argv += ["--root", root]
+        kinds = set()
+        for argv, sgp_arg, d, root, bounds in self.cases():
             code, out, err = run(capsys, *argv, "--format", "json")
-            bounds = fibers.TruncationBounds(**{flag[2:].replace("-", "_"): value})
-            expected = fiber_json_reference(sgp_arg, d, root, bounds)
-            assert (code, err) == (0, "") and out == expected, argv
-            forests += len(json.loads(out)["trees"]) > 1
+            ctx, trees = reference_forest(sgp_arg, d, root, bounds)
+            assert (code, err) == (0, "") and out == fiber_json_reference(ctx, trees), argv
+            forests += len(trees) > 1
+            kinds |= self.gap_list_kinds(trees)
         assert forests > 10
+        assert kinds == {"replaced", "mid-list", "ℕ parent"}
 
     def test_text_matches_reference(self, capsys):
         """The text format on the same cases: one line per node of the
         nested reference walk in preorder, indented by depth and tagged
         with the removed generator."""
-        for sgp_arg, d, root, flag, value in self.cases():
-            argv = ["fiber-tree", "--sgp", sgp_arg, "--d", str(d), flag, str(value)]
-            if root is not None:
-                argv += ["--root", root]
+        for argv, sgp_arg, d, root, bounds in self.cases():
             code, out, err = run(capsys, *argv)
-            bounds = fibers.TruncationBounds(**{flag[2:].replace("-", "_"): value})
             lines = []
             for node in reference_forest(sgp_arg, d, root, bounds)[1]:
                 stack = [node]

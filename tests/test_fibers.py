@@ -242,6 +242,35 @@ class TestChildren:
                         assert theta(ctx, node.semigroup) == x
                         assert frozenset(node.semigroup.gaps) == frozenset(R.gaps) | {x}
 
+    def test_children_exceed_theta(self, small_semigroups):
+        """Every child T ∖ {x} of a non-maximal d-multiple T has x > θ(T),
+        so the walk probes a child T = P ∖ {x0}, whose θ is x0, only above
+        x0; along every fiber branch the removed generators rise."""
+        at_f0 = 0  # T with F(T) = d·F(S) and a child, where x > θ(T) needs the proof
+        for S in small_semigroups:
+            if S.frobenius > 5:
+                continue
+            for d in (2, 3):
+                ctx = MultipleContext(S, d)
+                budget = EnumerationBudget(d * S.frobenius + 5, 45, 4000)
+                for T in all_multiples_bounded(ctx, budget):
+                    t = theta(ctx, T)
+                    if t is None:
+                        continue
+                    xs = [n.removed_generator for n in children(ctx, T)]
+                    assert all(x > t for x in xs), (S, d, T)
+                    at_f0 += bool(xs) and T.frobenius == d * S.frobenius
+        assert at_f0 > 200
+        for gens, d, bound in FLAT_WALK_CASES:
+            ctx = ctx_of(gens, d)
+            roots = [WHOLE_N] if gens == (1,) else max_multiples(ctx).maximals
+            for R in roots:
+                tree = enumerate_fiber(ctx, R, TruncationBounds(**bound))
+                x = tree.removed_generator
+                for i, p in enumerate(tree.parent):
+                    if p > 0:
+                        assert x[i] > x[p], (gens, d, bound, i)
+
 
 class TestDivisibility:
     def test_examples(self):
@@ -454,9 +483,9 @@ class TestEnumerateFiber:
         runs both branches."""
         probed = []
 
-        def counted(ctx, G, msg, x_max=None):
+        def counted(ctx, G, msg, x_max=None, x_min=0):
             probed.append(NumericalSemigroup(G, msg))
-            return _child_pairs(ctx, G, msg, x_max)
+            return _child_pairs(ctx, G, msg, x_max, x_min)
 
         monkeypatch.setattr("numsgps.fibers._child_pairs", counted)
         ctx = ctx_of(gens, d)
