@@ -1,11 +1,15 @@
 """Command-line surface: stable text/JSON/DOT output for every subsystem.
 
 Each subcommand is one row of the table :data:`_COMMANDS` (path, help,
-handler, formats, options), and :func:`build_parser` loops over it.
-:func:`main` builds that parser once per process, on its first call, and
-parses every later argv with it too: in-process callers parse many argv,
-and a parse leaves the parser as it was.  A handler computes its result
-once and returns one zero-argument renderer per format.  A renderer
+handler, formats, options), and both parsers are read from it.
+:func:`_plain_args` parses a plain argv, a command path followed only by
+``--flag value`` pairs that spell out that row's options in full with
+valid values, from a table built once at import.  Every other argv
+(``--out``, help, an abbreviation, ``--flag=value``, ``--``, a dash-led
+value and every usage error) goes unchanged to the argparse parser of
+:func:`build_parser`, built once per process on its first such argv, so
+argparse alone writes help and usage errors.  A handler computes its
+result once and returns one zero-argument renderer per format.  A renderer
 returns text, a small JSON payload (a dict, under ``"json"``) or an
 iterable of text chunks; the three ``fiber-tree`` renderers (text, JSON
 and DOT) yield chunks node by node or line by line from each fiber's flat
@@ -523,8 +527,8 @@ _TEXT_JSON = ("text", "json")
 
 # The command table in --help order: (path, help, handler, formats,
 # *options) per subcommand, where a row without a handler is a group.
-# :func:`main` reads it once per process, when it first builds its parser,
-# since in-process callers parse many argv with that parser.
+# Both parsers read it once per process: :func:`build_parser`, when
+# :func:`main` first needs argparse, and :func:`_plain_rows`, at import.
 _COMMANDS = (
     ("info", "invariants of one semigroup", _cmd_info, _TEXT_JSON, _SGP),
     ("quotient", "compute T/d", _cmd_quotient, _TEXT_JSON, _SGP, _D),
@@ -560,7 +564,8 @@ _COMMANDS = (
 
 def build_parser() -> argparse.ArgumentParser:
     """A new parser for every row of the table.  :func:`main` builds one per
-    process, through :func:`_parser`, since in-process callers parse many argv."""
+    process, through :func:`_parser`, and gives it every argv that is not
+    plain (:func:`_plain_args`): it alone writes help and usage errors."""
     parser = argparse.ArgumentParser(
         prog="numsgps",
         description="Numerical semigroups, their d-multiples, fiber trees and rank tools.",
@@ -583,8 +588,73 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser :func:`main` uses, built on its first call."""
+    """The argparse parser :func:`main` gives an argv that is not plain,
+    built on the first such call."""
     return build_parser()
+
+
+def _plain_rows() -> dict:
+    """The plain parser's table, keyed by each leaf row's path as a tuple of
+    words: the number of words, the Namespace attributes that argparse
+    gives when no option is given (``out``, the command dests, every dest
+    at its default, ``format`` and ``run``), the dests of the required
+    options, and per option string its dest, type and choices."""
+    rows = {}
+    for path, _, run, formats, *options in _COMMANDS:
+        if run is None:
+            continue
+        words = tuple(path.split())
+        defaults = {"out": None, "command": words[0], "run": run}
+        defaults.update((f"{group}_command", leaf) for group, leaf in zip(words, words[1:]))
+        flags, required = {}, []
+        for flag, spec in options:
+            dest = flag[2:].replace("-", "_")
+            defaults[dest] = spec.get("default")
+            flags[flag] = (dest, spec.get("type"), spec.get("choices"))
+            if spec.get("required"):
+                required.append(dest)
+        if formats:
+            defaults["format"] = "text"
+            flags["--format"] = ("format", None, formats)
+        rows[words] = (len(words), defaults, tuple(required), flags)
+    return rows
+
+
+_PLAIN = _plain_rows()
+
+
+def _plain_args(argv):
+    """The Namespace that argparse gives a plain argv, or None when argv is
+    not plain.  A plain argv is the words of a leaf row's path, then only
+    pairs of one of that row's option strings, spelled out in full, and a
+    value that does not start with ``-``, converts with the option's type
+    and is one of its choices; every required option is given, and a
+    repeated option keeps its last value.  Anything else, help and every
+    usage error included, is left to argparse."""
+    row = _PLAIN.get(tuple(argv[:1])) or _PLAIN.get(tuple(argv[:2]))
+    if row is None:
+        return None
+    n, defaults, required, flags = row
+    if (len(argv) - n) % 2:
+        return None
+    values = defaults.copy()
+    for flag, value in zip(argv[n::2], argv[n + 1::2]):
+        option = flags.get(flag)
+        if option is None or value[:1] == "-":
+            return None
+        dest, kind, choices = option
+        if kind is not None:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    for dest in required:
+        if values[dest] is None:
+            return None
+    return argparse.Namespace(**values)
 
 
 def _chunks(rendered):
@@ -611,7 +681,10 @@ def _write(path, chunks) -> None:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     try:
         renderer = args.run(args)[getattr(args, "format", "text")]
         _write(args.out, _chunks(renderer()))

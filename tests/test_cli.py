@@ -7,6 +7,7 @@ import inspect
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -945,11 +946,13 @@ def outcome(capsys, argv, out_path):
 
 
 class TestOneRowParser:
-    """main parses every argv with the one parser it built on its first
-    call.  Each of these argv (help, usage errors, every ``--out``
-    spelling), run in order on that parser after every earlier one, gives
-    the outcome of a freshly built parser byte for byte.  The class keeps
-    the name of the one-row parser these argv were first written for."""
+    """main parses a plain argv from the command table and every other argv
+    with the one argparse parser it built on the first.  Each of these argv
+    (plain ones, help, usage errors, every ``--out`` spelling and the other
+    spellings only argparse reads), run in order after every earlier one,
+    gives the outcome of a freshly built argparse parser alone, byte for
+    byte.  The class keeps the name of the one-row parser these argv were
+    first written for."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -996,12 +999,20 @@ class TestOneRowParser:
             ["info", "--help"],
             ["oracle", "--help"],
             ["oracle", "multiples-bounded", "-h"],
+            # spellings the plain parser leaves to argparse, and an empty value
+            ["quotient", "--sg", "6,9,11", "--d", "5"],
+            ["quotient", "--sgp=6,9,11", "--d", "5"],
+            ["quotient", "--sgp", "6,9,11", "--d", "-3"],
+            ["quotient", "--sgp", "6,9,11", "--d", "x"],
+            ["quotient", "--sgp", "6,9,11", "--d"],
+            ["md-monoid", "--sgp", "5,7,9", "--d", "2", "--x", ""],
         ],
     )
     def test_same_as_full_parser(self, capsys, monkeypatch, tmp_path, argv):
         out_path = tmp_path / "out.txt"
         reused = outcome(capsys, argv, out_path)
         assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_plain_args", lambda argv: None)
         monkeypatch.setattr(cli, "_parser", cli.build_parser)
         assert outcome(capsys, argv, out_path) == reused
 
@@ -1016,6 +1027,79 @@ class TestOneRowParser:
         assert outcome(capsys, ["oracle"], out_path)[2].endswith(
             "\nnumsgps oracle: error: the following arguments are required: oracle_command\n"
         )
+
+
+def _row_argvs(path, formats, options, rng):
+    """Plain argv of one table row: its required options, then each other
+    option added, all options in shuffled orders, and each option given
+    twice with a different value last."""
+    words = path.split()
+    first, last = {}, {}
+    for flag, spec in options:
+        first[flag], last[flag] = ("7", "11") if spec.get("type") is int else ("3,5,7", "4,6")
+    if formats:
+        first["--format"], last["--format"] = formats[-1], formats[0]
+    required = [flag for flag, spec in options if spec.get("required")]
+    base = words + [x for flag in required for x in (flag, first[flag])]
+    yield base
+    for flag in first:
+        if flag not in required:
+            yield base + [flag, first[flag]]
+    pairs = list(first.items())
+    for _ in range(3):
+        rng.shuffle(pairs)
+        yield words + [x for pair in pairs for x in pair]
+    for flag in first:
+        yield words + [x for pair in pairs for x in pair] + [flag, last[flag]]
+
+
+class TestPlainParser:
+    """The plain parser's Namespace equals argparse's on every plain argv,
+    and it leaves every other spelling to argparse."""
+
+    LEAVES = [row for row in cli._COMMANDS if row[2] is not None]
+
+    @pytest.mark.parametrize("row", LEAVES, ids=[row[0] for row in LEAVES])
+    def test_same_namespace_as_argparse(self, row):
+        path, _, _, formats, *options = row
+        for argv in _row_argvs(path, formats, options, random.Random(path)):
+            plain = cli._plain_args(argv)
+            assert plain is not None, argv
+            assert vars(plain) == vars(cli._parser().parse_args(argv)), argv
+
+    def test_empty_value(self):
+        argv = ["md-monoid", "--sgp", "5,7,9", "--d", "2", "--x", ""]
+        assert vars(cli._plain_args(argv)) == vars(cli._parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["quotient", "--sg", "6,9,11", "--d", "5"],
+            ["quotient", "--sgp=6,9,11", "--d", "5"],
+            ["quotient", "--sgp", "6,9,11", "--d", "-3"],
+            ["quotient", "--sgp", "6,9,11", "--d", "x"],
+            ["quotient", "--sgp", "6,9,11", "--d"],
+            ["quotient", "--sgp", "6,9,11", "--d", "5", "--format"],
+            ["quotient", "--sgp", "6,9,11", "--d", "5", "--format", "xml"],
+            ["quotient", "--sgp", "6,9,11"],
+            ["quotient", "-h", "--sgp", "6,9,11", "--d", "5"],
+            ["quotient", "--sgp", "6,9,11", "--d", "5", "--help", "x"],
+            ["--", "quotient", "--sgp", "6,9,11", "--d", "5"],
+            ["quotient", "--", "--sgp", "6,9,11", "--d", "5"],
+            ["--out", "p", "quotient", "--sgp", "6,9,11", "--d", "5"],
+            ["oracle"],
+            ["oracle", "frobenius-census"],
+            ["oracle frobenius-census", "--f", "6"],
+            ["quotient", "--sgp", "6,9,11", "--d", "5", "--bogus", "1"],
+            ["quotient", "extra", "--sgp", "6,9,11", "--d", "5"],
+            ["rank-sweep", "--count", "1", "--max-genus", "4", "--seed", "1", "--format", "text"],
+            ["no-such-command"],
+            [],
+        ],
+        ids="|".join,
+    )
+    def test_declines_other_spellings(self, argv):
+        assert cli._plain_args(argv) is None
 
 
 class TestParserReuse:
@@ -1045,6 +1129,7 @@ class TestParserReuse:
         path.unlink()
         code, out, err = run(capsys, *without)
         assert not path.exists()
+        monkeypatch.setattr(cli, "_plain_args", lambda argv: None)
         monkeypatch.setattr(cli, "_parser", cli.build_parser)
         assert (code, out, err) == run(capsys, *without)
         assert out and code == 0
