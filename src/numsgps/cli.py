@@ -6,34 +6,33 @@ handler, formats, options), and both parsers are read from it.
 ``--flag value`` pairs that spell out that row's options in full with
 valid values, from a table built once at import.  Every other argv
 (``--out``, help, an abbreviation, ``--flag=value``, ``--``, a dash-led
-value and every usage error) goes unchanged to the argparse parser of
-:func:`build_parser`, built once per process on its first such argv, so
-argparse alone writes help and usage errors.  A handler computes its
-result once and returns one zero-argument renderer per format.  A renderer
-returns text, a small JSON payload (a dict, under ``"json"``) or an
-iterable of text chunks; the three ``fiber-tree`` renderers (text, JSON
-and DOT) yield chunks node by node or line by line from each fiber's flat
-preorder lists, so its output, which grows with the cube of the tree
-depth as JSON, never has to fit in memory.  The JSON of a semigroup
-listing (``max-multiples`` and the oracle census and bounded multiples)
-is streamed too.  Both JSON streams write their head, S and the int
-fields, with :func:`_json_head`.  S, a listed semigroup and a fiber's
-root go through one template, :func:`_semigroup_json`; :func:`_trees_json`
-writes every other fiber node inline from the same constant pieces, built
-once per nesting level.  Either way a semigroup is three chunks: up to
-its gap list, the gaps, and the rest, so the gap list, the bulk of a deep
-fiber's JSON, is never copied into a larger string.  A fiber child
-P ∖ {x} with x > F(P) writes P's gaps, joined once and held while the
-closes share P, and then x.  They and the fiber text format each integer
-once per output, into a table of names read by index and grown once per
-tree or listing; the fiber text and JSON also build each depth's pieces
-once.  Those tables grow with the largest integer printed and with the
-square of the tree depth.  All search happens in the handler, so a
-refusal comes before the first byte.  :func:`main` alone picks the
-format, runs the one renderer it names, encodes the one-shot payloads
-with the standard library's ``json`` (:func:`canonical_json`) and
-streams the chunks to ``--out`` or stdout; no streamed output, head
-included, goes through ``json``.  An unwritable path is invalid input.
+value and every usage error) goes unchanged to a new argparse parser of
+:func:`build_parser`, built for that argv alone, so argparse alone writes
+help and usage errors.  A handler computes its result once and returns one
+zero-argument renderer per format.  A renderer returns text, a small JSON
+payload (a dict, under ``"json"``) or an iterable of text chunks; the
+three ``fiber-tree`` renderers (text, JSON and DOT) yield chunks node by
+node or line by line from each fiber's flat preorder lists, so its output,
+which grows with the cube of the tree depth as JSON, never has to fit in
+memory.  The JSON of a semigroup listing (``max-multiples`` and the oracle
+census and bounded multiples) is streamed too.  Both JSON streams write
+their head, S and the int fields, with :func:`_json_head`.  Every
+semigroup goes through one template, :func:`_semigroup_json`, from
+constant pieces built once per nesting level, as three chunks: up to its
+gap list, the gaps, and the rest, so the gap list, the bulk of a deep
+fiber's JSON, is never copied into a larger string.  The one exception is
+a fiber child P ∖ {x} with x > F(P), which :func:`_trees_json` writes
+inline from the same pieces: P's gaps, joined once and held while the
+closes share P, and then x.  The JSON streams and the fiber text format
+each integer once per output, into a table of names read by index and
+grown once per tree or listing; the fiber text and JSON also build each
+depth's pieces once.  Those tables grow with the largest integer printed
+and with the square of the tree depth.  All search happens in the handler,
+so a refusal comes before the first byte.  :func:`main` alone picks the
+format, runs the one renderer it names, encodes the one-shot payloads with
+the standard library's ``json`` (:func:`canonical_json`) and streams the
+chunks to ``--out`` or stdout; no streamed output, head included, goes
+through ``json``.  An unwritable path is invalid input.
 
 Exit codes: 0 success, 2 invalid input, 3 budget or ceiling exceeded,
 4 internal invariant violation.  JSON is canonical (sorted keys, two-space
@@ -45,7 +44,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import sys
@@ -124,9 +122,10 @@ def _cmd_info(args) -> dict:
     S = parse_semigroup(args.sgp)
     facts = {"embedding_dimension": S.embedding_dimension, "multiplicity": S.multiplicity}
     if not S.is_whole_n:
+        pf = core.pseudo_frobenius(S)
         facts.update(
-            pseudo_frobenius=list(core.pseudo_frobenius(S)),
-            type=core.semigroup_type(S),
+            pseudo_frobenius=list(pf),
+            type=len(pf),
             irreducible=core.is_irreducible(S),
             symmetric=core.is_symmetric(S),
             pseudo_symmetric=core.is_pseudo_symmetric(S),
@@ -228,9 +227,9 @@ def _semigroup_json(head: str, G: int, msg: tuple[int, ...], names: list, level)
     the caller has grown (:func:`_name_through`).  The gaps are picked by
     the bits of the gap mask G, without building the gap tuple, and their
     chunk is never copied into a larger string.  ℕ, with no gaps, is one
-    chunk.  It writes S, the listed semigroups and a fiber's root;
-    :func:`_trees_json` writes the other fiber nodes inline from the same
-    level pieces."""
+    chunk.  It writes every semigroup but a fiber child P ∖ {x} with
+    x > F(P), which :func:`_trees_json` writes inline from the same level
+    pieces."""
     opening, gaps, sep, genus, msg_key, close, field = level
     gens = sep.join(map(names.__getitem__, msg))
     if not G:  # ℕ
@@ -287,19 +286,18 @@ def _trees_json(ctx, trees):
     The list stays open while the next node is deeper, as that node is its
     first child; otherwise the node is closed, with its fields, and so is
     each ancestor, found by parent index, whose depth is not less than the
-    next node's.  One loop closes them, writing each node inline from the
-    pieces of its depth (:func:`_fiber_level`, whose semigroup pieces are
-    those :func:`_semigroup_json` writes listings with) as three chunks:
-    up to its gap list, the gaps, and the rest.  Only the root goes
-    through :func:`_semigroup_json`.
+    next node's.  One loop closes them, each from the pieces of its depth
+    (:func:`_fiber_level`) as three chunks: up to its gap list, the gaps,
+    and the rest.  The root and a child with x < F(P), whose x lands
+    mid-list, go through :func:`_semigroup_json` with the removed
+    generator (``null`` at the root) as the end of their head.
 
-    A child T = P ∖ {x} with x > F(P), about nine nodes in ten, has the
-    gaps of P followed by x, and F(T) = x.  Its gap list is written as
-    the gaps of P, joined at the children's indent, then a separator and
-    x.  That join is held while the closes share P, as consecutive
-    leaves do, and made again when P changes; one list is held, not one
-    per open ancestor.  The root and a child with x < F(P), whose x lands
-    mid-list, join their own gaps.
+    A child T = P ∖ {x} with x > F(P), about nine nodes in ten, is written
+    inline: it has the gaps of P followed by x, and F(T) = x.  Its gap
+    list is written as the gaps of P, joined at the children's indent,
+    then a separator and x.  That join is held while the closes share P,
+    as consecutive leaves do, and made again when P changes; one list is
+    held, not one per open ancestor.
 
     Each integer is formatted once per output, into a table of names
     grown once per tree (:func:`_name_through`), and the pieces of each
@@ -330,16 +328,15 @@ def _trees_json(ctx, trees):
                 yield opening
                 continue
             j, head = i, opening + fields
-            while j:
-                frobenius, gaps, sep, genus, msg_key, close, _ = levels[depth[j]][4]
-                G, p = gap_mask[j], parent[j]
-                x = names[removed[j]]
-                rest = f"{genus}{names[G.bit_count()]}{msg_key}{sep.join(map(name, msg[j]))}{close}"
-                if gap_mask[p] >> removed[j]:  # x < F(P): x lands mid-list
-                    yield f"{head}{x}{frobenius}{names[G.bit_length() - 1]}{gaps}"
-                    yield sep.join(compress(names, _bit_flags(G)))
-                    yield rest
+            while True:
+                p, level = parent[j], levels[depth[j]][4]
+                if not j or gap_mask[p] >> removed[j]:  # the root, or x < F(P) mid-list
+                    x = names[removed[j]] if j else "null"
+                    yield from _semigroup_json(head + x, gap_mask[j], msg[j], names, level)
                 else:  # the gaps of P, then x
+                    frobenius, gaps, sep, genus, msg_key, close, _ = level
+                    x, gens = names[removed[j]], sep.join(map(name, msg[j]))
+                    rest = f"{genus}{names[gap_mask[j].bit_count()]}{msg_key}{gens}{close}"
                     if p != held_for:
                         held, held_for = sep.join(compress(names, _bit_flags(gap_mask[p]))), p
                     if held:
@@ -348,12 +345,9 @@ def _trees_json(ctx, trees):
                         yield f"{sep}{x}{rest}"
                     else:  # P is ℕ
                         yield f"{head}{x}{frobenius}{x}{gaps}{x}{rest}"
-                j = p
-                if depth[j] < after:
+                if not j or depth[p] < after:
                     break
-                head = levels[depth[j]][3]
-            else:
-                yield from _semigroup_json(head + "null", gap_mask[0], msg[0], names, levels[0][4])
+                j, head = p, levels[depth[p]][3]
     yield "\n  ]\n}\n"
 
 
@@ -375,11 +369,10 @@ def _trees_dot(trees):
 
 
 def _cmd_fiber_tree(args) -> dict:
-    # A negative bound is refused before root discovery, and so is a missing one.
+    # A negative or missing bound is refused before root discovery.
     bounds = fibers.TruncationBounds(
         args.max_frobenius, args.max_genus, args.max_depth, args.max_nodes
     )
-    bounds.require_finite()
     ctx = _context(args)
     if args.root == "auto":
         roots = sorted(multiples.max_multiples(ctx).maximals, key=lambda s: s.msg)
@@ -397,8 +390,8 @@ def _cmd_fiber_tree(args) -> dict:
 
 def _cmd_md_monoid(args) -> dict:
     ctx = _context(args)
-    monoid = monoids.build_monoid(ctx, _csv_ints(args.x, "x set") if args.x else [])
-    semigroup = monoid.to_semigroup() if monoid.is_semigroup else None
+    monoid = monoids.build_monoid(ctx, _csv_ints(args.x, "x set"))
+    semigroup = monoid.reduced if monoid.is_semigroup else None
     shape = str(semigroup) if semigroup else f"{monoid.scale}*{monoid.reduced}"
     return {
         "json": lambda: {
@@ -527,8 +520,8 @@ _TEXT_JSON = ("text", "json")
 
 # The command table in --help order: (path, help, handler, formats,
 # *options) per subcommand, where a row without a handler is a group.
-# Both parsers read it once per process: :func:`build_parser`, when
-# :func:`main` first needs argparse, and :func:`_plain_rows`, at import.
+# Both parsers read it: :func:`_plain_rows` once, at import, and
+# :func:`build_parser` on each call.
 _COMMANDS = (
     ("info", "invariants of one semigroup", _cmd_info, _TEXT_JSON, _SGP),
     ("quotient", "compute T/d", _cmd_quotient, _TEXT_JSON, _SGP, _D),
@@ -563,9 +556,9 @@ _COMMANDS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser for every row of the table.  :func:`main` builds one per
-    process, through :func:`_parser`, and gives it every argv that is not
-    plain (:func:`_plain_args`): it alone writes help and usage errors."""
+    """A new parser for every row of the table.  :func:`main` builds one for
+    each argv that is not plain (:func:`_plain_args`) and parses that argv
+    with it alone: it writes help and usage errors."""
     parser = argparse.ArgumentParser(
         prog="numsgps",
         description="Numerical semigroups, their d-multiples, fiber trees and rank tools.",
@@ -584,13 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=formats, default="text")
         p.set_defaults(run=run)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argparse parser :func:`main` gives an argv that is not plain,
-    built on the first such call."""
-    return build_parser()
 
 
 def _plain_rows() -> dict:
@@ -682,9 +668,7 @@ def _write(path, chunks) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _plain_args(argv)
-    if args is None:
-        args = _parser().parse_args(argv)
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         renderer = args.run(args)[getattr(args, "format", "text")]
         _write(args.out, _chunks(renderer()))

@@ -19,7 +19,7 @@ from .core import (
     is_symmetric,
     pseudo_frobenius,
 )
-from .errors import DIsOne, InternalInvariantError, NotCoprime, NotInS, WholeN
+from .errors import DIsOne, InternalInvariantError, NotCoprime, NotMember, WholeN
 from .multiples import MultipleContext
 
 
@@ -35,7 +35,7 @@ class Ed1Multiple:
 def construct_ed1(ctx: MultipleContext, x: int) -> Ed1Multiple:
     """Build ⟨x⟩ + d·S for x ∈ S with gcd(x, d) = 1."""
     if x < 1 or not ctx.semigroup.contains(x):
-        raise NotInS(f"{x} is not a nonzero member of {ctx.semigroup}")
+        raise NotMember(f"{x} is not a nonzero member of {ctx.semigroup}")
     if gcd(x, ctx.d) != 1:
         raise NotCoprime(f"gcd({x}, {ctx.d}) != 1")
     T = from_generators([x] + [ctx.d * a for a in ctx.semigroup.msg])
@@ -69,8 +69,6 @@ def ed1_genus(m: Ed1Multiple) -> int:
 
 def ed1_pseudo_frobenius(m: Ed1Multiple) -> tuple[int, ...]:
     """PF(T) = {d·f + (d-1)·x | f ∈ PF(S)}; in particular types agree."""
-    if m.context.semigroup.is_whole_n:
-        raise WholeN("PF is undefined for the whole of ℕ")
     d, x = m.context.d, m.x
     value = tuple(sorted(d * f + (d - 1) * x for f in pseudo_frobenius(m.context.semigroup)))
     _cross_check("PF", value, pseudo_frobenius(m.semigroup), m)

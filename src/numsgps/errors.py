@@ -65,10 +65,6 @@ class NotMdSet(InvalidInput):
     pass
 
 
-class NotInS(InvalidInput):
-    pass
-
-
 class DIsOne(InvalidInput):
     pass
 

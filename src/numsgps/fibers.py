@@ -39,18 +39,17 @@ from .errors import (
     BoundsMissing,
     InternalInvariantError,
     InvalidInput,
-    NotAMultiple,
     NotMaximal,
 )
-from .multiples import MultipleContext, addable_gaps, is_d_multiple
+from .multiples import MultipleContext, _require_multiple, addable_gaps
 
 
 @dataclass(frozen=True)
 class TruncationBounds:
-    """Pruning limits for fiber enumeration alone; at least one must be
-    set, and none may be negative.  They prune only the descendants of a
-    fiber's root, which :func:`enumerate_fiber` always keeps: max_nodes 0
-    and 1 both give the root alone."""
+    """Pruning limits for fiber enumeration alone, refused at construction
+    unless at least one is set and none is negative.  They prune only the
+    descendants of a fiber's root, which :func:`enumerate_fiber` always
+    keeps: max_nodes 0 and 1 both give the root alone."""
 
     max_frobenius: int | None = None
     max_genus: int | None = None
@@ -63,9 +62,6 @@ class TruncationBounds:
             if value is not None and value < 0:
                 flag = "--" + bound.name.replace("_", "-")
                 raise InvalidInput(f"{flag} must be a non-negative integer, got {value}")
-
-    def require_finite(self):
-        """Refuse when no bound is set."""
         if all(getattr(self, bound.name) is None for bound in fields(self)):
             raise BoundsMissing(
                 "fiber enumeration requires at least one bound: --max-frobenius, "
@@ -110,11 +106,6 @@ class FiberTree:
         for node, p in zip(out[1:], self.parent[1:]):
             out[p].children.append(node)
         return out
-
-
-def _require_multiple(ctx: MultipleContext, T: NumericalSemigroup):
-    if not is_d_multiple(ctx, T):
-        raise NotAMultiple(f"{T} is not a {ctx.d}-multiple of {ctx.semigroup}")
 
 
 def theta(ctx: MultipleContext, T: NumericalSemigroup) -> int | None:
@@ -272,7 +263,6 @@ def enumerate_fiber(
     such a child only its generators above x are probed: x = θ(T), and no
     generator below θ(T) is a child.  No θ result is cached across nodes.
     """
-    bounds.require_finite()
     _require_multiple(ctx, root)
     if addable_gaps(ctx, root):
         raise NotMaximal(f"{root} is not a maximal {ctx.d}-multiple of {ctx.semigroup}")

@@ -17,8 +17,8 @@ from math import gcd
 from typing import Iterable
 
 from .core import NumericalSemigroup, _closure, from_generators
-from .errors import InternalInvariantError, InvalidInput, NotAMultiple, NotMdSet
-from .multiples import MultipleContext, is_d_multiple
+from .errors import InternalInvariantError, InvalidInput, NotMdSet
+from .multiples import MultipleContext, _require_multiple
 
 
 def _normalized_naturals(xs: Iterable[int]) -> tuple[int, ...]:
@@ -101,8 +101,7 @@ def build_monoid(ctx: MultipleContext, xs: Iterable[int]) -> MdMonoid:
 
 def decompose_multiple(ctx: MultipleContext, T: NumericalSemigroup) -> tuple[int, ...]:
     """The minimal X ⊆ S with T = ⟨X⟩ + d·S, for a d-multiple T."""
-    if not is_d_multiple(ctx, T):
-        raise NotAMultiple(f"{T} is not a {ctx.d}-multiple of {ctx.semigroup}")
+    _require_multiple(ctx, T)
     scaled_msg = {ctx.d * a for a in ctx.semigroup.msg}
     xs = tuple(a for a in T.msg if a not in scaled_msg)
     regenerated = build_monoid(ctx, xs)

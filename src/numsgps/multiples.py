@@ -33,6 +33,7 @@ from .errors import (
     CeilingExceeded,
     InternalInvariantError,
     InvalidInput,
+    NotAMultiple,
     WholeN,
 )
 
@@ -107,6 +108,12 @@ def is_d_multiple(ctx: MultipleContext, T: NumericalSemigroup) -> bool:
     k = F // d + 1
     R = ((1 << d * k) - 1) // ((1 << d) - 1)
     return T.gap_mask & R == ctx.scaled_gap_mask
+
+
+def _require_multiple(ctx: MultipleContext, T: NumericalSemigroup) -> None:
+    """Refuse T with :class:`NotAMultiple` unless it is a d-multiple of S."""
+    if not is_d_multiple(ctx, T):
+        raise NotAMultiple(f"{T} is not a {ctx.d}-multiple of {ctx.semigroup}")
 
 
 def addable_gaps(ctx: MultipleContext, T: NumericalSemigroup) -> tuple[int, ...]:
@@ -218,8 +225,6 @@ def max_multiples(ctx: MultipleContext, node_cap: int | None = None) -> MaxMulti
 
 def irreducibility_transfer(ctx: MultipleContext) -> tuple[bool, bool]:
     """(S irreducible, every maximal d-multiple irreducible); always equal."""
-    if ctx.semigroup.is_whole_n:
-        raise WholeN("irreducibility is undefined for the whole of ℕ")
     s_irr = is_irreducible(ctx.semigroup)
     all_irr = all(is_irreducible(T) for T in max_multiples(ctx).maximals)
     if s_irr != all_irr:

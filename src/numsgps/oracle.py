@@ -12,7 +12,7 @@ with different forced/allowed position sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from .core import NumericalSemigroup, WHOLE_N, _from_gap_tuple, from_gaps
 from .errors import CeilingExceeded, InternalInvariantError, InvalidInput, NotClosed
@@ -206,8 +206,9 @@ def brute_minimal_md_system(ctx: MultipleContext, elements) -> tuple[int, ...]:
 
     Any generating X must contain every atom of the monoid outside d·S (an
     atom is no sum of two nonzero members, so it can only enter as a bare
-    generator), which pins the search; extras are tried in lexicographic
-    order by ascending cardinality if that core ever falls short.
+    generator).  That core is the whole answer or there is none: every
+    listed element is a sum of atoms, each in the core or in d·S, so
+    ⟨core⟩ + d·S holds the whole list, and a larger X only adds members.
     """
     elems = sorted(set(elements))
     if not elems or elems[0] != 0:
@@ -221,16 +222,10 @@ def brute_minimal_md_system(ctx: MultipleContext, elements) -> tuple[int, ...]:
         if not any(a <= m // 2 and (m - a) in eset for a in nonzero)
     ]
     base = [a for a in atoms if not ctx.in_scaled_semigroup(a)]
-    if _monoid_members_up_to(ctx, base, bound) == eset:
-        for a in base:
-            rest = [b for b in base if b != a]
-            if _monoid_members_up_to(ctx, rest, bound) == eset:
-                raise InternalInvariantError(f"atom {a} is redundant in {base}")
-        return tuple(base)
-    pool = [m for m in nonzero if not ctx.in_scaled_semigroup(m) and m not in base]
-    for k in range(1, len(pool) + 1):
-        for extra in combinations(pool, k):
-            xs = sorted(base + list(extra))
-            if _monoid_members_up_to(ctx, xs, bound) == eset:
-                return tuple(xs)
-    raise InvalidInput("element list is not a monoid of the form ⟨X⟩ + d·S")
+    if _monoid_members_up_to(ctx, base, bound) != eset:
+        raise InvalidInput("element list is not a monoid of the form ⟨X⟩ + d·S")
+    for a in base:
+        rest = [b for b in base if b != a]
+        if _monoid_members_up_to(ctx, rest, bound) == eset:
+            raise InternalInvariantError(f"atom {a} is redundant in {base}")
+    return tuple(base)

@@ -274,6 +274,19 @@ class TestFiberTree:
         assert code == 2
         assert "bound" in err
 
+    def test_missing_bounds_refused_before_root_discovery(self, capsys, monkeypatch):
+        # Uncapped root discovery at d = 120 runs for many seconds.
+        def discover(*args, **kwargs):
+            raise AssertionError("roots were searched before the bounds were checked")
+
+        monkeypatch.setattr(multiples, "max_multiples", discover)
+        assert run(capsys, "fiber-tree", "--sgp", "2,3", "--d", "120") == (
+            2,
+            "",
+            "error: fiber enumeration requires at least one bound: --max-frobenius, "
+            "--max-genus, --max-depth or --max-nodes\n",
+        )
+
     def test_non_maximal_root(self, capsys):
         code, _, err = run(
             capsys, "fiber-tree", "--sgp", "3,4,5", "--d", "3",
@@ -613,6 +626,26 @@ class TestExitCodes:
         )
         assert (code, out) == (0, "⟨2,3⟩\n")
 
+    @pytest.mark.parametrize("d", ["0", "-2"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("is-multiple", "--sgp", "3,4", "--candidate", "3,4"),
+            ("max-multiples", "--sgp", "3,4"),
+            ("fiber-tree", "--sgp", "3,4", "--max-nodes", "3"),
+            ("md-monoid", "--sgp", "3,4"),
+            ("ed1", "--sgp", "3,4", "--x", "3"),
+            ("oracle", "multiples-bounded", "--sgp", "3,4", "--max-frobenius", "5"),
+        ],
+        ids=lambda argv: argv[0] if argv[0] != "oracle" else argv[1],
+    )
+    def test_d_must_be_positive(self, capsys, argv, d):
+        # Every command that builds an (S, d) context refuses d < 1 there;
+        # argparse reads "-2" as a value, as no option looks like a number.
+        assert run(capsys, *argv, "--d", d) == (
+            2, "", f"error: d must be a positive integer, got {d}\n"
+        )
+
     def test_huge_generators_refused(self, capsys):
         start = time.perf_counter()
         code, out, err = run(capsys, "info", "--sgp", "1000003,1000033")
@@ -947,7 +980,7 @@ def outcome(capsys, argv, out_path):
 
 class TestOneRowParser:
     """main parses a plain argv from the command table and every other argv
-    with the one argparse parser it built on the first.  Each of these argv
+    with an argparse parser built for that argv.  Each of these argv
     (plain ones, help, usage errors, every ``--out`` spelling and the other
     spellings only argparse reads), run in order after every earlier one,
     gives the outcome of a freshly built argparse parser alone, byte for
@@ -1011,9 +1044,7 @@ class TestOneRowParser:
     def test_same_as_full_parser(self, capsys, monkeypatch, tmp_path, argv):
         out_path = tmp_path / "out.txt"
         reused = outcome(capsys, argv, out_path)
-        assert cli._parser() is cli._parser()
         monkeypatch.setattr(cli, "_plain_args", lambda argv: None)
-        monkeypatch.setattr(cli, "_parser", cli.build_parser)
         assert outcome(capsys, argv, out_path) == reused
 
     def test_full_parser_errors_name_the_dest(self, capsys, tmp_path):
@@ -1065,11 +1096,11 @@ class TestPlainParser:
         for argv in _row_argvs(path, formats, options, random.Random(path)):
             plain = cli._plain_args(argv)
             assert plain is not None, argv
-            assert vars(plain) == vars(cli._parser().parse_args(argv)), argv
+            assert vars(plain) == vars(cli.build_parser().parse_args(argv)), argv
 
     def test_empty_value(self):
         argv = ["md-monoid", "--sgp", "5,7,9", "--d", "2", "--x", ""]
-        assert vars(cli._plain_args(argv)) == vars(cli._parser().parse_args(argv))
+        assert vars(cli._plain_args(argv)) == vars(cli.build_parser().parse_args(argv))
 
     @pytest.mark.parametrize(
         "argv",
@@ -1103,9 +1134,9 @@ class TestPlainParser:
 
 
 class TestParserReuse:
-    """Options given in one call on the reused parser leave nothing behind
-    for the next: without them, nothing goes to a file and the output goes
-    to stdout in the default format, as from a freshly built parser."""
+    """Options given in one call leave nothing behind for the next: without
+    them, nothing goes to a file and the output goes to stdout in the
+    default format, as from a freshly built parser."""
 
     @pytest.mark.parametrize(
         "with_path, without",
@@ -1130,7 +1161,6 @@ class TestParserReuse:
         code, out, err = run(capsys, *without)
         assert not path.exists()
         monkeypatch.setattr(cli, "_plain_args", lambda argv: None)
-        monkeypatch.setattr(cli, "_parser", cli.build_parser)
         assert (code, out, err) == run(capsys, *without)
         assert out and code == 0
 

@@ -77,6 +77,8 @@ class TestFromGenerators:
             sgp(-2, 3)
         with pytest.raises(InvalidInput):
             from_generators([])
+        with pytest.raises(InvalidInput, match="^generators must be integers$"):
+            from_generators([2.5, 3])
 
 
 class TestClosure:

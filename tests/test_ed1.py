@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from numsgps.core import (
+    WHOLE_N,
     adjoin,
     is_symmetric,
     pseudo_frobenius,
@@ -21,7 +22,7 @@ from numsgps.ed1 import (
     ed1_theta_closure,
     is_gluing_of_n_and_s,
 )
-from numsgps.errors import DIsOne, NotCoprime, NotInS
+from numsgps.errors import DIsOne, NotCoprime, NotMember, WholeN
 from numsgps.fibers import theta
 from numsgps.multiples import MultipleContext
 
@@ -46,7 +47,7 @@ class TestConstruct:
 
     def test_rejects_bad_x(self):
         ctx = MultipleContext(sgp(5, 7, 9), 2)
-        with pytest.raises(NotInS):
+        with pytest.raises(NotMember, match=r"^8 is not a nonzero member of ⟨5,7,9⟩$"):
             construct_ed1(ctx, 8)
         with pytest.raises(NotCoprime):
             construct_ed1(ctx, 10)
@@ -82,6 +83,11 @@ class TestClosedForms:
         assert ed1_pseudo_frobenius(
             construct_ed1(MultipleContext(S, 1), 5)
         ) == pseudo_frobenius(S)
+
+    def test_pf_refused_for_whole_n(self):
+        m = construct_ed1(MultipleContext(WHOLE_N, 2), 1)
+        with pytest.raises(WholeN, match="^PF is undefined for the whole of ℕ$"):
+            ed1_pseudo_frobenius(m)
 
     def test_sweep_small(self, small_semigroups):
         """Formulas equal materialized invariants; type and symmetry carry

@@ -319,9 +319,12 @@ class TestEnumerateFiber:
         assert tree.semigroup == [sgp(5, 7, 8, 9)]
 
     def test_bounds_required(self):
-        ctx = ctx_of((3, 4), 5)
-        with pytest.raises(BoundsMissing):
-            enumerate_fiber(ctx, sgp(6, 9, 11), TruncationBounds())
+        with pytest.raises(
+            BoundsMissing,
+            match=r"^fiber enumeration requires at least one bound: --max-frobenius, "
+            r"--max-genus, --max-depth or --max-nodes$",
+        ):
+            TruncationBounds()
 
     @pytest.mark.parametrize("field", ["max_frobenius", "max_genus", "max_depth", "max_nodes"])
     def test_negative_bound_refused(self, field):

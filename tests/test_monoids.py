@@ -112,6 +112,11 @@ class TestBuildMonoid:
         assert monoid.md_embedding_dimension == 0
         assert monoid.contains(10) and not monoid.contains(9)
 
+    def test_to_semigroup_refuses_a_scaled_monoid(self):
+        monoid = build_monoid(MultipleContext(WHOLE_N, 2), [4])
+        with pytest.raises(InvalidInput, match="^gcd 2 > 1: not a numerical semigroup$"):
+            monoid.to_semigroup()
+
     def test_derived_example_38(self):
         monoid = build_monoid(ctx_of((3, 4), 2), [3])
         assert monoid.to_semigroup() == sgp(3, 8)

@@ -238,6 +238,10 @@ class TestIrreducibilityTransfer:
         for d in range(1, 8):
             assert irreducibility_transfer(MultipleContext(sgp(2, 3), d)) == (True, True)
 
+    def test_whole_n_refused(self):
+        with pytest.raises(WholeN, match="^irreducibility is undefined for the whole of ℕ$"):
+            irreducibility_transfer(MultipleContext(WHOLE_N, 2))
+
     def test_sweep(self, small_semigroups):
         for S in small_semigroups:
             if S.frobenius > 6:

@@ -135,3 +135,11 @@ class TestBruteMinimalSystem:
         ctx = MultipleContext(sgp(5, 7, 9), 2)
         with pytest.raises(InvalidInput):
             brute_minimal_md_system(ctx, [9, 10])
+
+    def test_refuses_a_list_its_atoms_overshoot(self):
+        # 1 and 3 are atoms outside 2·⟨2,3⟩, and ⟨1,3⟩ + 2·⟨2,3⟩ holds 2.
+        ctx = MultipleContext(sgp(2, 3), 2)
+        with pytest.raises(
+            InvalidInput, match=r"^element list is not a monoid of the form ⟨X⟩ \+ d·S$"
+        ):
+            brute_minimal_md_system(ctx, [0, 1, 3])
