@@ -30,9 +30,10 @@ depth's pieces once.  Those tables grow with the largest integer printed
 and with the square of the tree depth.  All search happens in the handler,
 so a refusal comes before the first byte.  :func:`main` alone picks the
 format, runs the one renderer it names, encodes the one-shot payloads with
-the standard library's ``json`` (:func:`canonical_json`) and streams the
-chunks to ``--out`` or stdout; no streamed output, head included, goes
-through ``json``.  An unwritable path is invalid input.
+:func:`canonical_json`, which writes the standard library's sorted,
+indented text itself and hands only str and float values to ``json``, and
+streams the chunks to ``--out`` or stdout; no streamed output, head
+included, goes through ``json``.  An unwritable path is invalid input.
 
 Exit codes: 0 success, 2 invalid input, 3 budget or ceiling exceeded,
 4 internal invariant violation.  JSON is canonical (sorted keys, two-space
@@ -48,6 +49,7 @@ import io
 import json
 import sys
 from itertools import compress
+from json.encoder import encode_basestring
 from operator import itemgetter
 
 from . import core, ed1, fibers, monoids, multiples, oracle, rank
@@ -56,14 +58,50 @@ from .errors import CeilingExceeded, InvalidInput, NumsgpsError
 
 
 def canonical_json(payload) -> str:
-    """The payload as sorted-key, two-space-indented JSON with a final
-    newline.  With ``indent`` the standard library encoder is its pure
-    Python one, which recurses once per nesting level, so only the small
-    one-shot payloads come through here.  The fiber forest
+    """``json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
+    + "\\n"`` byte for byte, without the standard library's indenting
+    encoder, which is pure Python: every piece goes into one list, joined
+    once, a list of plain ints is one join, and only str and float scalars
+    go through ``json``.  It recurses once per nesting level, so only the
+    small one-shot payloads come through here; the fiber forest
     (:func:`_trees_json`) and the semigroup listings (:func:`_listing`)
-    are written chunk by chunk, their heads by :func:`_json_head`, and
-    match this function's text byte for byte."""
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    are written chunk by chunk and match its text byte for byte."""
+    out: list[str] = []
+    _json_chunks(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _json_chunks(value, pad: str, out: list) -> None:
+    """Append the canonical JSON of value to out, its nested lines
+    indented past ``pad`` (a newline and the current indent)."""
+    if isinstance(value, dict):
+        inner, opening = pad + "  ", "{"
+        for key in sorted(value):
+            out.append(f"{opening}{inner}{encode_basestring(key)}: ")
+            _json_chunks(value[key], inner, out)
+            opening = ","
+        out.append(pad + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner, opening = pad + "  ", "["
+        if value and all(type(v) is int for v in value):
+            out += "[", inner, ("," + inner).join(map(str, value)), pad, "]"
+            return
+        for v in value:
+            out.append(opening + inner)
+            _json_chunks(v, inner, out)
+            opening = ","
+        out.append(pad + "]" if value else "[]")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif value is None:
+        out.append("null")
+    elif type(value) is int:
+        out.append(str(value))
+    else:
+        out.append(json.dumps(value, ensure_ascii=False))
 
 
 def _csv_ints(raw: str, what: str) -> list[int]:

@@ -88,7 +88,8 @@ def build_monoid(ctx: MultipleContext, xs: Iterable[int]) -> MdMonoid:
     """
     x_tuple = _normalized_naturals(xs)
     if not is_md_set(ctx, x_tuple):
-        raise NotMdSet(f"⟨{set(x_tuple) or '∅'}⟩ meets {ctx.d}·gaps({ctx.semigroup})")
+        x_text = ",".join(map(str, x_tuple)) or "∅"
+        raise NotMdSet(f"⟨{x_text}⟩ meets {ctx.d}·gaps({ctx.semigroup})")
     S, d = ctx.semigroup, ctx.d
     gens = sorted(set(x_tuple) | {d * a for a in S.msg})
     scale = reduce(gcd, gens)

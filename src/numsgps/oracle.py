@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .core import NumericalSemigroup, WHOLE_N, _from_gap_tuple, from_gaps
+from .core import NumericalSemigroup, WHOLE_N, _bits, _from_gap_mask, _from_gap_tuple, from_gaps
 from .errors import CeilingExceeded, InternalInvariantError, InvalidInput, NotClosed
 from .multiples import MultipleContext, quotient
 
@@ -45,42 +45,44 @@ def _closed_gap_sets(
     allowed_mask: int,
     forced_mask: int,
     node_limit: int | None = None,
-) -> list[tuple[int, ...]]:
-    """All gap sets G with forced ⊆ G ⊆ forced ∪ allowed ⊆ [1, limit] whose
-    complement in ℕ is additively closed.
+) -> list[int]:
+    """The gap masks of all gap sets G with forced ⊆ G ⊆ forced ∪ allowed
+    ⊆ [1, limit] whose complement in ℕ is additively closed.
 
     Positions outside allowed ∪ forced are members.  ``gen`` holds every sum
     of two nonzero members decided so far (bits above limit dropped), so a
     gap is legal exactly while its gen bit is clear, and a member is refused
-    as soon as it would force a sum onto a forced gap.
+    as soon as it would force a sum onto a forced gap.  A finished descent
+    has decided every position, so its gap mask is ``full & ~members``.
     """
     full = (1 << (limit + 1)) - 1
     gapable = allowed_mask | forced_mask
-    out: list[tuple[int, ...]] = []
-    # Depth-first on an explicit stack of (pos, members, gen, gaps), so
-    # depth is not bounded by the recursion limit; the gap branch is pushed
-    # first so the member branch is explored first.
-    stack = [(1, 1, 0, ())]
+    out: list[int] = []
+    # Depth-first on an explicit stack of (pos, members, gen), so depth is
+    # not bounded by the recursion limit; the gap branch is pushed first so
+    # the member branch is explored first.
+    stack = [(1, 1, 0)]
     while stack:
         if node_limit is not None and len(out) > node_limit:
             break
-        pos, members, gen, gaps = stack.pop()
+        pos, members, gen = stack.pop()
         if pos > limit:
-            out.append(gaps)
+            out.append(full & ~members)
             continue
         bit = 1 << pos
         if (gapable & bit) and not (gen & bit):
-            stack.append((pos + 1, members, gen, gaps + (pos,)))
+            stack.append((pos + 1, members, gen))
         if not (forced_mask & bit):
             new_gen = (gen | (((members & ~1) | bit) << pos)) & full
             if not (new_gen & forced_mask):
-                stack.append((pos + 1, members | bit, new_gen, gaps))
+                stack.append((pos + 1, members | bit, new_gen))
     return out
 
 
-def _canonical(gap_sets) -> tuple[NumericalSemigroup, ...]:
-    """The semigroups with the given gap tuples, sorted by (genus, gaps)."""
-    return tuple(map(_from_gap_tuple, sorted(gap_sets, key=lambda g: (len(g), g))))
+def _canonical(gap_masks) -> tuple[NumericalSemigroup, ...]:
+    """The semigroups with the given gap masks, sorted by (genus, gaps)."""
+    ordered = sorted(gap_masks, key=lambda g: (g.bit_count(), _bits(g)))
+    return tuple(map(_from_gap_mask, ordered))
 
 
 def all_with_frobenius(f: int) -> tuple[NumericalSemigroup, ...]:
@@ -105,13 +107,13 @@ def all_with_frobenius_genus_tree(f: int) -> tuple[NumericalSemigroup, ...]:
 
 def semigroups_by_genus(max_genus: int) -> tuple[NumericalSemigroup, ...]:
     """All numerical semigroups with genus ≤ max_genus (ℕ included)."""
-    gap_sets = [()]
+    gap_masks = [0]
     frontier = [WHOLE_N]
     for _ in range(max_genus):
-        level = [S.gaps + (x,) for S in frontier for x in S.msg if x > S.frobenius]
-        gap_sets.extend(level)
-        frontier = map(_from_gap_tuple, level)
-    return _canonical(gap_sets)
+        level = [S.gap_mask | 1 << x for S in frontier for x in S.msg if x > S.frobenius]
+        gap_masks.extend(level)
+        frontier = map(_from_gap_mask, level)
+    return _canonical(gap_masks)
 
 
 def all_multiples_bounded(
@@ -138,15 +140,12 @@ def all_multiples_bounded(
         raise CeilingExceeded(
             f"more than {budget.hard_node_limit} multiples below F={fmax}"
         )
-    return _canonical(g for g in sets if len(g) <= budget.max_genus)
+    return _canonical(g for g in sets if g.bit_count() <= budget.max_genus)
 
 
 def oversemigroups(S: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]:
     """All numerical semigroups containing S (finitely many; S and ℕ included)."""
-    allowed = 0
-    for h in S.gaps:
-        allowed |= 1 << h
-    return _canonical(_closed_gap_sets(max(S.frobenius, 0), allowed, 0))
+    return _canonical(_closed_gap_sets(max(S.frobenius, 0), S.gap_mask, 0))
 
 
 def is_irreducible_bruteforce(S: NumericalSemigroup) -> bool:

@@ -29,7 +29,9 @@ JSON_COMMANDS = (
     ["info", "--sgp", "5,7,9", "--format", "json"],
     ["info", "--sgp", "1", "--format", "json"],
     ["quotient", "--sgp", "6,9,11", "--d", "5", "--format", "json"],
+    ["quotient", "--sgp", "3,5", "--d", "100", "--format", "json"],
     ["is-multiple", "--sgp", "3,4,5", "--d", "3", "--candidate", "4,5,7", "--format", "json"],
+    ["is-multiple", "--sgp", "3,4,5", "--d", "2", "--candidate", "4,5,7", "--format", "json"],
     ["max-multiples", "--sgp", "3,5,7", "--d", "3", "--format", "json"],
     ["ed1", "--sgp", "5,7,9", "--d", "2", "--x", "9", "--format", "json"],
     ["full-rank", "--sgp", "4,5,6,7", "--format", "json"],
@@ -37,6 +39,8 @@ JSON_COMMANDS = (
     ["md-monoid", "--sgp", "5,7,9", "--d", "2", "--format", "json"],
     ["unique-betti", "--c", "2,3,5", "--format", "json"],
     ["search-low-e", "--sgp", "4,5,7", "--dmax", "2", "--format", "json"],
+    ["search-low-e", "--sgp", "3,5,7", "--dmax", "3", "--format", "json"],
+    ["search-low-e", "--sgp", "3,5", "--dmax", "3", "--format", "json"],
     [
         "fiber-tree", "--sgp", "2,3", "--d", "11",
         "--root", "5,7,8,9", "--max-genus", "8", "--format", "json",
@@ -130,6 +134,47 @@ class TestTextFixtures:
         assert (code, out) == (0, "⟨6,10,15⟩ F=29 g=15 full quotient rank\n")
 
 
+# Pieces of random str keys and values: ASCII, non-ASCII, and characters
+# that JSON escapes.
+_TEXT_PIECES = (
+    "a", "S", "gaps", "é", "⟨2,3⟩", "·", "🂡", '"', "\\", "\n", "\t", "\x00", "\x1f", "\u2028", "/",
+)
+
+
+def random_text(rng) -> str:
+    return "".join(rng.choice(_TEXT_PIECES) for _ in range(rng.randrange(4)))
+
+
+def random_scalar(rng):
+    return rng.choice((
+        lambda: rng.randint(-1000, 1000),
+        lambda: rng.randint(2**64, 2**70) * rng.choice((1, -1)),
+        lambda: rng.choice((True, False, None)),
+        lambda: rng.choice((0.0, -0.0, 1.5, 1e-7, 1e300, -2.5e16, rng.uniform(-1e6, 1e6),
+                            float("inf"), float("-inf"), float("nan"))),
+        lambda: random_text(rng),
+    ))()
+
+
+def random_payload(rng, depth=0):
+    """A random JSON payload of str-keyed dicts, lists and tuples (some
+    of plain ints, some with bools mixed in, some empty) and scalars."""
+    roll = rng.random() if depth < 5 else 1.0
+    n = rng.randrange(5)
+    if roll < 0.25:
+        return {random_text(rng): random_payload(rng, depth + 1) for _ in range(n)}
+    if roll < 0.45:
+        return [random_payload(rng, depth + 1) for _ in range(n)]
+    if roll < 0.55:
+        return tuple(random_payload(rng, depth + 1) for _ in range(n))
+    if roll < 0.75:
+        ints = [rng.choice((rng.randint(-50, 50), rng.randint(2**64, 2**66))) for _ in range(n)]
+        if ints and rng.random() < 0.3:
+            ints[rng.randrange(n)] = rng.choice((True, False))
+        return ints
+    return random_scalar(rng)
+
+
 class TestJson:
     def test_round_trip_byte_identical(self, capsys):
         for argv in JSON_COMMANDS:
@@ -160,6 +205,13 @@ class TestJson:
     def test_canonical_json_int_lists(self, payload):
         expected = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
         assert canonical_json(payload) == expected + "\n"
+
+    def test_canonical_json_random_payloads(self):
+        rng = random.Random(38)
+        for _ in range(400):
+            payload = random_payload(rng)
+            expected = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
+            assert canonical_json(payload) == expected + "\n", payload
 
     def test_quotient_json(self, capsys):
         code, out, _ = run(capsys, "quotient", "--sgp", "6,9,11", "--d", "5", "--format", "json")
@@ -644,6 +696,11 @@ class TestExitCodes:
         # argparse reads "-2" as a value, as no option looks like a number.
         assert run(capsys, *argv, "--d", d) == (
             2, "", f"error: d must be a positive integer, got {d}\n"
+        )
+
+    def test_md_set_refusal_lists_x_sorted(self, capsys):
+        assert run(capsys, "md-monoid", "--sgp", "3,5", "--d", "2", "--x", "13,7") == (
+            2, "", "error: ⟨7,13⟩ meets 2·gaps(⟨3,5⟩)\n"
         )
 
     def test_huge_generators_refused(self, capsys):

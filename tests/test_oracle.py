@@ -120,6 +120,44 @@ class TestOversemigroups:
                 assert S <= T
 
 
+def assert_canonical_order(listing):
+    """The oracle's order contract: sorted by (genus, gaps), no duplicates."""
+    listing = list(listing)
+    assert listing == sorted(listing, key=lambda S: (S.genus, S.gaps))
+    assert len(set(listing)) == len(listing)
+
+
+class TestOrderContract:
+    """Each enumerator's own order, against the key itself;
+    test_two_enumerators_agree cannot see an order both of them share."""
+
+    def test_census(self):
+        for f in range(1, 13):
+            assert_canonical_order(all_with_frobenius(f))
+
+    def test_genus_tree(self):
+        listing = semigroups_by_genus(9)
+        assert len(listing) == 1 + 1 + 2 + 4 + 7 + 12 + 23 + 39 + 67 + 118
+        assert_canonical_order(listing)
+
+    @pytest.mark.parametrize("gens", [(3, 5, 7), (5, 7, 9), (4, 6, 13, 15), (6, 9, 11), (1,)])
+    def test_oversemigroups(self, gens):
+        assert_canonical_order(oversemigroups(sgp(*gens)))
+
+    @pytest.mark.parametrize(
+        "gens, d, fmax",
+        [
+            ((3, 4, 5), 2, 14), ((2, 3), 3, 13), ((5, 7, 9), 2, 30),
+            ((1,), 2, 9), ((3, 5, 7), 3, 16),
+        ],
+    )
+    def test_multiples_bounded(self, gens, d, fmax):
+        ctx = MultipleContext(sgp(*gens), d)
+        listing = all_multiples_bounded(ctx, EnumerationBudget(fmax, fmax, 10000))
+        assert len({S.genus for S in listing}) > 1
+        assert_canonical_order(listing)
+
+
 class TestBruteMinimalSystem:
     def test_example(self):
         ctx = MultipleContext(sgp(5, 7, 9), 2)
