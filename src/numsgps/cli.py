@@ -47,6 +47,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from itertools import compress
 from json.encoder import encode_basestring
@@ -710,9 +711,15 @@ def main(argv=None) -> int:
     try:
         renderer = args.run(args)[getattr(args, "format", "text")]
         _write(args.out, _chunks(renderer()))
+        sys.stdout.flush()
     except NumsgpsError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
+    except BrokenPipeError:
+        # The reader closed stdout early (say, `| head`).  Point fd 1 at
+        # devnull so that the flush at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -10,8 +10,10 @@ positions whose closure with d·S misses d·gaps(S) stays one when shrunk,
 so the maximal d-multiples are the maximal sets of an independence system
 (Lawler, Lenstra & Rinnooy Kan, SIAM J. Comput. 9, 1980).  They are found
 by a depth-first search over the free positions in ascending order that
-includes or excludes each one, on bitmasks alone, and builds a semigroup
-only for the leaves it keeps.
+includes or excludes each one, on bitmasks alone.  It excludes a position
+only while a later one that could still block it is open, so it takes
+about one path per maximal, and it builds a semigroup only for the leaves
+it keeps.
 """
 
 from __future__ import annotations
@@ -140,23 +142,26 @@ def _gap_masks(ctx: MultipleContext, node_cap: int | None):
     ⋃ₖ (B >> kp); then M ∪ {p} closes to ⋃ₖ (M << kp).  The search starts
     from d·S ∩ [0, N] and decides the free positions in ascending order: a
     closure adds only sums above p, so a position it leaves out never comes
-    back.  Each admitted p branches into include and exclude, and each set
-    of decisions gives its own M, so no mask is met twice.
+    back.  The path being walked includes each admitted p, a pushed branch
+    excludes it, and each set of decisions gives its own M, so no mask is
+    met twice.  Two rules keep a path only where it can end in a maximal:
 
-    A leaf is maximal iff M blocks every position it excluded, that is M
-    meets its W_p.  Only free positions in W_p can come to block p, so a
-    branch is cut once it has decided the last of them with p still
-    unblocked.  An include can block an exclusion only when the grown M
-    meets the union U of the W_p still unblocked, so the exclusions and
-    their deadline are rebuilt only then.
+    - Push test: the exclude branch of an admitted p is pushed only while
+      some free q > p in W_p ∖ M is still admitted, that is M misses W_q.
+      A final M_f that blocks p meets W_p in some q; q > p, as M_f and M
+      agree below p and M misses W_p, and q is free and outside M.  M_f is
+      closed and misses B, so it misses W_q, and so does the smaller M.
+    - Leaf test: a leaf is maximal iff M blocks every position it
+      excluded, that is M meets its W_p; only those leaves are yielded.
 
     Each stack entry popped is one search path; past ``node_cap`` of them
     the search raises :class:`CeilingExceeded`.
     """
     d, N, B = ctx.d, ctx.scaled_frobenius, ctx.scaled_gap_mask
     steps = ((1 << d * (N // d + 1)) - 1) // ((1 << d) - 1)  # 0, d, …, N
-    positions = [p for p in range(1, N) if p % d]
-    blockers = []
+    free = (1 << N) - 1 & ~steps
+    positions = _bits(free)
+    blockers = [0] * N  # W_p at each free position p
     for p in positions:
         # W_p by doubling: B >> kp for k = 1 … 2^j after j steps, and a
         # shift past N adds nothing, as B lies in [0, N].
@@ -164,12 +169,9 @@ def _gap_masks(ctx: MultipleContext, node_cap: int | None):
         while step < N:
             W |= W >> step
             step *= 2
-        blockers.append(W)
-    # The last free position in each W_p, or -1.
-    last = [(W & ~steps).bit_length() - 1 for W in blockers]
+        blockers[p] = W
     paths_left = -1 if node_cap is None else node_cap  # never 0 when uncapped
-    # (next index, M, unblocked exclusions, deadline, U)
-    stack = [(0, steps & ~B, (), N, 0)]
+    stack = [(0, steps & ~B, ())]  # (next index, M, excluded positions)
     while stack:
         if not paths_left:
             raise CeilingExceeded(
@@ -177,43 +179,38 @@ def _gap_masks(ctx: MultipleContext, node_cap: int | None):
                 f" of {ctx.semigroup}"
             )
         paths_left -= 1
-        i, M, excluded, deadline, union = stack.pop()
+        i, M, excluded = stack.pop()
         for i in range(i, len(positions)):
             p = positions[i]
-            if deadline < p:
-                break
-            if not (M >> p & 1 or M & blockers[i]):
-                stack.append(
-                    (i + 1, M, (*excluded, i), min(deadline, last[i]), union | blockers[i])
-                )
-                M = _closure((p,), N, M)
-                if M & union:
-                    kept, deadline, union = [], N, 0
-                    for j in excluded:
-                        W = blockers[j]
-                        if not M & W:
-                            kept.append(j)
-                            deadline = min(deadline, last[j])
-                            union |= W
-                    excluded = kept
-        if deadline == N:
+            if M >> p & 1 or M & blockers[p]:
+                continue
+            rest = blockers[p] & free & ~M & -2 << p
+            while rest:  # from the top, where W_q is smallest
+                q = rest.bit_length() - 1
+                if not M & blockers[q]:
+                    stack.append((i + 1, M, (*excluded, p)))
+                    break
+                rest ^= 1 << q
+            M = _closure((p,), N, M)
+        if all(M & blockers[p] for p in excluded):
             yield (2 << N) - 1 & ~M
 
 
 def max_multiples(ctx: MultipleContext, node_cap: int | None = None) -> MaxMultiplesResult:
     """The complete set of inclusion-maximal d-multiples of S, by the
-    search of :func:`_gap_masks`, which cuts a branch once a position it
-    excluded can no longer be blocked and builds a semigroup only for the
-    leaves it keeps.  For d = 1 there is no free position, and it yields S
-    alone.  Each kept gap mask becomes its gap tuple once; the maximals are
-    sorted by (genus, gap tuple) on those tuples and built from them.
+    search of :func:`_gap_masks`, which excludes a position only while it
+    can still be blocked and builds a semigroup only for the leaves it
+    keeps.  For d = 1 there is no free position, and it yields S alone.
+    Each kept gap mask becomes its gap tuple once; the maximals are sorted
+    by (genus, gap tuple) on those tuples and built from them.
 
     ``node_cap`` caps the search's paths: past it, as for a d·F(S) past the
     closure ceiling whatever the cap, :class:`CeilingExceeded` is raised.
-    Every search takes a path, so cap 0 raises for every d; each path ends
-    in its own d-multiple with Frobenius number d·F(S), so a cap of their
-    number never raises.  A negative ``node_cap`` is refused with
-    :class:`InvalidInput`.
+    Every search takes a path, so cap 0 raises for every d.  The search
+    takes about one path per maximal (exactly one on every S of genus ≤ 6
+    with d ∈ {2, 3}); each path ends in its own d-multiple with Frobenius
+    number d·F(S), so a cap of their number never raises.  A negative
+    ``node_cap`` is refused with :class:`InvalidInput`.
     """
     if node_cap is not None and node_cap < 0:
         raise InvalidInput(f"--max-nodes must be a non-negative integer, got {node_cap}")

@@ -106,14 +106,18 @@ def all_with_frobenius_genus_tree(f: int) -> tuple[NumericalSemigroup, ...]:
 
 
 def semigroups_by_genus(max_genus: int) -> tuple[NumericalSemigroup, ...]:
-    """All numerical semigroups with genus ≤ max_genus (ℕ included)."""
-    gap_masks = [0]
-    frontier = [WHOLE_N]
+    """All numerical semigroups with genus ≤ max_genus (ℕ included), in
+    (genus, gaps) order, each built once for both the next level and the
+    listing.  Level g of the genus tree holds genus g and comes out sorted
+    by gaps: a child's gaps are its parent's with x > F appended, parents
+    come in order and each one's x ascend with its msg."""
+    out = level = [WHOLE_N]
     for _ in range(max_genus):
-        level = [S.gap_mask | 1 << x for S in frontier for x in S.msg if x > S.frobenius]
-        gap_masks.extend(level)
-        frontier = map(_from_gap_mask, level)
-    return _canonical(gap_masks)
+        level = [
+            _from_gap_mask(S.gap_mask | 1 << x) for S in level for x in S.msg if x > S.frobenius
+        ]
+        out.extend(level)
+    return tuple(out)
 
 
 def all_multiples_bounded(

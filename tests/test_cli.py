@@ -729,20 +729,22 @@ class TestExitCodes:
         assert time.perf_counter() - start < 5
 
     def test_max_multiples_node_cap(self, capsys):
-        # ⟨2,3⟩ with d = 40 takes 1,288 search paths.
+        # ⟨2,3⟩ with d = 40 takes 196 search paths, one per maximal.
         start = time.perf_counter()
-        code, out, err = run(
-            capsys, "max-multiples", "--sgp", "2,3", "--d", "40", "--max-nodes", "1000"
-        )
+        argv = ("max-multiples", "--sgp", "2,3", "--d", "40")
+        code, out, err = run(capsys, *argv, "--max-nodes", "195")
         assert (code, out) == (3, "")
-        assert err == "error: more than 1000 search paths for the maximal 40-multiples of ⟨2,3⟩\n"
+        assert err == "error: more than 195 search paths for the maximal 40-multiples of ⟨2,3⟩\n"
+        code, out, err = run(capsys, *argv, "--max-nodes", "196")
+        assert (code, out.count("\n"), err) == (0, 196, "")
+        assert run(capsys, *argv) == (code, out, err)
         assert time.perf_counter() - start < 5
-        # ⟨3,5,7⟩, d = 3 takes 8 search paths, of its 20 multiples with Frobenius 12.
+        # ⟨3,5,7⟩, d = 3 takes 2 search paths, of its 20 multiples with Frobenius 12.
         argv = ("max-multiples", "--sgp", "3,5,7", "--d", "3")
-        assert run(capsys, *argv, "--max-nodes", "7") == (
-            3, "", "error: more than 7 search paths for the maximal 3-multiples of ⟨3,5,7⟩\n"
+        assert run(capsys, *argv, "--max-nodes", "1") == (
+            3, "", "error: more than 1 search paths for the maximal 3-multiples of ⟨3,5,7⟩\n"
         )
-        assert run(capsys, *argv, "--max-nodes", "8") == run(capsys, *argv)
+        assert run(capsys, *argv, "--max-nodes", "2") == run(capsys, *argv)
         # d = 1 runs the same search, whose one path finds S.
         argv = ("max-multiples", "--sgp", "3,4,5", "--d", "1")
         assert run(capsys, *argv, "--max-nodes", "0") == (
@@ -1248,6 +1250,23 @@ class TestAsProgram:
         done = self.program("info", "--sgp", "4,6")
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == "error: gcd(4,6) != 1\n"
+
+    def test_reader_closes_pipe_early(self):
+        # 3.1 MB of JSON, far more than a pipe holds: the reader takes 100
+        # bytes and closes, as `| head -c 100` does.  Exit 1, no traceback.
+        src = str(Path(numsgps.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = ["fiber-tree", "--sgp", "2,3", "--d", "13", "--max-nodes", "90", "--format", "json"]
+        child = subprocess.Popen(
+            [sys.executable, "-m", "numsgps.cli", *argv],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8"},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert child.stdout.read(100).startswith(b"{")
+        child.stdout.close()
+        err = child.stderr.read().decode("utf-8", "replace")
+        assert (child.wait(timeout=60), err) == (1, "")
 
 
 class TestInternalInvariantExit:

@@ -169,6 +169,24 @@ class TestMaxMultiples:
                 with pytest.raises(CeilingExceeded, match="^more than 0 search paths"):
                     max_multiples(ctx, node_cap=0)
 
+    def test_one_path_per_maximal(self, genus_tree_12):
+        """On every S with genus ≤ 6 and d ∈ {2, 3}, the 98 contexts of the
+        ``maxmult`` benchmark workload, the search takes one path per
+        maximal: a cap of their number passes and one less raises."""
+        cases = 0
+        for S in genus_tree_12:
+            if not 1 <= S.genus <= 6:
+                continue
+            for d in (2, 3):
+                ctx = MultipleContext(S, d)
+                uncapped = max_multiples(ctx)
+                k = len(uncapped.maximals)
+                assert max_multiples(ctx, node_cap=k) == uncapped
+                with pytest.raises(CeilingExceeded, match=f"^more than {k - 1} search paths"):
+                    max_multiples(ctx, node_cap=k - 1)
+                cases += 1
+        assert cases == 98
+
     # msg(S) of the 29 S with genus ≤ 7 whose reference search at d = 4
     # passes 30,000 visits, each of genus 6 or 7; none does at d = 2 or 3.
     # Found once by running the reference to that limit on every pair.

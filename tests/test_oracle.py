@@ -2,8 +2,11 @@
 bounded multiple enumeration, over-semigroups, and the exhaustive minimal
 system search."""
 
+import hashlib
+
 import pytest
 
+from numsgps import oracle
 from numsgps.core import WHOLE_N, from_generators
 from numsgps.errors import CeilingExceeded, InvalidInput
 from numsgps.multiples import MultipleContext, is_d_multiple, quotient
@@ -70,6 +73,21 @@ class TestGenusTree:
             by_genus.setdefault(S.genus, 0)
             by_genus[S.genus] += 1
         assert [by_genus[g] for g in range(9)] == [1, 1, 2, 4, 7, 12, 23, 39, 67]
+
+    def test_one_build_per_semigroup(self, monkeypatch):
+        """Each semigroup of genus 1 … 12 is built once (ℕ is a constant),
+        and the listing's gap masks and msg are those recorded when every
+        one but the last level was built twice."""
+        builds = []
+        build = oracle._from_gap_mask
+        monkeypatch.setattr(oracle, "_from_gap_mask", lambda g: builds.append(g) or build(g))
+        listing = semigroups_by_genus(12)
+        assert len(listing) == 1413
+        assert len(builds) == len(set(builds)) == 1412
+        text = ",".join(f"{S.gap_mask}:{S.msg}" for S in listing)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8b528f3ed7a920c86f8ed30a2d15884eae3ea40404ceed06c1646c3bf77039fd"
+        )
 
 
 class TestBoundedMultiples:
