@@ -10,41 +10,36 @@ value and every usage error) goes unchanged to a new argparse parser of
 :func:`build_parser`, built for that argv alone, so argparse alone writes
 help and usage errors.  A handler computes its result once and returns one
 zero-argument renderer per format.  A renderer returns text, a small JSON
-payload (a dict, under ``"json"``) or an iterable of text chunks; the
-three ``fiber-tree`` renderers (text, JSON and DOT) yield chunks node by
-node or line by line from each fiber's flat preorder lists, so its output,
-which grows with the cube of the tree depth as JSON, never has to fit in
-memory.  The JSON of a semigroup listing (``max-multiples`` and the oracle
-census and bounded multiples) is streamed too.  Both JSON streams write
-their head, S and the int fields, with :func:`_json_head`.  Every
-semigroup goes through one template, :func:`_semigroup_json`, from
-constant pieces built once per nesting level, as three chunks: up to its
-gap list, the gaps, and the rest, so the gap list, the bulk of a deep
-fiber's JSON, is never copied into a larger string.  The one exception is
-a fiber child P ∖ {x} with x > F(P), which :func:`_trees_json` writes
-inline from the same pieces: P's gaps, joined once and held while the
-closes share P, and then x.  The JSON streams and the fiber text format
-each integer once per output, into a table of names read by index and
-grown once per tree or listing; the fiber text and JSON also build each
-depth's pieces once.  Those tables grow with the largest integer printed
-and with the square of the tree depth.  All search happens in the handler,
-so a refusal comes before the first byte.  :func:`main` alone picks the
-format, runs the one renderer it names, encodes the one-shot payloads with
-:func:`canonical_json`, which writes the standard library's sorted,
-indented text itself and hands only str and float values to ``json``, and
-streams the chunks to ``--out`` or stdout; no streamed output, head
-included, goes through ``json``.  An unwritable path is invalid input.
+payload (a dict or a semigroup, under ``"json"``) or an iterable of text
+chunks.  :func:`canonical_json` writes the standard library's sorted,
+indented JSON text itself, for every one-shot payload and the head of
+every streamed JSON output; every semigroup in it goes through one
+template, :func:`_semigroup_json`, from constant pieces built once per
+nesting level, as three chunks: up to its gap list, the gaps, and the
+rest, so the gap list, the bulk of a deep fiber's JSON, is never copied
+into a larger string.  The bodies stream: a semigroup listing
+(``max-multiples`` and the oracle census and bounded multiples) one
+semigroup at a time through that template, and the three ``fiber-tree``
+renderers (text, JSON and DOT) node by node or line by line from each
+fiber's flat preorder lists, so its output, which grows with the cube of
+the tree depth as JSON, never has to fit in memory.  Each integer is
+formatted once per output, into a table of names read by index.  All
+search happens in the handler, so a refusal comes before the first byte.  :func:`main` alone picks the format, runs
+the one renderer it names and streams its chunks to ``--out`` or stdout.
+An unwritable path is invalid input.
 
-Exit codes: 0 success, 2 invalid input, 3 budget or ceiling exceeded,
-4 internal invariant violation.  JSON is canonical (sorted keys, two-space
-indent) so that parsing and re-rendering is byte-stable; semigroup lists
-are sorted by their minimal generators to stay diffable.
+Exit codes: 0 success, 1 stdout closed early or not writable, 2 invalid
+input, 3 budget or ceiling exceeded, 4 internal invariant violation.  JSON
+is canonical (sorted keys, two-space indent) so that parsing and
+re-rendering is byte-stable; semigroup lists are sorted by their minimal
+generators to stay diffable.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -60,29 +55,34 @@ from .errors import CeilingExceeded, InvalidInput, NumsgpsError
 
 def canonical_json(payload) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
-    + "\\n"`` byte for byte, without the standard library's indenting
-    encoder, which is pure Python: every piece goes into one list, joined
-    once, a list of plain ints is one join, and only str and float scalars
-    go through ``json``.  It recurses once per nesting level, so only the
-    small one-shot payloads come through here; the fiber forest
-    (:func:`_trees_json`) and the semigroup listings (:func:`_listing`)
-    are written chunk by chunk and match its text byte for byte."""
+    + "\\n"`` byte for byte, a semigroup written as its ``to_json_dict()``
+    by :func:`_semigroup_json`, without the standard library's pure-Python
+    indenting encoder: every piece goes into one list, joined once, a list
+    of plain ints is one join, and only str and float scalars go through
+    ``json``.  It writes every one-shot payload and the head of every
+    streamed JSON output; the bodies of the fiber forest and the semigroup
+    listings stream and match its text byte for byte."""
     out: list[str] = []
-    _json_chunks(payload, "\n", out)
+    _json_chunks(payload, "\n", out, [])
     out.append("\n")
     return "".join(out)
 
 
-def _json_chunks(value, pad: str, out: list) -> None:
+def _json_chunks(value, pad: str, out: list, names: list) -> None:
     """Append the canonical JSON of value to out, its nested lines
-    indented past ``pad`` (a newline and the current indent)."""
+    indented past ``pad`` (a newline and the current indent).  A semigroup
+    is written by :func:`_semigroup_json` at the nesting level of ``pad``,
+    its integers read from ``names``, which is grown through it."""
     if isinstance(value, dict):
         inner, opening = pad + "  ", "{"
         for key in sorted(value):
             out.append(f"{opening}{inner}{encode_basestring(key)}: ")
-            _json_chunks(value[key], inner, out)
+            _json_chunks(value[key], inner, out, names)
             opening = ","
         out.append(pad + "}" if value else "{}")
+    elif isinstance(value, NumericalSemigroup):
+        _name_through(names, (value.gap_mask,), (value.msg,))
+        out += _semigroup_json("", value.gap_mask, value.msg, names, _json_level(len(pad) // 2))
     elif isinstance(value, (list, tuple)):
         inner, opening = pad + "  ", "["
         if value and all(type(v) is int for v in value):
@@ -90,7 +90,7 @@ def _json_chunks(value, pad: str, out: list) -> None:
             return
         for v in value:
             out.append(opening + inner)
-            _json_chunks(v, inner, out)
+            _json_chunks(v, inner, out, names)
             opening = ","
         out.append(pad + "]" if value else "[]")
     elif value is True:
@@ -123,34 +123,32 @@ def _context(args) -> multiples.MultipleContext:
     return multiples.MultipleContext(parse_semigroup(args.sgp), args.d)
 
 
-def _head(ctx: multiples.MultipleContext) -> dict:
-    """The S/d fields that head every JSON payload about a context."""
-    return {"S": ctx.semigroup.to_json_dict(), "d": ctx.d}
-
-
 def _join(values) -> str:
     return ",".join(map(str, values))
 
 
-def _listing(semigroups, key: str, S=None, **fields) -> dict:
+def _listing(semigroups, key: str, **head) -> dict:
     """Renderers of a semigroup list sorted by msg: one per line as text,
-    under ``key`` (after S, when given, and the int ``fields``) as JSON.
+    as JSON under ``key``, which sorts after the ``head`` fields.
 
-    The JSON is canonical_json of that payload, byte for byte, in chunks:
-    the :func:`_json_head` of S and the fields, then the
+    The JSON is canonical_json of that payload, byte for byte: the head
+    (the payload with an empty list, cut at its ``[``), then the
     :func:`_semigroup_json` chunks of each semigroup, then the close."""
     ordered = sorted(semigroups, key=lambda s: s.msg)
 
     def json_chunks():
+        out: list = []
         names: list = []
-        yield from _json_head(names, key, S, **fields)
+        _json_chunks({**head, key: []}, "\n", out, names)
+        out[-2:] = ["["]  # "[]" and the close, "\n}"
+        yield from out
         if not ordered:
             yield "]\n}\n"
             return
         _name_through(names, (T.gap_mask for T in ordered), (T.msg for T in ordered))
-        opening = ""
+        opening, listed = "", _json_level(2, "\n    ")
         for T in ordered:
-            yield from _semigroup_json(opening, T.gap_mask, T.msg, names, _LISTED)
+            yield from _semigroup_json(opening, T.gap_mask, T.msg, names, listed)
             opening = ","
         yield "\n  ]\n}\n"
 
@@ -186,7 +184,7 @@ def _cmd_info(args) -> dict:
 
 def _cmd_quotient(args) -> dict:
     S = multiples.quotient(parse_semigroup(args.sgp), args.d)
-    return {"json": S.to_json_dict, "text": lambda: f"{S}\n"}
+    return {"json": lambda: S, "text": lambda: f"{S}\n"}
 
 
 def _cmd_is_multiple(args) -> dict:
@@ -194,7 +192,7 @@ def _cmd_is_multiple(args) -> dict:
     T = parse_semigroup(args.candidate)
     verdict = multiples.is_d_multiple(ctx, T)
     return {
-        "json": lambda: {**_head(ctx), "candidate": T.to_json_dict(), "is_multiple": verdict},
+        "json": lambda: {"S": ctx.semigroup, "d": ctx.d, "candidate": T, "is_multiple": verdict},
         "text": lambda: ("true" if verdict else "false") + "\n",
     }
 
@@ -202,7 +200,7 @@ def _cmd_is_multiple(args) -> dict:
 def _cmd_max_multiples(args) -> dict:
     ctx = _context(args)
     maximals = multiples.max_multiples(ctx, args.max_nodes).maximals
-    return _listing(maximals, "maximals", ctx.semigroup, d=ctx.d)
+    return _listing(maximals, "maximals", S=ctx.semigroup, d=ctx.d)
 
 
 def _name_through(names: list, gap_masks, msgs) -> None:
@@ -240,7 +238,8 @@ def _trees_text(trees):
             )
 
 
-def _json_level(n: int, before: str, after: str) -> tuple[str, ...]:
+@functools.cache
+def _json_level(n: int, before: str = "", after: str = "") -> tuple[str, ...]:
     """The constant pieces of the JSON object of a semigroup whose braces
     sit at nesting level n, in :func:`_semigroup_json`'s order: ``before``
     goes before its opening brace and ``after`` after its closing one."""
@@ -266,9 +265,9 @@ def _semigroup_json(head: str, G: int, msg: tuple[int, ...], names: list, level)
     the caller has grown (:func:`_name_through`).  The gaps are picked by
     the bits of the gap mask G, without building the gap tuple, and their
     chunk is never copied into a larger string.  ℕ, with no gaps, is one
-    chunk.  It writes every semigroup but a fiber child P ∖ {x} with
-    x > F(P), which :func:`_trees_json` writes inline from the same level
-    pieces."""
+    chunk.  It writes every semigroup of every JSON output but a fiber
+    child P ∖ {x} with x > F(P), which :func:`_trees_json` writes inline
+    from the same level pieces."""
     opening, gaps, sep, genus, msg_key, close, field = level
     gens = sep.join(map(names.__getitem__, msg))
     if not G:  # ℕ
@@ -278,27 +277,6 @@ def _semigroup_json(head: str, G: int, msg: tuple[int, ...], names: list, level)
         sep.join(compress(names, _bit_flags(G))),
         f"{genus}{names[G.bit_count()]}{msg_key}{gens}{close}",
     )
-
-
-_HEAD_S = _json_level(1, '{\n  "S": ', ",")  # S, first key of a streamed head
-_LISTED = _json_level(2, "\n    ", "")  # a semigroup in a listing
-
-
-def _json_head(names: list, key: str, S=None, **fields):
-    r"""The head of a streamed canonical JSON object whose last key,
-    ``key``, holds a list, as chunks through that list's ``[``: S (when
-    given) through :func:`_semigroup_json`, after ``names`` is grown
-    through it, then the int ``fields`` in sorted key order.  This is
-    canonical_json's text: ``"S"`` sorts before every lowercase key, each
-    caller's ``key`` sorts after its fields, and an int is written as
-    ``str(int)``.  The caller closes the object with ``\n  ]\n}\n``, or
-    with ``]\n}\n`` when its list is empty."""
-    if S is None:
-        yield "{"
-    else:
-        _name_through(names, (S.gap_mask,), (S.msg,))
-        yield from _semigroup_json("", S.gap_mask, S.msg, names, _HEAD_S)
-    yield "".join(f'\n  "{k}": {v},' for k, v in sorted(fields.items())) + f'\n  "{key}": ['
 
 
 def _fiber_level(k: int) -> tuple[str, ...]:
@@ -317,9 +295,9 @@ def _fiber_level(k: int) -> tuple[str, ...]:
 
 
 def _trees_json(ctx, trees):
-    """canonical_json of the fiber-tree payload (the S/d head, then
-    ``trees``), byte for byte, in chunks: the :func:`_json_head`, then
-    the nodes written from the trees' preorder lists.
+    """canonical_json of the fiber-tree payload (S, d, then ``trees``),
+    byte for byte, in chunks: the head (the payload with no trees, cut at
+    its ``[``), then the nodes written from the trees' preorder lists.
 
     A node's ``"children"`` key sorts first, so its chunk opens that list.
     The list stays open while the next node is deeper, as that node is its
@@ -347,8 +325,8 @@ def _trees_json(ctx, trees):
     parent gap list.  ``trees`` is not empty: every S other than ℕ has a
     maximal d-multiple.
     """
+    yield canonical_json({"S": ctx.semigroup, "d": ctx.d, "trees": []})[:-4]
     names: list = []
-    yield from _json_head(names, "trees", ctx.semigroup, d=ctx.d)
     name = names.__getitem__
     levels: list = []
     for t, tree in enumerate(trees):
@@ -434,12 +412,13 @@ def _cmd_md_monoid(args) -> dict:
     shape = str(semigroup) if semigroup else f"{monoid.scale}*{monoid.reduced}"
     return {
         "json": lambda: {
-            **_head(ctx),
+            "S": ctx.semigroup,
+            "d": ctx.d,
             "x_set": list(monoid.x_set),
             "minimal_system": list(monoid.minimal_system),
             "md_embedding_dimension": monoid.md_embedding_dimension,
             "is_semigroup": monoid.is_semigroup,
-            "semigroup": semigroup.to_json_dict() if semigroup else None,
+            "semigroup": semigroup,
         },
         "text": lambda: (
             f"minimal system {{{_join(monoid.minimal_system)}}} "
@@ -462,7 +441,7 @@ def _cmd_ed1(args) -> dict:
         "gluing": ed1.is_gluing_of_n_and_s(m),
     }
     return {
-        "json": lambda: {"semigroup": m.semigroup.to_json_dict(), **facts},
+        "json": lambda: {"semigroup": m.semigroup, **facts},
         "text": lambda: (
             f"{m.semigroup} F={facts['frobenius']} g={facts['genus']} PF={{{_join(pf)}}} "
             f"t={len(pf)} gluing={'yes' if facts['gluing'] else 'no'}\n"
@@ -475,7 +454,7 @@ def _cmd_full_rank(args) -> dict:
     report = rank.full_rank_condition(S)
     return {
         "json": lambda: {
-            "semigroup": S.to_json_dict(),
+            "semigroup": S,
             "condition_holds": report.condition_holds,
             "multiplicity_bound_ok": report.multiplicity_bound_ok,
             "witnesses": [
@@ -496,7 +475,7 @@ def _cmd_unique_betti(args) -> dict:
     spec = rank.UniqueBettiSpec(tuple(sorted(_csv_ints(args.c, "factor list"))))
     S = rank.unique_betti(spec)
     return {
-        "json": lambda: {"c": list(spec.c), "semigroup": S.to_json_dict(), "condition_holds": True},
+        "json": lambda: {"c": list(spec.c), "semigroup": S, "condition_holds": True},
         "text": lambda: f"{S} F={S.frobenius} g={S.genus} full quotient rank\n",
     }
 
@@ -506,11 +485,11 @@ def _cmd_search_low_e(args) -> dict:
     d, T = rank.bounded_low_e_multiple_search(S, args.dmax) or (None, None)
     return {
         "json": lambda: {
-            "semigroup": S.to_json_dict(),
+            "semigroup": S,
             "dmax": args.dmax,
             "found": T is not None,
             "d": d,
-            "multiple": T.to_json_dict() if T else None,
+            "multiple": T,
         },
         "text": lambda: f"d={d} {T} e={T.embedding_dimension}\n" if T else "none\n",
     }
@@ -547,7 +526,7 @@ def _cmd_oracle_multiples(args) -> dict:
         hard_node_limit=args.limit,
     )
     found = oracle.all_multiples_bounded(ctx, budget)
-    return _listing(found, "multiples", ctx.semigroup, d=ctx.d, max_frobenius=args.max_frobenius)
+    return _listing(found, "multiples", S=ctx.semigroup, d=ctx.d, max_frobenius=args.max_frobenius)
 
 
 # An option is (flag, keyword arguments of add_argument).
@@ -684,10 +663,11 @@ def _plain_args(argv):
 
 def _chunks(rendered):
     """A renderer's result as str chunks: text is one chunk, a JSON payload
-    (a dict) is its canonical JSON, and anything else already is chunks."""
+    (a dict or a semigroup) is its canonical JSON, and anything else
+    already is chunks."""
     if isinstance(rendered, str):
         return (rendered,)
-    if isinstance(rendered, dict):
+    if isinstance(rendered, (dict, NumericalSemigroup)):
         return (canonical_json(rendered),)
     return rendered
 
@@ -715,9 +695,12 @@ def main(argv=None) -> int:
     except NumsgpsError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
-    except BrokenPipeError:
-        # The reader closed stdout early (say, `| head`).  Point fd 1 at
-        # devnull so that the flush at interpreter exit does not fail again.
+    except OSError as err:
+        # The reader closed stdout early (say, `| head`), silently, or stdout
+        # cannot be written (say, a full disk).  Point fd 1 at devnull so
+        # that the flush at interpreter exit does not fail again.
+        if not isinstance(err, BrokenPipeError):
+            print(f"error: cannot write stdout: {err.strerror or err}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return 0

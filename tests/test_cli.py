@@ -2,6 +2,7 @@
 trips, DOT output, CSV reproducibility and exit codes."""
 
 import csv
+import errno
 import hashlib
 import inspect
 import io
@@ -19,7 +20,12 @@ import pytest
 import numsgps
 from numsgps import cli, fibers, multiples
 from numsgps.cli import canonical_json, main, parse_semigroup
-from numsgps.oracle import EnumerationBudget, all_multiples_bounded, all_with_frobenius
+from numsgps.oracle import (
+    EnumerationBudget,
+    all_multiples_bounded,
+    all_with_frobenius,
+    semigroups_by_genus,
+)
 
 from conftest import fiber_node_to_json_dict, reference_fiber_walk, sgp
 
@@ -32,6 +38,12 @@ JSON_COMMANDS = (
     ["quotient", "--sgp", "3,5", "--d", "100", "--format", "json"],
     ["is-multiple", "--sgp", "3,4,5", "--d", "3", "--candidate", "4,5,7", "--format", "json"],
     ["is-multiple", "--sgp", "3,4,5", "--d", "2", "--candidate", "4,5,7", "--format", "json"],
+    # ℕ nested as S (and as the candidate), and ⟨3,4⟩, whose largest
+    # generator is below F, as the candidate.
+    ["is-multiple", "--sgp", "1", "--d", "3", "--candidate", "1", "--format", "json"],
+    ["ed1", "--sgp", "1", "--d", "2", "--x", "1", "--format", "json"],
+    ["md-monoid", "--sgp", "1", "--d", "3", "--x", "2", "--format", "json"],
+    ["is-multiple", "--sgp", "2,3", "--d", "2", "--candidate", "3,4", "--format", "json"],
     ["max-multiples", "--sgp", "3,5,7", "--d", "3", "--format", "json"],
     ["ed1", "--sgp", "5,7,9", "--d", "2", "--x", "9", "--format", "json"],
     ["full-rank", "--sgp", "4,5,6,7", "--format", "json"],
@@ -212,6 +224,23 @@ class TestJson:
             payload = random_payload(rng)
             expected = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
             assert canonical_json(payload) == expected + "\n", payload
+
+    def test_canonical_json_semigroups(self):
+        # Every S of genus ≤ 8, ℕ and ⟨3,4⟩ (largest generator below F)
+        # among them, at nesting levels 0 to 3: a semigroup value is
+        # written as its to_json_dict() would be.
+        found = semigroups_by_genus(8)
+        assert {(1,), (3, 4)} <= {S.msg for S in found}
+        for S in found:
+            for shape in (
+                lambda v: v,
+                lambda v: {"S": v, "d": 2},
+                lambda v: [v, 7, None],
+                lambda v: {"a": [[], v], "z": True},
+            ):
+                expected = shape(S.to_json_dict())
+                expected = json.dumps(expected, sort_keys=True, indent=2, ensure_ascii=False)
+                assert canonical_json(shape(S)) == expected + "\n", S
 
     def test_quotient_json(self, capsys):
         code, out, _ = run(capsys, "quotient", "--sgp", "6,9,11", "--d", "5", "--format", "json")
@@ -981,6 +1010,28 @@ class TestUnwritablePaths:
         assert err.startswith("error: cannot write ") and bad in err
 
 
+class TestUnwritableStdout:
+    def test_full_disk(self, capsys, monkeypatch, tmp_path):
+        # A stdout whose writes fail with ENOSPC: exit 1 with one error
+        # line, and fd 1 (here a file of the test's own) points at devnull.
+        class FullStdout(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def fileno(self):
+                return held.fileno()
+
+        with open(tmp_path / "fd", "w") as held:
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", FullStdout())
+                code = main(["info", "--sgp", "3,5"])
+            assert os.path.samestat(os.fstat(held.fileno()), os.stat(os.devnull))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+        )
+
+
 class TestOneOutput:
     @pytest.mark.parametrize(
         "argv",
@@ -1227,13 +1278,14 @@ class TestParserReuse:
 class TestAsProgram:
     """The CLI run as ``python -m numsgps.cli`` in a fresh interpreter."""
 
-    def program(self, *argv):
+    def program(self, *argv, stdout=subprocess.PIPE):
         src = str(Path(numsgps.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, "-m", "numsgps.cli", *argv],
             env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8"},
-            capture_output=True,
+            stdout=stdout,
+            stderr=subprocess.PIPE,
             encoding="utf-8",
             timeout=60,
         )
@@ -1250,6 +1302,14 @@ class TestAsProgram:
         done = self.program("info", "--sgp", "4,6")
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == "error: gcd(4,6) != 1\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_stdout_full(self):
+        with open("/dev/full", "w") as full:
+            done = self.program("info", "--sgp", "3,5", stdout=full)
+        assert (done.returncode, done.stderr) == (
+            1, "error: cannot write stdout: No space left on device\n"
+        )
 
     def test_reader_closes_pipe_early(self):
         # 3.1 MB of JSON, far more than a pipe holds: the reader takes 100
