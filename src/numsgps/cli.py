@@ -4,29 +4,31 @@ Each subcommand is one row of the table :data:`_COMMANDS` (path, help,
 handler, formats, options), and both parsers are read from it.
 :func:`_plain_args` parses a plain argv, a command path followed only by
 ``--flag value`` pairs that spell out that row's options in full with
-valid values, from a table built once at import.  Every other argv
-(``--out``, help, an abbreviation, ``--flag=value``, ``--``, a dash-led
-value and every usage error) goes unchanged to a new argparse parser of
-:func:`build_parser`, built for that argv alone, so argparse alone writes
-help and usage errors.  A handler computes its result once and returns one
-zero-argument renderer per format.  A renderer returns text, a small JSON
-payload (a dict or a semigroup, under ``"json"``) or an iterable of text
-chunks.  :func:`canonical_json` writes the standard library's sorted,
-indented JSON text itself, for every one-shot payload and the head of
-every streamed JSON output; every semigroup in it goes through one
-template, :func:`_semigroup_json`, from constant pieces built once per
-nesting level, as three chunks: up to its gap list, the gaps, and the
-rest, so the gap list, the bulk of a deep fiber's JSON, is never copied
-into a larger string.  The bodies stream: a semigroup listing
-(``max-multiples`` and the oracle census and bounded multiples) one
-semigroup at a time through that template, and the three ``fiber-tree``
-renderers (text, JSON and DOT) node by node or line by line from each
-fiber's flat preorder lists, so its output, which grows with the cube of
-the tree depth as JSON, never has to fit in memory.  Each integer is
-formatted once per output, into a table of names read by index.  All
-search happens in the handler, so a refusal comes before the first byte.  :func:`main` alone picks the format, runs
-the one renderer it names and streams its chunks to ``--out`` or stdout.
-An unwritable path is invalid input.
+valid values, from a table built once at import, into a
+``types.SimpleNamespace`` with the attributes of argparse's Namespace.
+Every other argv (``--out``, help, an abbreviation, ``--flag=value``,
+``--``, a dash-led value and every usage error) goes unchanged to a new
+argparse parser of :func:`build_parser`, built for that argv alone, so
+argparse alone writes help and usage errors.  A handler computes its
+result once and returns one zero-argument renderer per format.  A
+renderer returns text, a small JSON payload (a dict or a semigroup, under
+``"json"``) or an iterable of text chunks.  :func:`canonical_json`
+writes the standard library's sorted, indented JSON text itself, for
+every one-shot payload and the head of every streamed JSON output; every
+semigroup in it goes through one template, :func:`_semigroup_json`, from
+constant pieces built once per nesting level, as three chunks: up to its
+gap list, the gaps, and the rest, so the gap list, the bulk of a deep
+fiber's JSON, is never copied into a larger string.  The bodies stream: a
+semigroup listing (``max-multiples`` and the oracle census and bounded
+multiples) one semigroup at a time through that template, and the three
+``fiber-tree`` renderers (text, JSON and DOT) node by node or line by
+line from each fiber's flat preorder lists, so its output, which grows
+with the cube of the tree depth as JSON, never has to fit in memory.
+Each integer is formatted once per output, into a table of names read by
+index.  All search happens in the handler, so a refusal comes before the
+first byte.  :func:`main` alone picks the format, runs the one renderer it
+names and streams its chunks to ``--out`` or stdout.  An unwritable path
+is invalid input.
 
 Exit codes: 0 success, 1 stdout closed early or not writable, 2 invalid
 input, 3 budget or ceiling exceeded, 4 internal invariant violation.  JSON
@@ -47,6 +49,7 @@ import sys
 from itertools import compress
 from json.encoder import encode_basestring
 from operator import itemgetter
+from types import SimpleNamespace
 
 from . import core, ed1, fibers, monoids, multiples, oracle, rank
 from .core import NumericalSemigroup, _bit_flags
@@ -498,11 +501,11 @@ def _cmd_search_low_e(args) -> dict:
 def _cmd_rank_sweep(args) -> dict:
     rows = rank.rank_sweep(args.count, args.max_genus, args.seed, d_max=args.dmax)
 
-    def table():
+    def table():  # csv.DictWriter's text, from the row values in field order
         buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=rank.SWEEP_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(rank.SWEEP_FIELDS)
+        writer.writerows(map(itemgetter(*rank.SWEEP_FIELDS), rows))
         return buffer.getvalue()
 
     return {"text": table}
@@ -599,10 +602,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _plain_rows() -> dict:
     """The plain parser's table, keyed by each leaf row's path as a tuple of
-    words: the number of words, the Namespace attributes that argparse
-    gives when no option is given (``out``, the command dests, every dest
-    at its default, ``format`` and ``run``), the dests of the required
-    options, and per option string its dest, type and choices."""
+    words: the number of words, the attributes of the Namespace that
+    argparse gives when no option is given (``out``, the command dests,
+    every dest at its default, ``format`` and ``run``), the dests of the
+    required options, and per option string its dest, type and choices."""
     rows = {}
     for path, _, run, formats, *options in _COMMANDS:
         if run is None:
@@ -628,13 +631,15 @@ _PLAIN = _plain_rows()
 
 
 def _plain_args(argv):
-    """The Namespace that argparse gives a plain argv, or None when argv is
-    not plain.  A plain argv is the words of a leaf row's path, then only
-    pairs of one of that row's option strings, spelled out in full, and a
-    value that does not start with ``-``, converts with the option's type
-    and is one of its choices; every required option is given, and a
-    repeated option keeps its last value.  Anything else, help and every
-    usage error included, is left to argparse."""
+    """A ``types.SimpleNamespace`` with the attributes of the Namespace that
+    argparse gives a plain argv, or None when argv is not plain (the
+    handlers read only attributes).  A plain argv is the words of a leaf
+    row's path, then only pairs of one of that row's option strings,
+    spelled out in full, and a value that does not start with ``-``,
+    converts with the option's type and is one of its choices; every
+    required option is given, and a repeated option keeps its last value.
+    Anything else, help and every usage error included, is left to
+    argparse."""
     row = _PLAIN.get(tuple(argv[:1])) or _PLAIN.get(tuple(argv[:2]))
     if row is None:
         return None
@@ -658,7 +663,7 @@ def _plain_args(argv):
     for dest in required:
         if values[dest] is None:
             return None
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
 def _chunks(rendered):

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import compress, count
 from math import gcd
 from typing import Iterable
@@ -262,9 +262,10 @@ def _closure(gens: Iterable[int], bound: int, members: int = 1) -> int:
 
 def _validated_positive(values: Iterable[int], what: str) -> list[int]:
     out = sorted(set(values))
-    if any(not isinstance(v, int) or isinstance(v, bool) for v in out):
-        raise InvalidInput(f"{what} must be integers")
-    if not all(v >= 1 for v in out):
+    for v in out:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise InvalidInput(f"{what} must be integers")
+    if out and out[0] < 1:
         raise InvalidInput(f"{what} must be positive, got {out}")
     return out
 
@@ -282,7 +283,7 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     g = _validated_positive(gens, "generators")
     if not g:
         raise InvalidInput("generator set must be nonempty")
-    if reduce(gcd, g) != 1:
+    if gcd(*g) != 1:
         raise NotNumerical(f"gcd({','.join(map(str, g))}) != 1")
     m = g[0]
     bound = min(max((m - 1) * (g[-1] - 1) - 1, 0) + m, CLOSURE_CEILING)
@@ -398,9 +399,9 @@ def brauer_step(a1: int, rest: Iterable[int]) -> tuple[int, int]:
     if not r:
         raise InvalidInput("rest must be nonempty")
     a1 = _validated_positive([a1], "generators")[0]
-    if reduce(gcd, r, a1) != 1:
+    if gcd(a1, *r) != 1:
         raise NotCoprime(f"gcd of {a1} and {r} is not 1")
-    b = reduce(gcd, r)
+    b = gcd(*r)
     if b == 1:
         S = from_generators([a1, *r])
         return S.frobenius, S.genus

@@ -12,7 +12,6 @@ which gives exact membership everywhere without any element list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from math import gcd
 from typing import Iterable
 
@@ -92,7 +91,7 @@ def build_monoid(ctx: MultipleContext, xs: Iterable[int]) -> MdMonoid:
         raise NotMdSet(f"⟨{x_text}⟩ meets {ctx.d}·gaps({ctx.semigroup})")
     S, d = ctx.semigroup, ctx.d
     gens = sorted(set(x_tuple) | {d * a for a in S.msg})
-    scale = reduce(gcd, gens)
+    scale = gcd(*gens)
     reduced = from_generators([v // scale for v in gens])
     msg_m = tuple(scale * a for a in reduced.msg)
     scaled_msg = {d * a for a in S.msg}

@@ -40,6 +40,13 @@ from .errors import (
 )
 
 
+# The search of :func:`_gap_masks` holds W_p, of up to N = d·F(S) bits, for
+# each free position before its first path.  It refuses a search whose
+# |free|·N passes this many bits (32 MiB) before building them; the largest
+# search the tests, examples and benchmark run charges 6,320.
+TABLE_CEILING = 2**28
+
+
 @dataclass(frozen=True)
 class MultipleContext:
     """A pair (S, d) with the scaled data every d-multiple predicate needs."""
@@ -155,11 +162,18 @@ def _gap_masks(ctx: MultipleContext, node_cap: int | None):
       excluded, that is M meets its W_p; only those leaves are yielded.
 
     Each stack entry popped is one search path; past ``node_cap`` of them
-    the search raises :class:`CeilingExceeded`.
+    the search raises :class:`CeilingExceeded`, and so it does before its
+    first path when the table of W_p, charged at |free|·N bits, would pass
+    :data:`TABLE_CEILING`: the cap cannot bound that table.
     """
     d, N, B = ctx.d, ctx.scaled_frobenius, ctx.scaled_gap_mask
     steps = ((1 << d * (N // d + 1)) - 1) // ((1 << d) - 1)  # 0, d, …, N
     free = (1 << N) - 1 & ~steps
+    if free.bit_count() * N > TABLE_CEILING:
+        raise CeilingExceeded(
+            f"the maximal {d}-multiples of {ctx.semigroup} need a table of"
+            f" {free.bit_count()}·{N} bits, past {TABLE_CEILING}"
+        )
     positions = _bits(free)
     blockers = [0] * N  # W_p at each free position p
     for p in positions:
@@ -205,7 +219,8 @@ def max_multiples(ctx: MultipleContext, node_cap: int | None = None) -> MaxMulti
     by (genus, gap tuple) on those tuples and built from them.
 
     ``node_cap`` caps the search's paths: past it, as for a d·F(S) past the
-    closure ceiling whatever the cap, :class:`CeilingExceeded` is raised.
+    closure ceiling or a search table past :data:`TABLE_CEILING` whatever
+    the cap, :class:`CeilingExceeded` is raised.
     Every search takes a path, so cap 0 raises for every d.  The search
     takes about one path per maximal (exactly one on every S of genus ≤ 6
     with d ∈ {2, 3}); each path ends in its own d-multiple with Frobenius

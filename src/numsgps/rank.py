@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations, product
 from math import comb, gcd, prod
 
@@ -254,7 +253,7 @@ def _generator_tuples(ctx: MultipleContext, k_max: int, f: int | None = None):
             r = k_max - len(gens) - 1  # generators allowed after the next
             if r < 0:
                 continue
-            g = reduce(gcd, gens)
+            g = gcd(*gens)
             lo = gens[-1] + 1
             if r == 0 and g == a1:  # every b ≤ b_sylvester meets a cut below
                 lo = max(lo, b_sylvester + 1)
@@ -344,7 +343,7 @@ def random_semigroup(rng: random.Random, max_genus: int) -> NumericalSemigroup:
     while True:
         k = rng.randint(2, 5)
         gens = rng.sample(range(2, high + 1), k)
-        if reduce(gcd, gens) != 1 or reach + 1 - _closure(gens, reach).bit_count() > max_genus:
+        if gcd(*gens) != 1 or reach + 1 - _closure(gens, reach).bit_count() > max_genus:
             continue
         S = from_generators(gens)
         if 1 <= S.genus <= max_genus:

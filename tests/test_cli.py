@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import numsgps
-from numsgps import cli, fibers, multiples
+from numsgps import cli, fibers, multiples, rank
 from numsgps.cli import canonical_json, main, parse_semigroup
 from numsgps.oracle import (
     EnumerationBudget,
@@ -82,6 +82,19 @@ class TestParsing:
         code, _, err = run(capsys, "info", "--sgp", "3,x")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "spec, outcome",
+        [
+            ("0,3", (2, "", "error: generators must be positive, got [0, 3]\n")),
+            ("3,a", (2, "", "error: cannot parse generator list '3,a' as a comma list of integers\n")),
+            (" 3, ,5", (0, "⟨3,5⟩\n", "")),  # blank parts are skipped, spaces stripped
+            ("gaps:0,1", (2, "", "error: gaps must be positive, got [0, 1]\n")),
+            ("gaps:1,x", (2, "", "error: cannot parse gap set '1,x' as a comma list of integers\n")),
+        ],
+    )
+    def test_refusals_and_spacing(self, capsys, spec, outcome):
+        assert run(capsys, "quotient", "--sgp", spec, "--d", "1") == outcome
 
 
 class TestTextFixtures:
@@ -782,6 +795,30 @@ class TestExitCodes:
         uncapped = run(capsys, *argv)
         assert run(capsys, *argv, "--max-nodes", "1") == uncapped == (0, "⟨3,4,5⟩\n", "")
 
+    @pytest.mark.parametrize(
+        "argv, d",
+        [
+            (("max-multiples", "--sgp", "19,1000", "--d", "12", "--max-nodes", "1"), 12),
+            (("fiber-tree", "--sgp", "19,1000", "--d", "3", "--max-nodes", "1"), 3),
+        ],
+    )
+    def test_search_table_ceiling(self, capsys, argv, d):
+        """The max-multiples search charges its table of W_p, |free|·N bits
+        for N = d·F(S), before building it, and exits 3 past the ceiling.
+        Built, the d = 12 table ended in a MemoryError under a 2 GB
+        address-space limit; root discovery for the fiber tree builds the
+        same table."""
+        N = d * 17981
+        free = N - N // d
+        start = time.perf_counter()
+        assert run(capsys, *argv) == (
+            3,
+            "",
+            f"error: the maximal {d}-multiples of ⟨19,1000⟩ need a table of {free}·{N} bits,"
+            f" past {multiples.TABLE_CEILING}\n",
+        )
+        assert time.perf_counter() - start < 1
+
     def test_max_multiples_uncapped_finishes(self, capsys):
         # ⟨2,3⟩ with d = 60 did not finish in 4 minutes when every multiple
         # with Frobenius 60 was built.
@@ -926,6 +963,29 @@ class TestExitCodes:
 
 
 class TestRankSweep:
+    def test_table_is_the_dictwriter_rendering(self, capsys):
+        """The table, written by csv.writer from the rows' values in
+        SWEEP_FIELDS order, equals csv.DictWriter's rendering of the same
+        rows byte for byte, quoted msg cells and empty low_e cells too."""
+        outputs = []
+        for count, max_genus, seed, dmax in (
+            (1, 8, 0, 3), (1, 8, 2027, 3), (12, 8, 7, 3), (25, 10, 5151, 3),
+            (40, 3, 11, 3), (8, 14, 99, 2), (6, 6, 1, 0), (0, 5, 3, 3),
+        ):
+            rows = rank.rank_sweep(count, max_genus, seed, d_max=dmax)
+            buffer = io.StringIO()
+            writer = csv.DictWriter(buffer, fieldnames=rank.SWEEP_FIELDS, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+            argv = ("rank-sweep", "--count", str(count), "--max-genus", str(max_genus),
+                    "--seed", str(seed), "--dmax", str(dmax))
+            assert run(capsys, *argv) == (0, buffer.getvalue(), ""), argv
+            outputs.append(buffer.getvalue())
+        lines = "".join(outputs).splitlines()
+        assert any(line.startswith('"') for line in lines)  # a quoted msg cell
+        assert any(line.endswith(",,") for line in lines)  # empty low_e cells
+        assert any(line.endswith('"') for line in lines)  # a quoted low_e multiple
+
     def test_csv_reproducible(self, capsys, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -1195,7 +1255,7 @@ def _row_argvs(path, formats, options, rng):
 
 
 class TestPlainParser:
-    """The plain parser's Namespace equals argparse's on every plain argv,
+    """The plain parser's attributes equal argparse's on every plain argv,
     and it leaves every other spelling to argparse."""
 
     LEAVES = [row for row in cli._COMMANDS if row[2] is not None]

@@ -99,6 +99,22 @@ class TestClosure:
         assert _closure([9, 2], 5) == 0b10101
 
 
+class TestRefusedValues:
+    """The refusals from_generators and from_gaps give a value that is not
+    a positive integer: the types are checked first, then the least value,
+    shown in the sorted set of values."""
+
+    @pytest.mark.parametrize("build, what", [(from_generators, "generators"), (from_gaps, "gaps")])
+    def test_messages(self, build, what):
+        for values in ([True, 3], [2.5, 3], [3, True, -1]):
+            with pytest.raises(InvalidInput, match=f"^{what} must be integers$"):
+                build(values)
+        for values, shown in (([0, 3], "[0, 3]"), ([-2, 3], "[-2, 3]"), ([3, -2, 3], "[-2, 3]")):
+            with pytest.raises(InvalidInput) as err:
+                build(values)
+            assert str(err.value) == f"{what} must be positive, got {shown}"
+
+
 class TestFromGaps:
     def test_empty(self):
         assert from_gaps([]) == WHOLE_N
