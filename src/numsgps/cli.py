@@ -109,10 +109,15 @@ def _json_chunks(value, pad: str, out: list, names: list) -> None:
 
 
 def _csv_ints(raw: str, what: str) -> list[int]:
-    try:
-        return [int(part) for part in raw.split(",") if part.strip() != ""]
-    except ValueError:
-        raise InvalidInput(f"cannot parse {what} {raw!r} as a comma list of integers")
+    """The integers of a comma list; blank parts are skipped and spaces
+    around a part stripped.  Digits must be ASCII without the underscores
+    that ``int`` would also take."""
+    if raw.isascii() and "_" not in raw:
+        try:
+            return [int(part) for part in raw.split(",") if part.strip() != ""]
+        except ValueError:
+            pass
+    raise InvalidInput(f"cannot parse {what} {raw!r} as a comma list of integers")
 
 
 def parse_semigroup(spec: str) -> NumericalSemigroup:

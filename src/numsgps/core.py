@@ -261,10 +261,16 @@ def _closure(gens: Iterable[int], bound: int, members: int = 1) -> int:
 
 
 def _validated_positive(values: Iterable[int], what: str) -> list[int]:
-    out = sorted(set(values))
-    for v in out:
-        if not isinstance(v, int) or isinstance(v, bool):
+    """The distinct values, ascending.  Every value is type-checked before
+    duplicates go: a set keeps only the first of 1 and True, or of 3 and
+    3.0, so checking after it would let the order decide."""
+    values = tuple(values)
+    for v in values:
+        # A plain int passes at once; anything else must be an int
+        # subclass other than bool.
+        if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
             raise InvalidInput(f"{what} must be integers")
+    out = sorted(set(values))
     if out and out[0] < 1:
         raise InvalidInput(f"{what} must be positive, got {out}")
     return out

@@ -3,10 +3,20 @@ the production algorithms; every other module's property tests lean on them.
 
 The workhorse is a depth-first descent over gap subsets of [1, limit]: each
 position is decided member-or-gap in increasing order while an integer
-bitmask tracks every pairwise sum of members, so a position may become a gap
-only when no two members add up to it.  Censuses, bounded multiple
-enumeration and over-semigroup listings are all instances of that descent
-with different forced/allowed position sets.
+bitmask ``gen`` tracks every pairwise sum of nonzero members, so a position
+may become a gap only when no two members add up to it.  Censuses, bounded
+multiple enumeration and over-semigroup listings are all instances of that
+descent with different forced/allowed position sets.
+
+Each leaf also reads its minimal generators off ``gen``, which keeps every
+sum up to 2·limit.  A nonzero member n is a minimal generator iff no two
+nonzero members add up to n.  Every generator is at most F + m ≤ limit + m,
+with m the multiplicity, and every n in (limit, limit + m] is a member whose
+splits use two members ≤ n − m ≤ limit.  So every split of a candidate is
+already a bit of ``gen``, and msg is the bits of the members in
+[1, limit] ∪ (limit, limit + m] outside ``gen``.  These listings never call
+the production minimal-generator kernel of :mod:`numsgps.core`; the genus
+tree, :func:`semigroups_by_genus`, still builds through it.
 """
 
 from __future__ import annotations
@@ -45,19 +55,25 @@ def _closed_gap_sets(
     allowed_mask: int,
     forced_mask: int,
     node_limit: int | None = None,
-) -> list[int]:
-    """The gap masks of all gap sets G with forced ⊆ G ⊆ forced ∪ allowed
-    ⊆ [1, limit] whose complement in ℕ is additively closed.
+) -> list[tuple[int, int]]:
+    """The (gap mask, msg mask) pairs of all gap sets G with forced ⊆ G ⊆
+    forced ∪ allowed ⊆ [1, limit] whose complement in ℕ is additively
+    closed.
 
     Positions outside allowed ∪ forced are members.  ``gen`` holds every sum
-    of two nonzero members decided so far (bits above limit dropped), so a
-    gap is legal exactly while its gen bit is clear, and a member is refused
-    as soon as it would force a sum onto a forced gap.  A finished descent
-    has decided every position, so its gap mask is ``full & ~members``.
+    of two nonzero members decided so far, up to 2·limit, so a gap is legal
+    exactly while its gen bit is clear, and a member is refused as soon as
+    it would force a sum onto a forced gap.  A finished descent has decided
+    every position, so its gap mask G is ``full & ~members``.  Its
+    multiplicity m is the lowest clear bit of G above 0, limit + 1 when
+    every position is a gap (at limit = 0, S = ℕ and m = 1).  Its msg mask
+    is the nonzero members up to limit, with the band (limit, limit + m],
+    minus ``gen``: the module docstring shows that every split of those
+    candidates is a bit of ``gen``.
     """
     full = (1 << (limit + 1)) - 1
     gapable = allowed_mask | forced_mask
-    out: list[int] = []
+    out: list[tuple[int, int]] = []
     # Depth-first on an explicit stack of (pos, members, gen), so depth is
     # not bounded by the recursion limit; the gap branch is pushed first so
     # the member branch is explored first.
@@ -67,22 +83,39 @@ def _closed_gap_sets(
             break
         pos, members, gen = stack.pop()
         if pos > limit:
-            out.append(full & ~members)
+            gaps = full ^ members
+            low = (gaps + 2) & ~gaps  # the multiplicity's bit
+            band = (low - 1) << (limit + 1)  # (limit, limit + m]
+            out.append((gaps, ((members & ~1) | band) & ~gen))
             continue
         bit = 1 << pos
         if (gapable & bit) and not (gen & bit):
             stack.append((pos + 1, members, gen))
         if not (forced_mask & bit):
-            new_gen = (gen | (((members & ~1) | bit) << pos)) & full
+            new_gen = gen | (((members & ~1) | bit) << pos)
             if not (new_gen & forced_mask):
                 stack.append((pos + 1, members | bit, new_gen))
     return out
 
 
-def _canonical(gap_masks) -> tuple[NumericalSemigroup, ...]:
-    """The semigroups with the given gap masks, sorted by (genus, gaps)."""
-    ordered = sorted(gap_masks, key=lambda g: (g.bit_count(), _bits(g)))
-    return tuple(map(_from_gap_mask, ordered))
+_SWAP_01 = str.maketrans("01", "10")
+
+
+def _canonical(pairs) -> tuple[NumericalSemigroup, ...]:
+    """The semigroups with the given (gap mask, msg mask) pairs, sorted by
+    (genus, gaps) under the key (genus, bin(mask) reversed with 0 and 1
+    swapped), whose string reads 0 at each gap, lowest position first.
+
+    For two gap sets A ≠ B of equal genus, let b be the lowest bit of
+    A ^ B.  Both share every gap below b, and the one holding b has b as
+    its next gap where the other has a larger one (it has one, the genus
+    being equal), so A's gap tuple sorts first iff b ∈ A.  The key strings
+    first differ at b, where the gap set holding b reads 0, so they sort
+    the same way.  Neither string is a proper prefix of the other: that
+    would put all of A's gaps among B's with more above, a larger genus.
+    """
+    ordered = sorted(pairs, key=lambda p: (p[0].bit_count(), bin(p[0])[:1:-1].translate(_SWAP_01)))
+    return tuple(NumericalSemigroup(gaps, _bits(msg)) for gaps, msg in ordered)
 
 
 def all_with_frobenius(f: int) -> tuple[NumericalSemigroup, ...]:
@@ -144,7 +177,7 @@ def all_multiples_bounded(
         raise CeilingExceeded(
             f"more than {budget.hard_node_limit} multiples below F={fmax}"
         )
-    return _canonical(g for g in sets if g.bit_count() <= budget.max_genus)
+    return _canonical(p for p in sets if p[0].bit_count() <= budget.max_genus)
 
 
 def oversemigroups(S: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]:

@@ -96,6 +96,27 @@ class TestParsing:
     def test_refusals_and_spacing(self, capsys, spec, outcome):
         assert run(capsys, "quotient", "--sgp", spec, "--d", "1") == outcome
 
+    @pytest.mark.parametrize(
+        "argv, what, raw",
+        [
+            (("info", "--sgp", "1_0,1_1"), "generator list", "1_0,1_1"),
+            (("info", "--sgp", "٣,٥"), "generator list", "٣,٥"),
+            (("info", "--sgp", "gaps:1,٢"), "gap set", "1,٢"),
+            (("md-monoid", "--sgp", "5,7,9", "--d", "2", "--x", "9,1_0"), "x set", "9,1_0"),
+            (("md-monoid", "--sgp", "5,7,9", "--d", "2", "--x", "٩"), "x set", "٩"),
+            (("is-multiple", "--sgp", "3,4,5", "--d", "3", "--candidate", "4,5,7_0"),
+             "generator list", "4,5,7_0"),
+            (("is-multiple", "--sgp", "3,4,5", "--d", "3", "--candidate", "٤,٥,٧"),
+             "generator list", "٤,٥,٧"),
+        ],
+    )
+    def test_ascii_digits_only(self, capsys, argv, what, raw):
+        """int() alone would take underscores and non-ASCII digits; a comma
+        list is refused for either."""
+        assert run(capsys, *argv) == (
+            2, "", f"error: cannot parse {what} {raw!r} as a comma list of integers\n"
+        )
+
 
 class TestTextFixtures:
     def test_quotient(self, capsys):

@@ -102,11 +102,15 @@ class TestClosure:
 class TestRefusedValues:
     """The refusals from_generators and from_gaps give a value that is not
     a positive integer: the types are checked first, then the least value,
-    shown in the sorted set of values."""
+    shown in the sorted set of values.  A non-int equal to an int (True and
+    1, 3.0 and 3) is refused on either side of it, as every value is
+    checked before duplicates go."""
 
     @pytest.mark.parametrize("build, what", [(from_generators, "generators"), (from_gaps, "gaps")])
     def test_messages(self, build, what):
-        for values in ([True, 3], [2.5, 3], [3, True, -1]):
+        for values in (
+            [True, 3], [2.5, 3], [3, True, -1], [1, True], [True, 1], [3, 3.0, 4], [3.0, 3, 4],
+        ):
             with pytest.raises(InvalidInput, match=f"^{what} must be integers$"):
                 build(values)
         for values, shown in (([0, 3], "[0, 3]"), ([-2, 3], "[-2, 3]"), ([3, -2, 3], "[-2, 3]")):

@@ -6,7 +6,7 @@ import hashlib
 
 import pytest
 
-from numsgps import oracle
+from numsgps import core, oracle
 from numsgps.core import WHOLE_N, from_generators
 from numsgps.errors import CeilingExceeded, InvalidInput
 from numsgps.multiples import MultipleContext, is_d_multiple, quotient
@@ -37,6 +37,9 @@ class TestCensus:
         assert all_with_frobenius(1) == (sgp(2, 3),)
 
     def test_two_enumerators_agree(self):
+        """Two independent derivations of every msg: the descent reads it
+        off its own sum mask, the genus tree builds each semigroup through
+        the production kernel of numsgps.core."""
         for f in range(1, 13):
             assert all_with_frobenius(f) == all_with_frobenius_genus_tree(f)
 
@@ -138,6 +141,45 @@ class TestOversemigroups:
                 assert S <= T
 
 
+# The S of the over-semigroup listings (ℕ included) and the (S, d,
+# max_frobenius) of the bounded-multiples listings that the order and
+# independence tests run.
+OVERSEMIGROUP_CASES = [(3, 5, 7), (5, 7, 9), (4, 6, 13, 15), (6, 9, 11), (1,)]
+MULTIPLE_CASES = [
+    ((3, 4, 5), 2, 14), ((2, 3), 3, 13), ((5, 7, 9), 2, 30),
+    ((1,), 2, 9), ((3, 5, 7), 3, 16),
+]
+
+
+class TestIndependence:
+    def test_msg_without_the_production_kernel(self, monkeypatch):
+        """The descent-based listings read msg from their own sum mask: they
+        run with the production minimal-generator kernel and the oracle's
+        core builder refused, and each msg is the kernel's, computed after."""
+
+        def refused(gap_mask):
+            raise AssertionError(f"production build of gap mask {gap_mask}")
+
+        contexts = [(MultipleContext(sgp(*gens), d), fmax) for gens, d, fmax in MULTIPLE_CASES]
+        overs = [sgp(*gens) for gens in OVERSEMIGROUP_CASES]
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "_minimal_generators", refused)
+            patch.setattr(oracle, "_from_gap_mask", refused)
+            listings = [all_with_frobenius(f) for f in range(1, 17)]
+            listings += [
+                all_multiples_bounded(ctx, EnumerationBudget(fmax, fmax, 10000))
+                for ctx, fmax in contexts
+            ]
+            listings += [oversemigroups(S) for S in overs]
+        assert WHOLE_N in overs
+        checked = 0
+        for listing in listings:
+            for S in listing:
+                assert S.msg == core._minimal_generators(S.gap_mask)
+                checked += 1
+        assert checked > 1000
+
+
 def assert_canonical_order(listing):
     """The oracle's order contract: sorted by (genus, gaps), no duplicates."""
     listing = list(listing)
@@ -158,17 +200,11 @@ class TestOrderContract:
         assert len(listing) == 1 + 1 + 2 + 4 + 7 + 12 + 23 + 39 + 67 + 118
         assert_canonical_order(listing)
 
-    @pytest.mark.parametrize("gens", [(3, 5, 7), (5, 7, 9), (4, 6, 13, 15), (6, 9, 11), (1,)])
+    @pytest.mark.parametrize("gens", OVERSEMIGROUP_CASES)
     def test_oversemigroups(self, gens):
         assert_canonical_order(oversemigroups(sgp(*gens)))
 
-    @pytest.mark.parametrize(
-        "gens, d, fmax",
-        [
-            ((3, 4, 5), 2, 14), ((2, 3), 3, 13), ((5, 7, 9), 2, 30),
-            ((1,), 2, 9), ((3, 5, 7), 3, 16),
-        ],
-    )
+    @pytest.mark.parametrize("gens, d, fmax", MULTIPLE_CASES)
     def test_multiples_bounded(self, gens, d, fmax):
         ctx = MultipleContext(sgp(*gens), d)
         listing = all_multiples_bounded(ctx, EnumerationBudget(fmax, fmax, 10000))
